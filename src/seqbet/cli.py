@@ -76,7 +76,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SeqbetError as exc:
+    except (SeqbetError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -672,12 +672,14 @@ def render_table(summaries: list[CellSummary], checkpoints: list[int]) -> str:
         cells.append(flags.get(i, ""))
         cells.append("" if s.ok else f"failed: {s.reason}")
         rows.append(cells)
-    widths = [max(len(h), *(len(r[j]) for r in rows)) if rows else len(h)
-              for j, h in enumerate(headers)]
-    out = ["  ".join(h.ljust(widths[j]) for j, h in enumerate(headers)).rstrip()]
-    for r in rows:
-        out.append("  ".join(r[j].ljust(widths[j]) for j in range(len(headers))).rstrip())
-    return "\n".join(out) + "\n"
+    return _render_columns(headers, rows)
+
+
+def _render_columns(headers: list[str], rows: list[list[str]]) -> str:
+    """Left-aligned text columns two spaces apart, trailing blanks stripped."""
+    widths = [max([len(h), *(len(r[j]) for r in rows)]) for j, h in enumerate(headers)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in [headers, *rows]]
+    return "\n".join(lines) + "\n"
 
 
 def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints, cells) -> None:
@@ -717,25 +719,7 @@ def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = _build_cells(config)
     checkpoints = checkpoint_rounds(config.rounds)
-    specs = []
-    for kind, label, params in cells:
-        for r in range(config.replicates):
-            p = dict(params)
-            if kind == "sosnn":
-                p["seed"] = derive_seed(
-                    config.seed, r, _ROLE_SOSNN, p["input_count"], p["hidden_count"]
-                )
-            elif kind == "nnbp":
-                p["seed"] = derive_seed(config.seed, r, _ROLE_NNBP_INIT)
-                p["train_data_seed"] = derive_seed(config.seed, r, _ROLE_NNBP_DATA)
-            specs.append(
-                TaskSpec(
-                    kind=kind, label=label, replicate=r, warmup=config.warmup,
-                    params=p, generator=config.data.generator, rounds=config.rounds,
-                    data_seed=derive_seed(config.seed, r, _ROLE_DATA),
-                )
-            )
-    results = {(res.label, res.replicate): res for res in _execute(specs, jobs)}
+    results = _execute(_task_specs(config, cells), jobs)
     return _finish_run(config, out_dir, cells, checkpoints, results)
 
 
@@ -786,6 +770,19 @@ def run_backtest(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
     invest, invest_dates, training, betting_rounds = _backtest_series(config)
     cells = _build_cells(config)
     checkpoints = checkpoint_rounds(betting_rounds)
+    results = _execute(_task_specs(config, cells, invest, training), jobs)
+    write_movements(out_dir / "movements.csv", invest_dates, invest)
+    return _finish_run(config, out_dir, cells, checkpoints, results)
+
+
+def _task_specs(config, cells, movements=None, training=None) -> list[TaskSpec]:
+    """One TaskSpec per (cell, replicate), seeded from the base seed.
+
+    A backtest passes its shared normalized `movements` and, for nnbp, the
+    `training` movements; without them every task generates its replicate's
+    series from the derived data seed.
+    """
+    simulate = movements is None
     specs = []
     for kind, label, params in cells:
         for r in range(config.replicates):
@@ -796,19 +793,22 @@ def run_backtest(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
                 )
             elif kind == "nnbp":
                 p["seed"] = derive_seed(config.seed, r, _ROLE_NNBP_INIT)
+                p["train_data_seed"] = derive_seed(config.seed, r, _ROLE_NNBP_DATA)
             specs.append(
                 TaskSpec(
-                    kind=kind, label=label, replicate=r, warmup=config.warmup,
-                    params=p, movements=invest,
+                    kind=kind, label=label, replicate=r, warmup=config.warmup, params=p,
+                    generator=config.data.generator if simulate else None,
+                    rounds=config.rounds,
+                    data_seed=derive_seed(config.seed, r, _ROLE_DATA) if simulate else None,
+                    movements=movements,
                     training_movements=training if kind == "nnbp" else None,
                 )
             )
-    results = {(res.label, res.replicate): res for res in _execute(specs, jobs)}
-    write_movements(out_dir / "movements.csv", invest_dates, invest)
-    return _finish_run(config, out_dir, cells, checkpoints, results)
+    return specs
 
 
 def _finish_run(config, out_dir, cells, checkpoints, results) -> RunReport:
+    results = {(res.label, res.replicate): res for res in results}
     for (_, label, _) in cells:
         for r in range(config.replicates):
             result = results[(label, r)]
@@ -896,9 +896,4 @@ def render_compare(rows: list[CompareRow], checkpoints: list[int]) -> str:
         cells += [f"{row.values[c]:.3f}" if row.ok else FAILURE_MARK for c in checkpoints]
         cells += [row.flag, row.note]
         table.append(cells)
-    widths = [max(len(h), *(len(r[j]) for r in table)) if table else len(h)
-              for j, h in enumerate(headers)]
-    out = ["  ".join(h.ljust(widths[j]) for j, h in enumerate(headers)).rstrip()]
-    for r in table:
-        out.append("  ".join(r[j].ljust(widths[j]) for j in range(len(headers))).rstrip())
-    return "\n".join(out) + "\n"
+    return _render_columns(headers, table)

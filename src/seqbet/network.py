@@ -1,11 +1,16 @@
 """Three-layer tanh network and the two gradients that drive the strategies.
 
 The network maps an input window of past movements through one hidden tanh
-layer to a single tanh output, the betting ratio. There are no bias terms.
-This module provides the forward pass, the cumulative log-wealth objective
-and its analytic gradient (used by the sequential optimizer), the squared
+layer to tanh outputs, the betting ratios. There are no bias terms. This
+module provides the forward pass, the cumulative log-wealth objective and
+its analytic gradient (used by the sequential optimizer), the squared
 prediction error gradient (used by supervised training), and the
 search-then-converge learning-rate schedule.
+
+The objective and its gradient are one batched core over K recorded rounds:
+a K x L window matrix, a K x P movement matrix and P output rows, one per
+asset. A single asset is the P = 1 case, so `log_wealth` and the multi-asset
+functions in `seqbet.portfolio` evaluate the same arithmetic.
 
 Input windows are most-recent-first: the window feeding round k holds
 (x_{k-1}, ..., x_{k-L}).
@@ -165,27 +170,72 @@ def forward(window: Sequence[float], weights: NetworkWeights) -> ForwardTrace:
     return ForwardTrace(hidden_in, hidden_out, out_in, out)
 
 
-def _stack_history(history: Iterable, input_count: int) -> tuple[np.ndarray, np.ndarray]:
+def _stack_history(
+    history: Iterable, input_count: int, asset_count: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """K x L windows and K x P movements from (window, movement) pairs.
+
+    A scalar movement is a one-asset row. Windows must be finite and every
+    movement must lie in [-1, 1], which also rejects NaN.
+    """
     pairs = list(history)
     if not pairs:
-        return np.empty((0, input_count)), np.empty(0)
+        return np.empty((0, input_count)), np.empty((0, asset_count))
     windows = np.asarray([np.asarray(w, dtype=float) for w, _ in pairs])
-    moves = np.asarray([float(x) for _, x in pairs])
+    moves = np.asarray([np.asarray(x, dtype=float) for _, x in pairs])
+    if moves.ndim == 1:
+        moves = moves[:, None]
     if windows.ndim != 2 or windows.shape[1] != input_count:
         raise UsageError(
             f"history windows of shape {windows.shape} fed to input width {input_count}"
         )
-    if np.abs(moves).max() > 1.0:
-        raise UsageError("history movements must lie in [-1, 1]")
+    if moves.shape != (len(pairs), asset_count):
+        raise UsageError(
+            f"history movements of shape {moves.shape} fed to {asset_count} asset(s)"
+        )
+    if not np.isfinite(windows).all():
+        raise UsageError("history windows must be finite")
+    if not (np.abs(moves) <= 1.0).all():
+        raise UsageError("history movements must be finite and lie in [-1, 1]")
     return windows, moves
 
 
 def _batch_forward(windows, w_hidden, w_out):
-    hidden_in = windows @ w_hidden.T
-    hidden_out = np.tanh(hidden_in)
-    out_in = hidden_out @ w_out
-    out = np.clip(np.tanh(out_in), -_OUTPUT_CAP, _OUTPUT_CAP)
+    """Hidden outputs (K x M) and ratios for K windows.
+
+    `w_out` is P x M (ratios K x P) or one length-M row (ratios of length K).
+    """
+    hidden_out = np.tanh(windows @ w_hidden.T)
+    out = np.clip(np.tanh(hidden_out @ w_out.T), -_OUTPUT_CAP, _OUTPUT_CAP)
     return hidden_out, out
+
+
+def _log_wealth(windows, moves, w_hidden, w_out) -> float:
+    """Summed log(1 + sum_h f_kh x_kh) over K rounds; -inf once a round's
+    gross return is nonpositive, which only several assets can reach."""
+    _, out = _batch_forward(windows, w_hidden, w_out)
+    summed = (out * moves).sum(axis=1)
+    if summed.size and summed.min() <= -1.0:
+        return -np.inf
+    return float(np.log1p(summed).sum())
+
+
+def _wealth_value_and_gradient(windows, moves, w_hidden, w_out):
+    """Objective and gradient over K rounds and P assets, at an iterate where
+    every gross return is positive.
+
+    Round k contributes out_delta_kh * hidden_out_k to output row h and
+    (sum_h out_delta_kh * w_out_hi) * (1 - hidden_out_ki^2) * window_kj to
+    the hidden layer, where out_delta_kh = x_kh / (1 + sum_g f_kg x_kg) * (1 - f_kh^2).
+    """
+    hidden_out, out = _batch_forward(windows, w_hidden, w_out)
+    summed = (out * moves).sum(axis=1)
+    value = float(np.log1p(summed).sum())
+    out_deltas = moves / (1.0 + summed)[:, None] * (1.0 - out * out)
+    grad_out = out_deltas.T @ hidden_out
+    hidden_deltas = (out_deltas @ w_out) * (1.0 - hidden_out * hidden_out)
+    grad_hidden = hidden_deltas.T @ windows
+    return value, grad_hidden, grad_out, out_deltas, hidden_deltas
 
 
 def log_wealth(weights: NetworkWeights, history: Iterable) -> float:
@@ -194,20 +244,7 @@ def log_wealth(weights: NetworkWeights, history: Iterable) -> float:
     `history` is a sequence of (input window, movement) pairs.
     """
     windows, moves = _stack_history(history, weights.hidden_weights.shape[1])
-    _, out = _batch_forward(windows, weights.hidden_weights, weights.output_weights)
-    return float(np.log1p(out * moves).sum())
-
-
-def _wealth_value_and_gradient(windows, moves, w_hidden, w_out):
-    """Fused objective / gradient evaluation over a stacked history."""
-    hidden_out, out = _batch_forward(windows, w_hidden, w_out)
-    gross = 1.0 + out * moves
-    value = float(np.log1p(out * moves).sum())
-    out_deltas = moves / gross * (1.0 - out * out)
-    grad_out = out_deltas @ hidden_out
-    hidden_deltas = out_deltas[:, None] * w_out[None, :] * (1.0 - hidden_out * hidden_out)
-    grad_hidden = hidden_deltas.T @ windows
-    return value, grad_hidden, grad_out, hidden_deltas, out_deltas
+    return _log_wealth(windows, moves, weights.hidden_weights, weights.output_weights[None, :])
 
 
 def log_wealth_gradient(weights: NetworkWeights, history: Iterable) -> WeightGradient:
@@ -218,10 +255,10 @@ def log_wealth_gradient(weights: NetworkWeights, history: Iterable) -> WeightGra
     layer, where out_delta_k = x_k / (1 + f x_k) * (1 - f^2).
     """
     windows, moves = _stack_history(history, weights.hidden_weights.shape[1])
-    _, grad_hidden, grad_out, hidden_deltas, out_deltas = _wealth_value_and_gradient(
-        windows, moves, weights.hidden_weights, weights.output_weights
+    _, grad_hidden, grad_out, out_deltas, hidden_deltas = _wealth_value_and_gradient(
+        windows, moves, weights.hidden_weights, weights.output_weights[None, :]
     )
-    return WeightGradient(grad_hidden, grad_out, out_deltas, hidden_deltas)
+    return WeightGradient(grad_hidden, grad_out[0], out_deltas[:, 0], hidden_deltas)
 
 
 def squared_error_gradient(

@@ -19,6 +19,7 @@ from .network import (
     NetworkConfig,
     NetworkWeights,
     _batch_forward,
+    _stack_history,
     forward,
     input_window,
     squared_error_gradient,
@@ -68,13 +69,11 @@ def sign_target(x: float) -> int:
 
 def training_error(weights: NetworkWeights, training: Iterable) -> float:
     """Mean halved squared error over (window, target) pairs: sum((T-y)^2) / 2m."""
-    pairs = list(training)
-    if not pairs:
+    windows, targets = _stack_history(training, weights.hidden_weights.shape[1])
+    if not targets.size:
         raise UsageError("training set must not be empty")
-    windows = np.asarray([np.asarray(w, dtype=float) for w, _ in pairs])
-    targets = np.asarray([float(t) for _, t in pairs])
     _, out = _batch_forward(windows, weights.hidden_weights, weights.output_weights)
-    return float(0.5 * np.mean((targets - out) ** 2))
+    return float(0.5 * np.mean((targets[:, 0] - out) ** 2))
 
 
 def _training_pairs(xs: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,19 +6,32 @@ A per-output tanh keeps each ratio inside (-1, 1) but not their total
 exposure, so ratio vectors are rescaled whenever the sum of their magnitudes
 would reach 1; that cap and the multi-output log-wealth gradient are
 validated against finite differences in the test suite.
+
+The objective, its gradient and the refit are the network core of
+`seqbet.network` and `seqbet.sosnn`, whose single-asset strategy is the
+P = 1 case. Only for P > 1 can a ratio vector bankrupt a recorded round, so
+only then does the refit search for solvent weights and steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, StrategyViolationError, UsageError
+from .errors import StrategyViolationError, UsageError
 from .game import RATIO_MARGIN, checkpoint_rounds
-from .network import NetworkConfig, _OUTPUT_CAP
-from .sosnn import OptimizeReport, SosnnConfig
+from .network import (
+    NetworkConfig,
+    _OUTPUT_CAP,
+    _log_wealth,
+    _stack_history,
+    _wealth_value_and_gradient,
+    window_matrix,
+)
+from .sosnn import SosnnConfig, _ascend
 
 
 @dataclass
@@ -68,9 +81,7 @@ def forward_portfolio(window: Sequence[float], weights: PortfolioWeights) -> np.
     if u.shape != (l,):
         raise UsageError(f"window of shape {u.shape} fed to a {m}x{l} network")
     hidden_out = np.tanh(weights.hidden_weights @ u)
-    # Per-asset dot products keep the one-asset case numerically identical to
-    # the single-output forward pass.
-    out_in = np.array([row @ hidden_out for row in weights.output_weights])
+    out_in = weights.output_weights @ hidden_out
     return np.clip(np.tanh(out_in), -_OUTPUT_CAP, _OUTPUT_CAP)
 
 
@@ -96,38 +107,14 @@ def capital_step_portfolio(
         )
     if not (capital_prev > 0 and np.isfinite(capital_prev)):
         raise UsageError(f"capital must be positive and finite, got {capital_prev!r}")
-    if x.size and np.abs(x).max() > 1.0:
-        raise UsageError("movements must lie in [-1, 1]")
+    if not (np.abs(x) <= 1.0).all():
+        raise UsageError("movements must be finite and lie in [-1, 1]")
     exposure = float(np.abs(ratios).sum())
     if not exposure < 1.0:
         raise StrategyViolationError(
             f"total exposure {exposure} must stay below 1 to exclude bankruptcy"
         )
     return capital_prev * (1.0 + float(ratios @ x))
-
-
-def _batch_forward_portfolio(windows, w_hidden, w_out):
-    hidden_out = np.tanh(windows @ w_hidden.T)
-    out_in = np.stack([hidden_out @ row for row in w_out], axis=1)
-    out = np.clip(np.tanh(out_in), -_OUTPUT_CAP, _OUTPUT_CAP)
-    return hidden_out, out
-
-
-def _stack_panel_history(history: Iterable, input_count: int, asset_count: int):
-    pairs = list(history)
-    if not pairs:
-        return np.empty((0, input_count)), np.empty((0, asset_count))
-    windows = np.asarray([np.asarray(w, dtype=float) for w, _ in pairs])
-    moves = np.asarray([np.asarray(x, dtype=float) for _, x in pairs])
-    if windows.ndim != 2 or windows.shape[1] != input_count:
-        raise UsageError(f"history windows of shape {windows.shape} fed to width {input_count}")
-    if moves.ndim != 2 or moves.shape[1] != asset_count:
-        raise UsageError(
-            f"history movements of shape {moves.shape} fed to {asset_count} assets"
-        )
-    if np.abs(moves).max() > 1.0:
-        raise UsageError("history movements must lie in [-1, 1]")
-    return windows, moves
 
 
 def log_wealth_portfolio(weights: PortfolioWeights, history: Iterable) -> float:
@@ -137,102 +124,30 @@ def log_wealth_portfolio(weights: PortfolioWeights, history: Iterable) -> float:
     several assets the raw output vector can push the summed exposure past
     the bankruptcy boundary, unlike the single-output case.
     """
-    windows, moves = _stack_panel_history(
+    windows, moves = _stack_history(
         history, weights.hidden_weights.shape[1], weights.asset_count
     )
-    return _portfolio_value(windows, moves, weights.hidden_weights, weights.output_weights)
-
-
-def _portfolio_value(windows, moves, w_hidden, w_out) -> float:
-    _, out = _batch_forward_portfolio(windows, w_hidden, w_out)
-    summed = (out * moves).sum(axis=1)
-    if summed.size and summed.min() <= -1.0:
-        return -np.inf
-    return float(np.log1p(summed).sum())
-
-
-def _portfolio_value_and_gradient(windows, moves, w_hidden, w_out):
-    """Objective and gradient at a valid iterate (all gross returns positive)."""
-    hidden_out, out = _batch_forward_portfolio(windows, w_hidden, w_out)
-    summed = (out * moves).sum(axis=1)
-    value = float(np.log1p(summed).sum())
-    gross = 1.0 + summed
-    # Shared per-round multiplier x_kh / (1 + sum_g f_g x_kg), asset by asset.
-    out_deltas = moves / gross[:, None] * (1.0 - out * out)
-    grad_out = np.stack([out_deltas[:, h] @ hidden_out for h in range(w_out.shape[0])])
-    hidden_mult = (out_deltas @ w_out) * (1.0 - hidden_out * hidden_out)
-    grad_hidden = hidden_mult.T @ windows
-    return value, grad_hidden, grad_out
+    return _log_wealth(windows, moves, weights.hidden_weights, weights.output_weights)
 
 
 def log_wealth_gradient_portfolio(
     weights: PortfolioWeights, history: Iterable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of `log_wealth_portfolio` as (hidden, output) arrays."""
-    windows, moves = _stack_panel_history(
+    windows, moves = _stack_history(
         history, weights.hidden_weights.shape[1], weights.asset_count
     )
-    _, grad_hidden, grad_out = _portfolio_value_and_gradient(
+    _, grad_hidden, grad_out, _, _ = _wealth_value_and_gradient(
         windows, moves, weights.hidden_weights, weights.output_weights
     )
     return grad_hidden, grad_out
 
 
 def _optimize_portfolio(windows, moves, config: SosnnConfig, init: PortfolioWeights):
-    w_hidden = init.hidden_weights.copy()
-    w_out = init.output_weights.copy()
-    # A warm start fitted before the newest round arrived can bankrupt that
-    # round (several saturated outputs against unit movements), where the
-    # objective is undefined. Shrinking the output layer toward the zero
-    # policy always restores feasibility; the zero policy earns exactly 0.
-    for _ in range(128):
-        if np.isfinite(_portfolio_value(windows, moves, w_hidden, w_out)):
-            break
-        w_out *= 0.5
-    else:
-        raise NumericError("could not project the initial weights to solvency")
-    best_value = -np.inf
-    best = (w_hidden.copy(), w_out.copy())
-    iterations = 0
-    converged = False
-    grad_norm = np.nan
-    for step in range(config.max_iterations):
-        value, grad_hidden, grad_out = _portfolio_value_and_gradient(
-            windows, moves, w_hidden, w_out
-        )
-        if not (np.isfinite(grad_hidden).all() and np.isfinite(grad_out).all()):
-            raise NumericError(f"non-finite gradient at ascent step {step}")
-        if value > best_value:
-            best_value = value
-            best = (w_hidden.copy(), w_out.copy())
-        grad_norm = max(np.abs(grad_hidden).max(), np.abs(grad_out).max())
-        rate = config.schedule.rate(step)
-        inc_hidden = rate * grad_hidden
-        inc_out = rate * grad_out
-        # Shrink any step that would cross into the region where some round's
-        # gross return is nonpositive and the objective undefined; a single
-        # asset can never get there (|f| < 1, |x| <= 1).
-        for _ in range(64):
-            if np.isfinite(
-                _portfolio_value(windows, moves, w_hidden + inc_hidden, w_out + inc_out)
-            ):
-                break
-            inc_hidden = 0.5 * inc_hidden
-            inc_out = 0.5 * inc_out
-        else:
-            raise NumericError(f"could not find a solvent ascent step at {step}")
-        w_hidden += inc_hidden
-        w_out += inc_out
-        iterations = step + 1
-        if max(np.abs(inc_hidden).max(), np.abs(inc_out).max()) < config.weight_tolerance:
-            converged = True
-            break
-    value = _portfolio_value(windows, moves, w_hidden, w_out)
-    if np.isfinite(value) and value > best_value:
-        best_value = value
-        best = (w_hidden, w_out)
-    weights = PortfolioWeights(best[0], best[1])
-    return weights, OptimizeReport(iterations, converged, float(grad_norm), best_value)
+    w_hidden, w_out, report = _ascend(
+        windows, moves, config, init.hidden_weights, init.output_weights
+    )
+    return PortfolioWeights(w_hidden, w_out), report
 
 
 @dataclass
@@ -269,8 +184,8 @@ def run_sosnn_portfolio(
     moves = np.asarray(movements, dtype=float)
     if moves.ndim != 2 or moves.shape[1] < 1:
         raise UsageError("movement panel must be a (rounds x assets) matrix")
-    if moves.size and np.abs(moves).max() > 1.0:
-        raise UsageError("movements must lie in [-1, 1]")
+    if not (np.abs(moves) <= 1.0).all():
+        raise UsageError("movements must be finite and lie in [-1, 1]")
     n_rounds, n_assets = moves.shape
     length = config.net.input_count
     warmup = config.warmup
@@ -282,9 +197,7 @@ def run_sosnn_portfolio(
         )
     rng = np.random.default_rng(config.seed)
     weights = PortfolioWeights.uniform(config.net, n_assets, config.init_scale, rng)
-    driver = moves[:, 0]
-    rounds = np.arange(warmup + 1, n_rounds + 1)
-    windows = driver[rounds[:, None] - 2 - np.arange(length)[None, :]]
+    windows = window_matrix(moves[:, 0], length, warmup + 1, n_rounds)
 
     ratios = np.zeros((n_rounds, n_assets))
     path = np.empty(n_rounds)
@@ -304,6 +217,7 @@ def run_sosnn_portfolio(
                 )
             bet = rescale_exposure(forward_portfolio(windows[n - warmup - 1], weights))
             ratios[i] = bet
-            log_k += float(np.log1p(bet @ moves[i]))
+            # math.log1p, as in the game loop, keeps one asset identical to run_sosnn.
+            log_k += math.log1p(float(bet @ moves[i]))
         path[i] = log_k
     return PortfolioRunResult(ratios=ratios, log_capital_path=path, warmup=warmup)

@@ -20,7 +20,7 @@ from .network import (
     AnnealingSchedule,
     NetworkConfig,
     NetworkWeights,
-    _batch_forward,
+    _log_wealth,
     _stack_history,
     _wealth_value_and_gradient,
     forward,
@@ -80,8 +80,35 @@ def optimize_weights(
 
 
 def _optimize(windows, moves, config, init):
-    w_hidden = init.hidden_weights.copy()
-    w_out = init.output_weights.copy()
+    """Refit of one network: the P = 1 case of `_ascend` (moves is K x 1)."""
+    w_hidden, w_out, report = _ascend(
+        windows, moves, config, init.hidden_weights, init.output_weights[None, :]
+    )
+    return NetworkWeights(w_hidden, w_out[0]), report
+
+
+def _ascend(windows, moves, config, w_hidden, w_out):
+    """Annealed gradient ascent of log wealth over K rounds and P assets.
+
+    Returns the best hidden (M x L) and output (P x M) weights visited and a
+    report. With several assets the raw ratio vector can bankrupt a recorded
+    round, where the objective is undefined, so the start is projected to
+    solvency and every step is shrunk until it stays solvent. One asset can
+    never get there (|f| < 1, |x| <= 1), so neither search runs for P = 1.
+    """
+    w_hidden = w_hidden.copy()
+    w_out = w_out.copy()
+    several_assets = moves.shape[1] > 1
+    if several_assets:
+        # A warm start fitted before the newest round arrived can bankrupt
+        # that round. Shrinking the output layer toward the zero policy,
+        # which earns exactly 0, always restores feasibility.
+        for _ in range(128):
+            if np.isfinite(_log_wealth(windows, moves, w_hidden, w_out)):
+                break
+            w_out *= 0.5
+        else:
+            raise NumericError("could not project the initial weights to solvency")
     best_value = -np.inf
     best = (w_hidden.copy(), w_out.copy())
     iterations = 0
@@ -107,6 +134,16 @@ def _optimize(windows, moves, config, init):
         rate = config.schedule.rate(step)
         inc_hidden = rate * grad_hidden
         inc_out = rate * grad_out
+        if several_assets:
+            for _ in range(64):
+                if np.isfinite(
+                    _log_wealth(windows, moves, w_hidden + inc_hidden, w_out + inc_out)
+                ):
+                    break
+                inc_hidden = 0.5 * inc_hidden
+                inc_out = 0.5 * inc_out
+            else:
+                raise NumericError(f"could not find a solvent ascent step at {step}")
         w_hidden += inc_hidden
         w_out += inc_out
         iterations = step + 1
@@ -114,13 +151,11 @@ def _optimize(windows, moves, config, init):
             converged = True
             break
     # The loop never scores its last update; one more evaluation settles it.
-    _, out = _batch_forward(windows, w_hidden, w_out)
-    value = float(np.log1p(out * moves).sum())
+    value = _log_wealth(windows, moves, w_hidden, w_out)
     if np.isfinite(value) and value > best_value:
         best_value = value
         best = (w_hidden, w_out)
-    weights = NetworkWeights(best[0], best[1])
-    return weights, OptimizeReport(iterations, converged, float(grad_norm), best_value)
+    return best[0], best[1], OptimizeReport(iterations, converged, float(grad_norm), best_value)
 
 
 def run_sosnn(movements: MovementSeries, config: SosnnConfig) -> StrategyRunResult:
@@ -147,6 +182,7 @@ def run_sosnn(movements: MovementSeries, config: SosnnConfig) -> StrategyRunResu
     weights = NetworkWeights.uniform(config.net, config.init_scale, rng)
     # Row i holds the input window of round warmup + 1 + i.
     windows = window_matrix(xs, length, warmup + 1, len(xs))
+    moves = xs[:, None]
     diagnostics: list[RoundDiagnostics] = []
 
     def bet(n: int, past: np.ndarray) -> float:
@@ -160,7 +196,7 @@ def run_sosnn(movements: MovementSeries, config: SosnnConfig) -> StrategyRunResu
             )
             try:
                 weights, report = _optimize(
-                    windows[:completed], xs[warmup : n - 1], config, init
+                    windows[:completed], moves[warmup : n - 1], config, init
                 )
             except NumericError as exc:
                 raise NumericError(f"round {n}: {exc}") from None

@@ -476,6 +476,13 @@ class TestCli:
     def test_usage_error_exits_1(self, capsys):
         assert main(["simulate", "--out", "x"]) == 1
 
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, TINY_SIM)
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(taken)]) == 2
+        assert "runtime failure" in capsys.readouterr().err
+
     def test_compare_cli(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_SIM)
         main(["simulate", "--config", str(path), "--out", str(tmp_path / "a")])

@@ -99,6 +99,17 @@ class TestLogWealth:
         history = [(rng.uniform(-1, 1, config.input_count), 0.0) for _ in range(8)]
         assert log_wealth(weights, history) == 0.0
 
+    def test_history_validation(self):
+        w = NetworkWeights.zeros(NetworkConfig(1, 2))
+        for history in (
+            [(np.array([0.1]), 1.5)],
+            [(np.array([0.1]), np.nan)],
+            [(np.array([np.nan]), 0.1)],
+            [(np.array([0.1, 0.2]), 0.1)],
+        ):
+            with pytest.raises(UsageError):
+                log_wealth(w, history)
+
 
 class TestLogWealthGradient:
     def test_zero_weights_stationary(self, rng):

@@ -62,6 +62,8 @@ class TestCapitalStep:
     def test_movement_bound(self):
         with pytest.raises(UsageError):
             capital_step_portfolio(1.0, [0.1, 0.1], [1.5, 0.0])
+        with pytest.raises(UsageError):
+            capital_step_portfolio(1.0, [0.1, 0.1], [np.nan, 0.0])
 
     @given(
         st.integers(1, 5),
@@ -131,12 +133,8 @@ class TestRunPortfolio:
         config = SosnnConfig(net=NetworkConfig(1, 2), warmup=5, seed=31)
         single = run_sosnn(ms, config)
         panel = run_sosnn_portfolio(ms.values[:, None], config)
-        np.testing.assert_allclose(
-            panel.ratios[:, 0], single.ratios, rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            panel.log_capital_path, single.log_capital_path, rtol=0, atol=1e-12
-        )
+        np.testing.assert_array_equal(panel.ratios[:, 0], single.ratios)
+        np.testing.assert_array_equal(panel.log_capital_path, single.log_capital_path)
         assert panel.checkpoints.keys() == single.checkpoints.keys()
 
     def test_two_assets_run_and_solvency(self, rng):
@@ -171,6 +169,8 @@ class TestRunPortfolio:
             run_sosnn_portfolio(np.zeros(30), config)  # not a matrix
         with pytest.raises(UsageError):
             run_sosnn_portfolio(np.full((30, 2), 1.5), config)
+        with pytest.raises(UsageError, match="finite"):
+            run_sosnn_portfolio(np.full((30, 2), np.nan), config)
 
     def test_correlated_assets_cross_bankrupt_region(self):
         # Two strongly correlated assets drive the refit into territory where

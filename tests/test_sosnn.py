@@ -48,6 +48,12 @@ class TestOptimizeWeights:
         with pytest.raises(UsageError, match="empty"):
             optimize_weights([], config, NetworkWeights.zeros(config.net))
 
+    def test_non_finite_history_rejected(self):
+        config = small_config()
+        history = [(np.zeros(config.net.input_count), np.nan)]
+        with pytest.raises(UsageError, match="finite"):
+            optimize_weights(history, config, NetworkWeights.zeros(config.net))
+
     def test_beats_grid_search_at_tiny_dimension(self, rng):
         # Independent oracle: a 101x101 grid over both scalar weights of the
         # 1x1 network on a 30-round sample.
