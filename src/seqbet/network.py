@@ -10,7 +10,9 @@ search-then-converge learning-rate schedule.
 The objective and its gradient are one batched core over K recorded rounds:
 a K x L window matrix, a K x P movement matrix and P output rows, one per
 asset. A single asset is the P = 1 case, so `log_wealth` and the multi-asset
-functions in `seqbet.portfolio` evaluate the same arithmetic.
+functions in `seqbet.portfolio` evaluate the same arithmetic. The kernel
+writes the gradient into arrays the caller provides, so the ascent loop in
+`seqbet.sosnn` reuses one flat buffer for every step.
 
 Input windows are most-recent-first: the window feeding round k holds
 (x_{k-1}, ..., x_{k-L}).
@@ -175,14 +177,18 @@ def _stack_history(
 ) -> tuple[np.ndarray, np.ndarray]:
     """K x L windows and K x P movements from (window, movement) pairs.
 
-    A scalar movement is a one-asset row. Windows must be finite and every
-    movement must lie in [-1, 1], which also rejects NaN.
+    A scalar movement is a one-asset row. Every window must have one length
+    and every movement one shape, all entries numeric. Windows must be finite
+    and every movement must lie in [-1, 1], which also rejects NaN.
     """
     pairs = list(history)
     if not pairs:
         return np.empty((0, input_count)), np.empty((0, asset_count))
-    windows = np.asarray([np.asarray(w, dtype=float) for w, _ in pairs])
-    moves = np.asarray([np.asarray(x, dtype=float) for _, x in pairs])
+    try:
+        windows = np.asarray([np.asarray(w, dtype=float) for w, _ in pairs])
+        moves = np.asarray([np.asarray(x, dtype=float) for _, x in pairs])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"history must hold numeric pairs of one shape: {exc}") from None
     if moves.ndim == 1:
         moves = moves[:, None]
     if windows.ndim != 2 or windows.shape[1] != input_count:
@@ -204,9 +210,11 @@ def _batch_forward(windows, w_hidden, w_out):
     """Hidden outputs (K x M) and ratios for K windows.
 
     `w_out` is P x M (ratios K x P) or one length-M row (ratios of length K).
+    The output cap is applied in place; for finite input it equals `np.clip`.
     """
     hidden_out = np.tanh(windows @ w_hidden.T)
-    out = np.clip(np.tanh(hidden_out @ w_out.T), -_OUTPUT_CAP, _OUTPUT_CAP)
+    out = np.tanh(hidden_out @ w_out.T)
+    np.minimum(np.maximum(out, -_OUTPUT_CAP, out=out), _OUTPUT_CAP, out=out)
     return hidden_out, out
 
 
@@ -214,28 +222,30 @@ def _log_wealth(windows, moves, w_hidden, w_out) -> float:
     """Summed log(1 + sum_h f_kh x_kh) over K rounds; -inf once a round's
     gross return is nonpositive, which only several assets can reach."""
     _, out = _batch_forward(windows, w_hidden, w_out)
-    summed = (out * moves).sum(axis=1)
+    summed = np.vecdot(out, moves)
     if summed.size and summed.min() <= -1.0:
         return -np.inf
     return float(np.log1p(summed).sum())
 
 
-def _wealth_value_and_gradient(windows, moves, w_hidden, w_out):
-    """Objective and gradient over K rounds and P assets, at an iterate where
-    every gross return is positive.
+def _wealth_value_and_gradient(windows, moves, w_hidden, w_out, grad_hidden, grad_out):
+    """Objective over K rounds and P assets, at an iterate where every gross
+    return is positive; the gradient is written into the caller's arrays
+    `grad_hidden` (M x L) and `grad_out` (P x M).
 
     Round k contributes out_delta_kh * hidden_out_k to output row h and
     (sum_h out_delta_kh * w_out_hi) * (1 - hidden_out_ki^2) * window_kj to
     the hidden layer, where out_delta_kh = x_kh / (1 + sum_g f_kg x_kg) * (1 - f_kh^2).
+    Returns the objective and the K x P output and K x M hidden deltas.
     """
     hidden_out, out = _batch_forward(windows, w_hidden, w_out)
-    summed = (out * moves).sum(axis=1)
+    summed = np.vecdot(out, moves)
     value = float(np.log1p(summed).sum())
     out_deltas = moves / (1.0 + summed)[:, None] * (1.0 - out * out)
-    grad_out = out_deltas.T @ hidden_out
+    np.matmul(out_deltas.T, hidden_out, out=grad_out)
     hidden_deltas = (out_deltas @ w_out) * (1.0 - hidden_out * hidden_out)
-    grad_hidden = hidden_deltas.T @ windows
-    return value, grad_hidden, grad_out, out_deltas, hidden_deltas
+    np.matmul(hidden_deltas.T, windows, out=grad_hidden)
+    return value, out_deltas, hidden_deltas
 
 
 def log_wealth(weights: NetworkWeights, history: Iterable) -> float:
@@ -255,8 +265,11 @@ def log_wealth_gradient(weights: NetworkWeights, history: Iterable) -> WeightGra
     layer, where out_delta_k = x_k / (1 + f x_k) * (1 - f^2).
     """
     windows, moves = _stack_history(history, weights.hidden_weights.shape[1])
-    _, grad_hidden, grad_out, out_deltas, hidden_deltas = _wealth_value_and_gradient(
-        windows, moves, weights.hidden_weights, weights.output_weights[None, :]
+    grad_hidden = np.empty_like(weights.hidden_weights)
+    grad_out = np.empty((1, weights.output_weights.size))
+    _, out_deltas, hidden_deltas = _wealth_value_and_gradient(
+        windows, moves, weights.hidden_weights, weights.output_weights[None, :],
+        grad_hidden, grad_out,
     )
     return WeightGradient(grad_hidden, grad_out[0], out_deltas[:, 0], hidden_deltas)
 

@@ -18,11 +18,11 @@ from .game import MovementSeries, StrategyRunResult, clamp_ratio, run_game
 from .network import (
     NetworkConfig,
     NetworkWeights,
+    _OUTPUT_CAP,
     _batch_forward,
     _stack_history,
     forward,
     input_window,
-    squared_error_gradient,
     window_matrix,
 )
 
@@ -109,15 +109,25 @@ def train(
         if init.config != config.net:
             raise UsageError(f"init weights are {init.config}, config wants {config.net}")
         weights = init.copy()
+    if not np.isin(targets, (-1.0, 0.0, 1.0)).all():
+        raise UsageError("training targets must be -1, 0 or 1")
+    target_list = targets.tolist()
+    w_hidden = weights.hidden_weights
+    w_out = weights.output_weights
     rate = config.learning_rate
     errors: list[float] = []
     steps = 0
     converged = False
     while True:
-        for k in range(m):
-            grad = squared_error_gradient(weights, windows[k], targets[k])
-            weights.hidden_weights -= rate * grad.hidden_weights
-            weights.output_weights -= rate * grad.output_weights
+        # One descent step per sample along `squared_error_gradient`, inlined
+        # with the same operation order so the weights match it bit for bit.
+        for u, target in zip(windows, target_list):
+            hidden_out = np.tanh(w_hidden @ u)
+            out = min(max(float(np.tanh(w_out @ hidden_out)), -_OUTPUT_CAP), _OUTPUT_CAP)
+            out_delta = -(target - out) * (1.0 - out * out)
+            hidden_delta = (out_delta * w_out) * (1.0 - hidden_out * hidden_out)
+            w_hidden -= rate * (hidden_delta[:, None] * u)
+            w_out -= rate * (out_delta * hidden_out)
         steps += m
         _, out = _batch_forward(windows, weights.hidden_weights, weights.output_weights)
         errors.append(float(0.5 * np.mean((targets - out) ** 2)))

@@ -137,8 +137,10 @@ def log_wealth_gradient_portfolio(
     windows, moves = _stack_history(
         history, weights.hidden_weights.shape[1], weights.asset_count
     )
-    _, grad_hidden, grad_out, _, _ = _wealth_value_and_gradient(
-        windows, moves, weights.hidden_weights, weights.output_weights
+    grad_hidden = np.empty_like(weights.hidden_weights)
+    grad_out = np.empty_like(weights.output_weights)
+    _wealth_value_and_gradient(
+        windows, moves, weights.hidden_weights, weights.output_weights, grad_hidden, grad_out
     )
     return grad_hidden, grad_out
 

@@ -4,11 +4,14 @@ Before each betting round the network weights are re-fit, by annealed
 gradient ascent, to maximize the log wealth they would have earned over all
 completed post-warmup rounds; the round's bet is the refit network's output
 on the latest window. The optimizer returns the best iterate it visited, so
-a round's weights never score below their starting point.
+a round's weights never score below their starting point. A refit stops
+at the iteration cap or once rate * max|g| falls below the weight tolerance,
+which is the same as every applied weight increment falling below it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -95,9 +98,24 @@ def _ascend(windows, moves, config, w_hidden, w_out):
     round, where the objective is undefined, so the start is projected to
     solvency and every step is shrunk until it stays solvent. One asset can
     never get there (|f| < 1, |x| <= 1), so neither search runs for P = 1.
+
+    Both weight layers are views of one flat parameter vector, and the
+    kernel writes the gradient g into views of one flat buffer. The ascent
+    stops once the largest applied increment falls below `weight_tolerance`.
+    For one asset that is rate * max|g| < tol, which equals max|rate * g| < tol
+    exactly: rounding a product by a positive scalar is monotone and
+    symmetric in sign.
     """
-    w_hidden = w_hidden.copy()
-    w_out = w_out.copy()
+    hidden_shape, out_shape = w_hidden.shape, w_out.shape
+    split = w_hidden.size
+
+    def views(flat):
+        return flat[:split].reshape(hidden_shape), flat[split:].reshape(out_shape)
+
+    theta = np.concatenate((w_hidden.ravel(), w_out.ravel()))
+    grad = np.empty_like(theta)
+    w_hidden, w_out = views(theta)
+    grad_hidden, grad_out = views(grad)
     several_assets = moves.shape[1] > 1
     if several_assets:
         # A warm start fitted before the newest round arrived can bankrupt
@@ -110,52 +128,50 @@ def _ascend(windows, moves, config, w_hidden, w_out):
         else:
             raise NumericError("could not project the initial weights to solvency")
     best_value = -np.inf
-    best = (w_hidden.copy(), w_out.copy())
+    best = theta.copy()
     iterations = 0
     converged = False
     grad_norm = np.nan
     tol = config.weight_tolerance
     for step in range(config.max_iterations):
-        value, grad_hidden, grad_out, _, _ = _wealth_value_and_gradient(
-            windows, moves, w_hidden, w_out
+        value, _, _ = _wealth_value_and_gradient(
+            windows, moves, w_hidden, w_out, grad_hidden, grad_out
         )
-        if not (
-            np.isfinite(value)
-            and np.isfinite(grad_hidden).all()
-            and np.isfinite(grad_out).all()
-        ):
+        grad_norm = np.abs(grad).max()
+        if not (math.isfinite(value) and math.isfinite(grad_norm)):
             raise NumericError(
                 f"non-finite objective or gradient at ascent step {step}"
             )
         if value > best_value:
             best_value = value
-            best = (w_hidden.copy(), w_out.copy())
-        grad_norm = max(np.abs(grad_hidden).max(), np.abs(grad_out).max())
+            best = theta.copy()
         rate = config.schedule.rate(step)
-        inc_hidden = rate * grad_hidden
-        inc_out = rate * grad_out
         if several_assets:
+            increment = rate * grad
             for _ in range(64):
-                if np.isfinite(
-                    _log_wealth(windows, moves, w_hidden + inc_hidden, w_out + inc_out)
-                ):
+                if np.isfinite(_log_wealth(windows, moves, *views(theta + increment))):
                     break
-                inc_hidden = 0.5 * inc_hidden
-                inc_out = 0.5 * inc_out
+                increment *= 0.5
             else:
                 raise NumericError(f"could not find a solvent ascent step at {step}")
-        w_hidden += inc_hidden
-        w_out += inc_out
+            theta += increment
+            largest_increment = np.abs(increment).max()
+        else:
+            theta += rate * grad
+            largest_increment = rate * grad_norm
         iterations = step + 1
-        if max(np.abs(inc_hidden).max(), np.abs(inc_out).max()) < tol:
+        if largest_increment < tol:
             converged = True
             break
     # The loop never scores its last update; one more evaluation settles it.
     value = _log_wealth(windows, moves, w_hidden, w_out)
     if np.isfinite(value) and value > best_value:
         best_value = value
-        best = (w_hidden, w_out)
-    return best[0], best[1], OptimizeReport(iterations, converged, float(grad_norm), best_value)
+        best = theta
+    best_hidden, best_out = views(best)
+    return best_hidden, best_out, OptimizeReport(
+        iterations, converged, float(grad_norm), best_value
+    )
 
 
 def run_sosnn(movements: MovementSeries, config: SosnnConfig) -> StrategyRunResult:

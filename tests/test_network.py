@@ -106,6 +106,8 @@ class TestLogWealth:
             [(np.array([0.1]), np.nan)],
             [(np.array([np.nan]), 0.1)],
             [(np.array([0.1, 0.2]), 0.1)],
+            [([0.1], 0.1), ([0.1, 0.2], 0.1)],  # ragged windows
+            [([0.1], "up")],  # non-numeric movement
         ):
             with pytest.raises(UsageError):
                 log_wealth(w, history)

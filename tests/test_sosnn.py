@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from seqbet.data import NoiseSpec, gen_ar1, normalize
-from seqbet.errors import UsageError
+from seqbet.errors import NumericError, UsageError
 from seqbet.game import MovementSeries
-from seqbet.network import AnnealingSchedule, NetworkConfig, NetworkWeights, log_wealth
-from seqbet.sosnn import SosnnConfig, optimize_weights, run_sosnn
+from seqbet.network import (
+    AnnealingSchedule,
+    NetworkConfig,
+    NetworkWeights,
+    log_wealth,
+    log_wealth_gradient,
+)
+from seqbet.sosnn import SosnnConfig, _ascend, optimize_weights, run_sosnn
 
 
 def small_config(lin=1, hid=1, **kwargs):
@@ -91,6 +97,66 @@ class TestOptimizeWeights:
         init = NetworkWeights.uniform(config.net, 0.1, rng)
         weights, report = optimize_weights(history, config, init)
         assert report.objective == pytest.approx(log_wealth(weights, history), abs=1e-12)
+
+
+def reference_ascent(history, config, init):
+    """The annealed ascent written plainly: separate weight arrays, the public
+    gradient, and the stop rule max|rate * g| < tol on the applied increment."""
+    w_hidden = init.hidden_weights.copy()
+    w_out = init.output_weights.copy()
+    best_value, best = -np.inf, None
+    iterations = 0
+    for step in range(config.max_iterations):
+        weights = NetworkWeights(w_hidden, w_out)
+        value = log_wealth(weights, history)
+        grad = log_wealth_gradient(weights, history)
+        if value > best_value:
+            best_value, best = value, (w_hidden.copy(), w_out.copy())
+        rate = config.schedule.rate(step)
+        inc_hidden = rate * grad.hidden_weights
+        inc_out = rate * grad.output_weights
+        w_hidden = w_hidden + inc_hidden
+        w_out = w_out + inc_out
+        iterations = step + 1
+        if max(np.abs(inc_hidden).max(), np.abs(inc_out).max()) < config.weight_tolerance:
+            break
+    if log_wealth(NetworkWeights(w_hidden, w_out), history) > best_value:
+        best = (w_hidden, w_out)
+    return best, iterations
+
+
+class TestAscentLoop:
+    @pytest.mark.parametrize("lin,hid", [(1, 2), (2, 3), (3, 8)])
+    @pytest.mark.parametrize(
+        "limits,stopped_by_tolerance",
+        [(dict(max_iterations=40), False), (dict(max_iterations=5000, weight_tolerance=1e-3), True)],
+        ids=["cap-hit", "tolerance-met"],
+    )
+    def test_matches_reference_ascent(self, lin, hid, limits, stopped_by_tolerance):
+        config = small_config(lin, hid, **limits)
+        history = ar1_history(30, seed=lin + hid, lin=lin)
+        init = NetworkWeights.uniform(config.net, 0.1, np.random.default_rng(hid))
+        (ref_hidden, ref_out), ref_iterations = reference_ascent(history, config, init)
+        weights, report = optimize_weights(history, config, init)
+        np.testing.assert_array_equal(weights.hidden_weights, ref_hidden)
+        np.testing.assert_array_equal(weights.output_weights, ref_out)
+        assert report.iterations == ref_iterations
+        assert report.converged == stopped_by_tolerance
+        assert (report.iterations < config.max_iterations) == stopped_by_tolerance
+
+    @pytest.mark.parametrize("assets", [1, 2])
+    def test_non_finite_gradient_raises(self, assets):
+        # An infinite window entry saturates its hidden neurons, so the hidden
+        # gradient picks up 0 * inf = NaN while the objective stays finite.
+        rng = np.random.default_rng(assets)
+        config = small_config(2, 3)
+        windows = rng.uniform(-1, 1, (6, 2))
+        windows[2, 1] = np.inf
+        moves = rng.uniform(-0.5, 0.5, (6, assets))
+        w_hidden = rng.uniform(-0.5, 0.5, (3, 2))
+        w_out = rng.uniform(-0.5, 0.5, (assets, 3))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
+            _ascend(windows, moves, config, w_hidden, w_out)
 
 
 class TestRunSosnn:
