@@ -745,18 +745,16 @@ def _backtest_series(config: ExperimentConfig):
         raise ConfigError(
             f"only {i_lo} movements precede the investing range; warmup needs {config.warmup}"
         )
-    reference = float(np.abs(raw[n_lo:n_hi]).max())
-    # A flat reference window (constant prices) falls back to divisor 1; the
-    # movements are then already zero wherever the window was flat.
-    divisor = reference if reference > 0 else 1.0
-    invest = np.clip(raw[i_lo - config.warmup : i_hi] / divisor, -1.0, 1.0)
+    # A flat normalization window (constant prices) raises DataError.
+    reference = raw[n_lo:n_hi]
+    invest = normalize(raw[i_lo - config.warmup : i_hi], rule_source=reference).values
     invest_dates = dates[i_lo - config.warmup : i_hi]
     training = None
     if config.nnbp is not None:
         t_lo, t_hi = window(spec.training)
         if t_lo >= t_hi:
             raise ConfigError("training range selects no movements")
-        training = np.clip(raw[t_lo:t_hi] / divisor, -1.0, 1.0)
+        training = normalize(raw[t_lo:t_hi], rule_source=reference).values
     betting_rounds = i_hi - i_lo
     return invest, invest_dates, training, betting_rounds
 
@@ -765,9 +763,9 @@ def run_backtest(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
     """Normalize price movements by the reference window, then run strategies."""
     if config.mode != "backtest":
         raise UsageError(f"run_backtest got a {config.mode!r} config")
+    invest, invest_dates, training, betting_rounds = _backtest_series(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    invest, invest_dates, training, betting_rounds = _backtest_series(config)
     cells = _build_cells(config)
     checkpoints = checkpoint_rounds(betting_rounds)
     results = _execute(_task_specs(config, cells, invest, training), jobs)

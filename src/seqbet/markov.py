@@ -4,10 +4,19 @@ Order 0 bets one constant ratio; orders 1 and 2 condition the ratio on the
 sign pattern of the last one or two movements (zero counts as "up"). Every
 bucket's ratio is re-fit each round by maximizing the log wealth its past
 movements would have produced, a strictly concave one-dimensional problem.
+
+The maximizer is the root of the slope S(a) = sum(x / (1 + a*x)), found by
+bisection on [-RATIO_CAP, RATIO_CAP] to 1e-10. The computed S is monotone
+non-increasing in `a` (see `_maximize_log_wealth`), so one slope decides
+every bisection midpoint on its side of the point it was taken at. The
+solver replays the bisection from about 5 slope passes per refit (2 endpoint
+tests, ~2 Newton predictions, ~1 probe) instead of about 37, and returns the
+plain bisection's double bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,43 +66,102 @@ def bucket_index(context: Sequence[float], order) -> int:
     return index
 
 
-def _wealth_slope(moves: np.ndarray, alpha: float) -> float:
-    return float((moves / (1.0 + alpha * moves)).sum())
-
-
 def optimize_bucket(movements_in_bucket: Sequence[float]) -> float:
     """Log-wealth-optimal constant ratio for one bucket's past movements.
 
     Maximizes sum(log(1 + a*x)) over [-RATIO_CAP, RATIO_CAP]; strictly concave
     whenever some movement is nonzero, so the maximizer is unique. An empty or
-    all-zero bucket bets 0.
+    all-zero bucket bets 0. Movements must be finite and lie in [-1, 1].
     """
-    moves = np.asarray(list(movements_in_bucket), dtype=float)
-    if moves.size and np.abs(moves).max() > 1.0:
+    moves = np.asarray(movements_in_bucket, dtype=float)
+    if moves.ndim != 1:
+        raise UsageError(f"bucket movements must be one-dimensional, got shape {moves.shape}")
+    if not (np.abs(moves) <= 1.0).all():  # also rejects NaN
         raise UsageError("bucket movements must lie in [-1, 1]")
     if moves.size == 0 or not moves.any():
         return 0.0
     return _maximize_log_wealth(moves)
 
 
+# Safeguarded Newton steps that predict the root before the bisection replay,
+# the half-width of the two probes around the prediction, and the Newton step
+# below which the prediction is taken to be that close to the root.
+_NEWTON_STEPS = 6
+_PROBE = 1e-12
+_NEWTON_DONE = 1e-7
+
+
 def _maximize_log_wealth(moves: np.ndarray, tol: float = 1e-10) -> float:
+    """Slope bisection on [-RATIO_CAP, RATIO_CAP] to `tol`, replayed from few slopes.
+
+    Returns exactly the midpoint that plain bisection on the sign of the
+    computed slope S(a) = sum(x / (1 + a*x)) returns, but evaluates S about
+    5 times per refit on average instead of about 37 (2 endpoint tests and
+    ~35 halvings).
+
+    The replay is exact because the computed S is monotone non-increasing in
+    `a` for finite moves in [-1, 1]: each rounded term fl(x / fl(1 + fl(a*x)))
+    is monotone in `a` (its denominator is at least 0.001), every rounded
+    addition is monotone in both operands, and numpy's pairwise-sum tree
+    depends only on the length. So a point `pos` with S(pos) > 0 decides every
+    midpoint <= pos (lo = mid), and a point `nonpos` with S(nonpos) <= 0 every
+    midpoint >= nonpos (hi = mid); only midpoints strictly between them need a
+    slope. A few safeguarded Newton steps from 0 (S' = -sum(q**2) comes from
+    the same pass) and two probes around their prediction make that gap about
+    2e-12 wide, which the bisection's ~1e-10 final width rarely straddles.
+    """
+    terms = np.empty_like(moves)
+
+    def slope(alpha: float) -> float:
+        # The operations of `(moves / (1.0 + alpha * moves)).sum()`, in place.
+        np.multiply(moves, alpha, out=terms)
+        np.add(terms, 1.0, out=terms)
+        np.divide(moves, terms, out=terms)
+        return float(terms.sum())
+
     lo, hi = -RATIO_CAP, RATIO_CAP
     # A slope pointing outward at a bound means the objective is monotone
     # over the whole interval; the bound itself is the maximizer.
-    if _wealth_slope(moves, hi) >= 0.0:
+    if slope(hi) >= 0.0:
         return hi
-    if _wealth_slope(moves, lo) <= 0.0:
+    if slope(lo) <= 0.0:
         return lo
+    pos, nonpos = lo, hi
+    alpha = 0.0
+    for _ in range(_NEWTON_STEPS):
+        s = slope(alpha)
+        if s > 0.0:
+            pos = alpha
+        else:
+            nonpos = alpha
+        curvature = float(np.dot(terms, terms))
+        step = s / curvature if curvature > 0.0 else math.inf
+        guess = alpha + step
+        if not pos < guess < nonpos:
+            guess = 0.5 * (pos + nonpos)
+        alpha = guess
+        if abs(step) < _NEWTON_DONE:
+            break
+    for probe in (alpha - _PROBE, alpha + _PROBE):
+        if pos < probe < nonpos:
+            if slope(probe) > 0.0:
+                pos = probe
+            else:
+                nonpos = probe
     # Strict concavity makes the slope strictly decreasing, so bisecting on
     # its sign brackets the interior maximizer to `tol`. Comparing objective
     # values instead (golden section) stalls near sqrt(eps) because the
     # objective is flat to machine precision around its maximum.
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _wealth_slope(moves, mid) > 0.0:
+        if mid <= pos:
             lo = mid
-        else:
+        elif mid >= nonpos:
             hi = mid
+        elif slope(mid) > 0.0:
+            lo = pos = mid
+        else:
+            hi = nonpos = mid
     return 0.5 * (lo + hi)
 
 
@@ -114,25 +182,42 @@ def run_mkv(movements: MovementSeries, order, warmup: int) -> StrategyRunResult:
         raise UsageError(
             f"series of length {len(xs)} leaves no rounds after a warmup of {warmup}"
         )
-    buckets: list[list[float]] = [[] for _ in range(order.bucket_count)]
+    index = _bucket_indices(xs, order.order)
+    # Rounds order+1..N-1 get filed, each into a bucket preallocated to its
+    # final size; a refit reads the filled prefix without copying it.
+    sizes = np.bincount(index[order.order + 1 : len(xs)], minlength=order.bucket_count)
+    buckets = [np.empty(size) for size in sizes]
+    bucket_of = index.tolist()
+    filled = [0] * order.bucket_count
     ratios = [0.0] * order.bucket_count
     stale = [False] * order.bucket_count
     next_k = order.order + 1  # earliest round with a full sign context
 
-    def context(k: int) -> np.ndarray:
-        return xs[k - 1 - order.order : k - 1]
-
     def bet(n: int, past: np.ndarray) -> float:
         nonlocal next_k
         while next_k <= n - 1:
-            b = bucket_index(context(next_k), order)
-            buckets[b].append(float(xs[next_k - 1]))
+            b = bucket_of[next_k]
+            buckets[b][filled[b]] = xs[next_k - 1]
+            filled[b] += 1
             stale[b] = True
             next_k += 1
-        b = bucket_index(context(n), order)
+        b = bucket_of[n]
         if stale[b]:
-            ratios[b] = optimize_bucket(buckets[b])
+            ratios[b] = optimize_bucket(buckets[b][: filled[b]])
             stale[b] = False
         return ratios[b]
 
     return run_game(bet, movements, warmup)
+
+
+def _bucket_indices(xs: np.ndarray, order: int) -> np.ndarray:
+    """`bucket_index` of every round k = order+1..N, at position k (1-based).
+
+    Positions 0..order, which have no sign context, hold 0.
+    """
+    negative = (xs < 0).astype(np.intp)
+    index = np.zeros(len(xs) + 1, dtype=np.intp)
+    rounds = slice(order + 1, len(xs) + 1)
+    for j in range(order):
+        index[rounds] = 2 * index[rounds] + negative[j : len(xs) - order + j]
+    return index

@@ -22,7 +22,6 @@ from .network import (
     _batch_forward,
     _stack_history,
     forward,
-    input_window,
     window_matrix,
 )
 
@@ -162,8 +161,10 @@ def run_nnbp(
             f"warmup of {warmup} cannot fill an input window of {length}"
         )
     frozen = weights.copy()
+    # Row i holds the input window of round warmup + 1 + i.
+    windows = window_matrix(movements.values, length, warmup + 1, len(movements))
 
     def bet(n: int, past: np.ndarray) -> float:
-        return clamp_ratio(forward(input_window(past, n, length), frozen).output)
+        return clamp_ratio(forward(windows[n - warmup - 1], frozen).output)
 
     return run_game(bet, movements, warmup)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from seqbet.cli import main
-from seqbet.errors import ConfigError, UsageError
+from seqbet.errors import ConfigError, DataError, UsageError
 from seqbet.experiments import (
     derive_seed,
     parse_config,
@@ -48,7 +48,9 @@ def tree_bytes(root):
     }
 
 
-def make_prices(tmp_path, n=120, seed=5, name="prices.csv", constant=None):
+def make_prices(tmp_path, n=120, seed=5, name="prices.csv", constant=None, flat_from=None):
+    """A random-walk price file; `constant` fixes every close, `flat_from` holds
+    the close fixed from that day index on."""
     rng = np.random.default_rng(seed)
     start = datetime.date(2020, 1, 1)
     lines = []
@@ -56,7 +58,7 @@ def make_prices(tmp_path, n=120, seed=5, name="prices.csv", constant=None):
     for i in range(n):
         if constant is not None:
             price = constant
-        else:
+        elif flat_from is None or i < flat_from:
             price = max(1.0, price + rng.normal(0, 1.0))
         lines.append(f"{(start + datetime.timedelta(days=i)).isoformat()},{price:.4f}")
     path = tmp_path / name
@@ -342,7 +344,10 @@ class TestBacktest:
         assert report.cell("mkv0").ok
 
     def test_constant_prices_zero_log_capital(self, tmp_path):
-        make_prices(tmp_path, constant=50.0)
+        # Prices move through the normalization window (to 2020-02-10, day
+        # index 40) and stay constant from the next day on, so every warmup
+        # and investing movement is zero.
+        make_prices(tmp_path, flat_from=41)
         config = parse_config(
             write_config(tmp_path, BT_TEMPLATE.format(strategies="mkv0, mkv1, sosnn", extra="""
 [sosnn]
@@ -354,6 +359,15 @@ hidden_counts = 2
         for cell in report.cells:
             assert cell.ok
             assert all(v == 0.0 for v in cell.means.values())
+
+    def test_flat_normalization_window_rejected(self, tmp_path, capsys):
+        make_prices(tmp_path, constant=50.0)
+        path = write_config(tmp_path, BT_TEMPLATE.format(strategies="mkv0", extra=""))
+        with pytest.raises(DataError, match="no nonzero movement"):
+            run_backtest(parse_config(path), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        assert main(["backtest", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "no nonzero movement" in capsys.readouterr().err
 
     def test_determinism(self, tmp_path):
         make_prices(tmp_path)

@@ -5,12 +5,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqbet.data import NoiseSpec, normalize
+from seqbet import markov
+from seqbet.data import NoiseSpec, gen_arma21, normalize
 from seqbet.errors import UsageError
 from seqbet.game import RATIO_CAP, MovementSeries
 from seqbet.markov import MarkovOrder, bucket_index, optimize_bucket, run_mkv
 
 TWO_POINT_ARGMAX = 0.625  # root of 0.8/(1+0.8a) = 0.4/(1-0.4a)
+
+
+def reference_maximize(moves, tol=1e-10):
+    """The plain slope bisection the solver must reproduce bit for bit.
+
+    Two endpoint tests, then one full slope evaluation per halving of
+    [-RATIO_CAP, RATIO_CAP] until the bracket is narrower than `tol`.
+    """
+
+    def slope(alpha):
+        return float((moves / (1.0 + alpha * moves)).sum())
+
+    lo, hi = -RATIO_CAP, RATIO_CAP
+    if slope(hi) >= 0.0:
+        return hi
+    if slope(lo) <= 0.0:
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# Around numpy's pairwise-summation blocks (8-way unrolling, 128-element leaves).
+PAIRWISE_SIZES = (1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 600)
+
+
+@st.composite
+def bucket_movements(draw):
+    """Nonzero bucket histories of length 1-600 in a few shapes.
+
+    `uniform` gives interior roots; `skewed` puts the root near a cap (a few
+    losses among many gains, or the mirror image), `one_signed` is clamped to
+    a cap, `lattice` is full of zeros and exact +/-1, and a tiny scale makes
+    the curvature underflow.
+    """
+    n = draw(st.one_of(st.sampled_from(PAIRWISE_SIZES), st.integers(1, 600)))
+    kind = draw(st.sampled_from(["uniform", "skewed", "one_signed", "lattice"]))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-3, 1e-9, 1e-170]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        moves = rng.uniform(-1.0, 1.0, n)
+    elif kind == "skewed":
+        losing = rng.random(n) < draw(st.floats(0.0, 0.3))
+        moves = np.where(losing, -rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 1.0, n))
+    elif kind == "one_signed":
+        moves = rng.uniform(0.0, 1.0, n)
+    else:
+        moves = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], n)
+    moves = draw(st.sampled_from([1.0, -1.0])) * scale * moves
+    if not moves.any():
+        moves[0] = scale
+    return moves
 
 
 def grid_argmax(moves, points=100_001):
@@ -48,6 +105,13 @@ class TestBucketIndex:
 
     def test_bucket_count(self):
         assert [MarkovOrder(k).bucket_count for k in (0, 1, 2)] == [1, 2, 4]
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_precomputed_indices_match(self, order, rng):
+        xs = rng.choice([-0.5, -0.0, 0.0, 0.25], 40)
+        index = markov._bucket_indices(xs, order)
+        for k in range(order + 1, 41):
+            assert index[k] == bucket_index(xs[k - 1 - order : k - 1], order)
 
 
 class TestOptimizeBucket:
@@ -88,6 +152,47 @@ class TestOptimizeBucket:
     def test_rejects_out_of_range_movements(self):
         with pytest.raises(UsageError):
             optimize_bucket([1.5])
+
+    @pytest.mark.parametrize(
+        "moves", [[float("nan")], [0.5, float("nan")], [float("inf")], [-0.2, float("-inf")]]
+    )
+    def test_rejects_non_finite_movements(self, moves):
+        with pytest.raises(UsageError):
+            optimize_bucket(moves)
+
+    def test_rejects_non_vector(self):
+        with pytest.raises(UsageError):
+            optimize_bucket([[0.5, -0.2]])
+
+
+class TestSolverMatchesBisection:
+    """The certified-sign solver returns the plain bisection's double exactly."""
+
+    @given(bucket_movements())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_reference(self, moves):
+        assert optimize_bucket(moves).hex() == reference_maximize(moves).hex()
+
+    @pytest.mark.parametrize("n", PAIRWISE_SIZES)
+    def test_pairwise_block_sizes(self, n, rng):
+        for _ in range(20):
+            moves = rng.uniform(-1.0, 1.0, n)
+            assert optimize_bucket(moves).hex() == reference_maximize(moves).hex()
+
+    def test_roots_near_the_caps(self):
+        # One loss of -1 among k gains of +1 puts the root at (k-1)/(k+1).
+        for k in (2, 10, 500, 1998, 1999, 2000, 5000):
+            moves = np.array([1.0] * k + [-1.0])
+            for signed in (moves, -moves):
+                assert optimize_bucket(signed).hex() == reference_maximize(signed).hex()
+
+    def test_run_mkv_ratios_match_reference_solver(self, monkeypatch):
+        series = normalize(gen_arma21(2000, NoiseSpec(seed=7)))
+        fast = [run_mkv(series, order, warmup=20).ratios for order in (0, 1, 2)]
+        monkeypatch.setattr(markov, "_maximize_log_wealth", reference_maximize)
+        for order, ratios in zip((0, 1, 2), fast):
+            slow = run_mkv(series, order, warmup=20).ratios
+            assert ratios.tobytes() == slow.tobytes()
 
 
 class TestBucketDecomposition:

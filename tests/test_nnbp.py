@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqbet.errors import UsageError
-from seqbet.game import MovementSeries
-from seqbet.network import NetworkConfig, NetworkWeights, forward, squared_error_gradient
+from seqbet.game import MovementSeries, clamp_ratio
+from seqbet.network import (
+    NetworkConfig,
+    NetworkWeights,
+    forward,
+    input_window,
+    squared_error_gradient,
+)
 from seqbet.nnbp import NnbpConfig, run_nnbp, sign_target, train, training_error
 
 # Frozen oracle value: 0.5 * (1 - tanh(tanh(10)))**2
@@ -179,3 +185,13 @@ class TestRunNnbp:
         before = weights.hidden_weights.copy()
         run_nnbp(weights, alternating_series(30), warmup=2)
         np.testing.assert_array_equal(weights.hidden_weights, before)
+
+    def test_bets_are_per_round_forward_passes(self, rng):
+        # Each round bets the clamped output on its own newest-first window.
+        weights = NetworkWeights.uniform(NetworkConfig(3, 4), 1.0, rng)
+        xs = rng.uniform(-1, 1, 40)
+        res = run_nnbp(weights, MovementSeries(xs), warmup=5)
+        expected = [0.0] * 5 + [
+            clamp_ratio(forward(input_window(xs, n, 3), weights).output) for n in range(6, 41)
+        ]
+        assert res.ratios.tobytes() == np.array(expected).tobytes()
