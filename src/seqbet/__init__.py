@@ -55,7 +55,6 @@ from .markov import MarkovOrder, bucket_index, optimize_bucket, run_mkv
 from .sosnn import OptimizeReport, SosnnConfig, optimize_weights, run_sosnn
 from .nnbp import NnbpConfig, TrainingDiagnostics, run_nnbp, sign_target, train, training_error
 from .portfolio import (
-    PortfolioRunResult,
     PortfolioWeights,
     capital_step_portfolio,
     forward_portfolio,

@@ -13,9 +13,11 @@ from __future__ import annotations
 import configparser
 import datetime
 import json
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from .data import (
 )
 from .errors import ConfigError, SeqbetError, UsageError
 from .game import MovementSeries, checkpoint_rounds
-from .markov import run_mkv
+from .markov import MarkovOrder, run_mkv
 from .network import AnnealingSchedule, NetworkConfig
 from .nnbp import NnbpConfig, run_nnbp, train
 from .sosnn import SosnnConfig, run_sosnn
@@ -58,29 +60,6 @@ def derive_seed(base: int, *parts: int) -> int:
 
 
 @dataclass(frozen=True)
-class SosnnGridSettings:
-    input_counts: tuple[int, ...]
-    hidden_counts: tuple[int, ...]
-    initial_rate: float = 1.0
-    decay_steps: float = 5.0
-    weight_tolerance: float = 1e-4
-    max_iterations: int = 10_000
-    init_scale: float = 0.1
-    warm_start: bool = True
-
-
-@dataclass(frozen=True)
-class NnbpSettings:
-    input_count: int
-    hidden_count: int
-    learning_rate: float = 0.07
-    error_threshold: float = 1e-2
-    max_steps: int = 600_000
-    init_scale: float = 0.1
-    training_rounds: int = 300
-
-
-@dataclass(frozen=True)
 class GeneratorData:
     generator: str  # "ar1" | "arma21"
 
@@ -93,6 +72,10 @@ class BacktestData:
     training: tuple[datetime.date, datetime.date] | None = None
 
 
+# One grid cell: its label and the strategy config every replicate runs.
+Cell = tuple[str, SosnnConfig | NnbpConfig | MarkovOrder]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str
@@ -102,9 +85,50 @@ class ExperimentConfig:
     strategies: tuple[str, ...]
     data: GeneratorData | BacktestData
     rounds: int | None = None
-    sosnn: SosnnGridSettings | None = None
-    nnbp: NnbpSettings | None = None
+    cells: tuple[Cell, ...] = ()
+    training_rounds: int | None = None  # simulate: length of each NNBP training series
     raw: dict = field(default_factory=dict, hash=False, compare=False)
+
+
+def _typed(convert, kind):
+    """Parser applying `convert`, whose failure names the expected `kind`."""
+
+    def parse(value):
+        try:
+            return convert(value)
+        except ValueError:
+            raise ValueError(f"must be {kind}, got {value!r}") from None
+
+    return parse
+
+
+def _boolean(value):
+    low = value.lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"must be a boolean, got {value!r}")
+
+
+def _comma_list(convert, kind):
+    def parse(value):
+        try:
+            items = tuple(convert(v.strip()) for v in value.split(",") if v.strip())
+        except ValueError:
+            raise ValueError(f"must be a comma list of {kind}") from None
+        if not items:
+            raise ValueError("must not be empty")
+        return items
+
+    return parse
+
+
+_INT = _typed(int, "an integer")
+_FLOAT = _typed(float, "a number")
+_DATE = _typed(datetime.date.fromisoformat, "an ISO date")
+_INT_LIST = _comma_list(int, "integers")
+_NAME_LIST = _comma_list(str.lower, "names")
 
 
 class _SectionReader:
@@ -115,76 +139,23 @@ class _SectionReader:
         self.items = dict(items)
         self.seen: set[str] = set()
 
-    def _fetch(self, key, default, required):
+    def get(self, key, parse=str, default=None, required=False):
+        """`key` read by `parse`, which raises ValueError naming the rule the
+        value breaks; `default` when the section does not set it."""
         self.seen.add(key)
         if key not in self.items:
             if required:
                 raise ConfigError(f"[{self.name}] is missing required key '{key}'")
-            return None
-        return self.items[key].strip()
-
-    def get_str(self, key, default=None, required=False):
-        value = self._fetch(key, default, required)
-        return default if value is None else value
-
-    def get_int(self, key, default=None, required=False):
-        value = self._fetch(key, default, required)
-        if value is None:
             return default
         try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} must be an integer, got {value!r}") from None
+            return parse(self.items[key].strip())
+        except ValueError as exc:
+            raise ConfigError(f"[{self.name}] {key} {exc}") from None
 
-    def get_float(self, key, default=None, required=False):
-        value = self._fetch(key, default, required)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} must be a number, got {value!r}") from None
-
-    def get_bool(self, key, default=None, required=False):
-        value = self._fetch(key, default, required)
-        if value is None:
-            return default
-        low = value.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"[{self.name}] {key} must be a boolean, got {value!r}")
-
-    def get_int_list(self, key, required=False):
-        value = self._fetch(key, None, required)
-        if value is None:
-            return None
-        try:
-            items = tuple(int(v.strip()) for v in value.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} must be a comma list of integers") from None
-        if not items:
-            raise ConfigError(f"[{self.name}] {key} must not be empty")
-        return items
-
-    def get_str_list(self, key, required=False):
-        value = self._fetch(key, None, required)
-        if value is None:
-            return None
-        items = tuple(v.strip().lower() for v in value.split(",") if v.strip())
-        if not items:
-            raise ConfigError(f"[{self.name}] {key} must not be empty")
-        return items
-
-    def get_date(self, key, required=False):
-        value = self._fetch(key, None, required)
-        if value is None:
-            return None
-        try:
-            return datetime.date.fromisoformat(value)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} must be an ISO date, got {value!r}") from None
+    def given(self, parsers: dict) -> dict:
+        """The keys of `parsers` the section sets, parsed; the others are left
+        to the defaults of the config dataclass they feed."""
+        return {key: self.get(key, parse) for key, parse in parsers.items() if key in self.items}
 
     def reject_unknown(self):
         unknown = set(self.items) - self.seen
@@ -192,8 +163,28 @@ class _SectionReader:
             raise ConfigError(f"[{self.name}] has unknown keys: {sorted(unknown)}")
 
 
+@contextmanager
+def _section_rules(section: str):
+    """Report a config dataclass's own validation as an error of `section`."""
+    try:
+        yield
+    except UsageError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
+def _strategy_section(parser, strategies, name) -> _SectionReader | None:
+    if name not in strategies:
+        if name in parser:
+            raise ConfigError(f"[{name}] section present but strategy not selected")
+        return None
+    if name not in parser:
+        raise ConfigError(f"strategy {name} selected but [{name}] section is missing")
+    return _SectionReader(name, parser[name])
+
+
 def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
-    """Read and validate a declarative experiment file (INI key-value format)."""
+    """Read and validate a declarative experiment file (INI key-value format)
+    and build the strategy config of every grid cell."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -212,22 +203,22 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         raise ConfigError("config needs [experiment] and [data] sections")
 
     exp = _SectionReader("experiment", parser["experiment"])
-    mode = exp.get_str("mode", required=True).lower()
+    mode = exp.get("mode", required=True).lower()
     if mode not in ("simulate", "backtest"):
         raise ConfigError(f"mode must be 'simulate' or 'backtest', got {mode!r}")
-    seed = seed_override if seed_override is not None else exp.get_int("seed")
+    seed = seed_override if seed_override is not None else exp.get("seed", _INT)
     exp.seen.add("seed")
     if seed is None:
         raise ConfigError("a seed is required ([experiment] seed or --seed)")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    warmup = exp.get_int("warmup", default=20)
+    warmup = exp.get("warmup", _INT, 20)
     if warmup < 0:
         raise ConfigError("warmup must be nonnegative")
-    replicates = exp.get_int("replicates", default=1)
+    replicates = exp.get("replicates", _INT, 1)
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    strategies = exp.get_str_list("strategies", required=True)
+    strategies = exp.get("strategies", _NAME_LIST, required=True)
     for name in strategies:
         if name not in STRATEGY_NAMES:
             raise ConfigError(
@@ -235,36 +226,39 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
             )
     if len(set(strategies)) != len(strategies):
         raise ConfigError("strategies must not repeat")
+    grid: dict[str, list[Cell]] = {}
     for name in strategies:
-        if name.startswith("mkv") and int(name[-1]) > warmup:
-            raise ConfigError(
-                f"{name} needs a warmup of at least {name[-1]}, got {warmup}"
-            )
+        if name.startswith("mkv"):
+            if int(name[-1]) > warmup:
+                raise ConfigError(
+                    f"{name} needs a warmup of at least {name[-1]}, got {warmup}"
+                )
+            grid[name] = [(name, MarkovOrder(int(name[-1])))]
 
     rounds = None
     data = _SectionReader("data", parser["data"])
     if mode == "simulate":
-        rounds = exp.get_int("rounds", default=300)
+        rounds = exp.get("rounds", _INT, 300)
         if rounds < 2:
             raise ConfigError("rounds must be >= 2")
-        generator = data.get_str("generator", required=True).lower()
+        generator = data.get("generator", required=True).lower()
         if generator not in ("ar1", "arma21"):
             raise ConfigError(f"generator must be 'ar1' or 'arma21', got {generator!r}")
         data_spec: GeneratorData | BacktestData = GeneratorData(generator)
     else:
-        price_file = data.get_str("price_file", required=True)
+        price_file = data.get("price_file", required=True)
         resolved = (path.parent / price_file).resolve()
         investing = (
-            data.get_date("investing_start", required=True),
-            data.get_date("investing_end", required=True),
+            data.get("investing_start", _DATE, required=True),
+            data.get("investing_end", _DATE, required=True),
         )
         normalization = (
-            data.get_date("normalization_start", required=True),
-            data.get_date("normalization_end", required=True),
+            data.get("normalization_start", _DATE, required=True),
+            data.get("normalization_end", _DATE, required=True),
         )
         training = None
-        t_start = data.get_date("training_start")
-        t_end = data.get_date("training_end")
+        t_start = data.get("training_start", _DATE)
+        t_end = data.get("training_end", _DATE)
         if (t_start is None) != (t_end is None):
             raise ConfigError("training_start and training_end must be given together")
         if t_start is not None:
@@ -280,54 +274,53 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     exp.reject_unknown()
     data.reject_unknown()
 
-    sosnn_settings = None
-    if "sosnn" in strategies:
-        if "sosnn" not in parser:
-            raise ConfigError("strategy sosnn selected but [sosnn] section is missing")
-        sec = _SectionReader("sosnn", parser["sosnn"])
-        sosnn_settings = SosnnGridSettings(
-            input_counts=sec.get_int_list("input_counts", required=True),
-            hidden_counts=sec.get_int_list("hidden_counts", required=True),
-            initial_rate=sec.get_float("initial_rate", default=1.0),
-            decay_steps=sec.get_float("decay_steps", default=5.0),
-            weight_tolerance=sec.get_float("weight_tolerance", default=1e-4),
-            max_iterations=sec.get_int("max_iterations", default=10_000),
-            init_scale=sec.get_float("init_scale", default=0.1),
-            warm_start=sec.get_bool("warm_start", default=True),
-        )
+    sec = _strategy_section(parser, strategies, "sosnn")
+    if sec is not None:
+        input_counts = sec.get("input_counts", _INT_LIST, required=True)
+        hidden_counts = sec.get("hidden_counts", _INT_LIST, required=True)
+        schedule = sec.given({"initial_rate": _FLOAT, "decay_steps": _FLOAT})
+        settings = sec.given({
+            "weight_tolerance": _FLOAT, "max_iterations": _INT,
+            "init_scale": _FLOAT, "warm_start": _boolean,
+        })
         sec.reject_unknown()
-        if min(sosnn_settings.input_counts) < 1 or min(sosnn_settings.hidden_counts) < 1:
-            raise ConfigError("[sosnn] layer sizes must be >= 1")
-        if max(sosnn_settings.input_counts) > warmup:
+        with _section_rules("sosnn"):
+            schedule = AnnealingSchedule(**schedule)
+            grid["sosnn"] = [
+                (
+                    f"sosnn_{lin}x{hid}",
+                    SosnnConfig(
+                        NetworkConfig(lin, hid), schedule, warmup=warmup, **settings
+                    ),
+                )
+                for lin in input_counts
+                for hid in hidden_counts
+            ]
+        if max(input_counts) > warmup:
             raise ConfigError(
-                f"[sosnn] largest input window {max(sosnn_settings.input_counts)} "
+                f"[sosnn] largest input window {max(input_counts)} "
                 f"exceeds the warmup of {warmup}"
             )
-    elif "sosnn" in parser:
-        raise ConfigError("[sosnn] section present but strategy not selected")
 
-    nnbp_settings = None
-    if "nnbp" in strategies:
-        if "nnbp" not in parser:
-            raise ConfigError("strategy nnbp selected but [nnbp] section is missing")
-        sec = _SectionReader("nnbp", parser["nnbp"])
-        nnbp_settings = NnbpSettings(
-            input_count=sec.get_int("input_count", required=True),
-            hidden_count=sec.get_int("hidden_count", required=True),
-            learning_rate=sec.get_float("learning_rate", default=0.07),
-            error_threshold=sec.get_float("error_threshold", default=1e-2),
-            max_steps=sec.get_int("max_steps", default=600_000),
-            init_scale=sec.get_float("init_scale", default=0.1),
-            training_rounds=sec.get_int("training_rounds", default=300),
-        )
+    training_rounds = None
+    sec = _strategy_section(parser, strategies, "nnbp")
+    if sec is not None:
+        input_count = sec.get("input_count", _INT, required=True)
+        hidden_count = sec.get("hidden_count", _INT, required=True)
+        settings = sec.given({
+            "learning_rate": _FLOAT, "error_threshold": _FLOAT,
+            "max_steps": _INT, "init_scale": _FLOAT,
+        })
+        training_rounds = sec.get("training_rounds", _INT, 300)
         sec.reject_unknown()
-        if nnbp_settings.input_count < 1 or nnbp_settings.hidden_count < 1:
-            raise ConfigError("[nnbp] layer sizes must be >= 1")
-        if nnbp_settings.input_count > warmup:
+        with _section_rules("nnbp"):
+            nnbp = NnbpConfig(NetworkConfig(input_count, hidden_count), **settings)
+        grid["nnbp"] = [(f"nnbp_{input_count}x{hidden_count}", nnbp)]
+        if input_count > warmup:
             raise ConfigError(
-                f"[nnbp] input window {nnbp_settings.input_count} exceeds the warmup of {warmup}"
+                f"[nnbp] input window {input_count} exceeds the warmup of {warmup}"
             )
-        if mode == "simulate" and nnbp_settings.training_rounds <= nnbp_settings.input_count:
+        if mode == "simulate" and training_rounds <= input_count:
             raise ConfigError("[nnbp] training_rounds must exceed input_count")
         if mode == "backtest":
             if data_spec.training is None:
@@ -336,8 +329,6 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
             i0, i1 = data_spec.investing
             if not (t1 < i0 or i1 < t0):
                 raise ConfigError("training and investing ranges must be disjoint")
-    elif "nnbp" in parser:
-        raise ConfigError("[nnbp] section present but strategy not selected")
 
     raw = {name: dict(parser[name]) for name in parser.sections()}
     return ExperimentConfig(
@@ -348,8 +339,8 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         strategies=strategies,
         data=data_spec,
         rounds=rounds,
-        sosnn=sosnn_settings,
-        nnbp=nnbp_settings,
+        cells=tuple(cell for name in strategies for cell in grid[name]),
+        training_rounds=training_rounds,
         raw=raw,
     )
 
@@ -360,18 +351,18 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
 @dataclass
 class TaskSpec:
-    """Everything one worker needs to produce one (cell, replicate) result."""
+    """Everything one worker needs to produce one (cell, replicate) result.
 
-    kind: str  # "sosnn" | "nnbp" | "mkv"
+    A series is either a normalized array (backtest) or the recipe
+    (generator, length, seed) the worker generates it from (simulate).
+    """
+
     label: str
     replicate: int
     warmup: int
-    params: dict
-    generator: str | None = None
-    rounds: int | None = None
-    data_seed: int | None = None
-    movements: np.ndarray | None = None  # backtest: shared normalized series
-    training_movements: np.ndarray | None = None
+    config: SosnnConfig | NnbpConfig | MarkovOrder
+    series: np.ndarray | tuple[str, int, int]
+    training: np.ndarray | tuple[str, int, int] | None = None  # nnbp only
 
 
 @dataclass
@@ -391,121 +382,48 @@ class TaskResult:
     seconds: float = 0.0
 
 
-def _task_movements(spec: TaskSpec) -> MovementSeries:
-    if spec.movements is not None:
-        return MovementSeries(spec.movements, label=f"backtest rep{spec.replicate}")
-    gen = gen_ar1 if spec.generator == "ar1" else gen_arma21
-    raw = gen(spec.warmup + spec.rounds, NoiseSpec(seed=spec.data_seed))
-    return normalize(raw, label=f"{spec.generator} rep{spec.replicate}")
+def _series(series, label: str) -> MovementSeries:
+    if isinstance(series, np.ndarray):
+        return MovementSeries(series, label=label)
+    generator, length, seed = series
+    gen = gen_ar1 if generator == "ar1" else gen_arma21
+    return normalize(gen(length, NoiseSpec(seed=seed)), label=f"{generator} {label}")
 
 
 def _run_task(spec: TaskSpec) -> TaskResult:
     start = time.monotonic()
+    config = spec.config
     try:
-        movements = _task_movements(spec)
-        if spec.kind == "mkv":
-            run = run_mkv(movements, spec.params["order"], spec.warmup)
-            result = TaskResult(
-                spec.label, spec.replicate, True,
-                ratios=run.ratios, log_capital_path=run.log_capital_path,
-                checkpoints=run.checkpoints,
-            )
-        elif spec.kind == "sosnn":
-            p = spec.params
-            config = SosnnConfig(
-                net=NetworkConfig(p["input_count"], p["hidden_count"]),
-                schedule=AnnealingSchedule(p["initial_rate"], p["decay_steps"]),
-                weight_tolerance=p["weight_tolerance"],
-                max_iterations=p["max_iterations"],
-                warmup=spec.warmup,
-                init_scale=p["init_scale"],
-                seed=p["seed"],
-                warm_start=p["warm_start"],
-            )
+        movements = _series(spec.series, f"rep{spec.replicate}")
+        extra = {}
+        if isinstance(config, MarkovOrder):
+            run = run_mkv(movements, config, spec.warmup)
+        elif isinstance(config, SosnnConfig):
             run = run_sosnn(movements, config)
             iters = [d.iterations for d in run.diagnostics]
             conv = [d.converged for d in run.diagnostics]
-            result = TaskResult(
-                spec.label, spec.replicate, True,
-                ratios=run.ratios, log_capital_path=run.log_capital_path,
-                checkpoints=run.checkpoints,
+            extra = dict(
                 mean_iterations=float(np.mean(iters)) if iters else 0.0,
                 converged_fraction=float(np.mean(conv)) if conv else 1.0,
             )
-        elif spec.kind == "nnbp":
-            p = spec.params
-            config = NnbpConfig(
-                net=NetworkConfig(p["input_count"], p["hidden_count"]),
-                learning_rate=p["learning_rate"],
-                error_threshold=p["error_threshold"],
-                max_steps=p["max_steps"],
-                seed=p["seed"],
-                init_scale=p["init_scale"],
-            )
-            if spec.training_movements is not None:
-                training = MovementSeries(spec.training_movements, label="training window")
-            else:
-                gen = gen_ar1 if spec.generator == "ar1" else gen_arma21
-                raw = gen(p["training_rounds"], NoiseSpec(seed=p["train_data_seed"]))
-                training = normalize(raw, label=f"{spec.generator} training rep{spec.replicate}")
+        else:
+            training = _series(spec.training, f"training rep{spec.replicate}")
             weights, diag = train(training, config)
             run = run_nnbp(weights, movements, spec.warmup)
-            result = TaskResult(
-                spec.label, spec.replicate, True,
-                ratios=run.ratios, log_capital_path=run.log_capital_path,
-                checkpoints=run.checkpoints,
+            extra = dict(
                 training_error=diag.final_error,
                 error_per_epoch=diag.error_per_epoch,
                 per_day_error=diag.per_day_error,
             )
-        else:  # pragma: no cover - specs are built in-module
-            raise UsageError(f"unknown task kind {spec.kind!r}")
+        result = TaskResult(
+            spec.label, spec.replicate, True,
+            ratios=run.ratios, log_capital_path=run.log_capital_path,
+            checkpoints=run.checkpoints, **extra,
+        )
     except SeqbetError as exc:
         result = TaskResult(spec.label, spec.replicate, False, reason=str(exc))
     result.seconds = time.monotonic() - start
     return result
-
-
-def _build_cells(config: ExperimentConfig) -> list[tuple[str, str, dict]]:
-    """Cell list as (kind, label, params) in deterministic order."""
-    cells = []
-    for name in config.strategies:
-        if name == "sosnn":
-            s = config.sosnn
-            for lin in s.input_counts:
-                for hid in s.hidden_counts:
-                    cells.append((
-                        "sosnn",
-                        f"sosnn_{lin}x{hid}",
-                        {
-                            "input_count": lin,
-                            "hidden_count": hid,
-                            "initial_rate": s.initial_rate,
-                            "decay_steps": s.decay_steps,
-                            "weight_tolerance": s.weight_tolerance,
-                            "max_iterations": s.max_iterations,
-                            "init_scale": s.init_scale,
-                            "warm_start": s.warm_start,
-                        },
-                    ))
-        elif name == "nnbp":
-            p = config.nnbp
-            cells.append((
-                "nnbp",
-                f"nnbp_{p.input_count}x{p.hidden_count}",
-                {
-                    "input_count": p.input_count,
-                    "hidden_count": p.hidden_count,
-                    "learning_rate": p.learning_rate,
-                    "error_threshold": p.error_threshold,
-                    "max_steps": p.max_steps,
-                    "init_scale": p.init_scale,
-                    "training_rounds": p.training_rounds,
-                },
-            ))
-        else:
-            cells.append(("mkv", name, {"order": int(name[-1])}))
-    return cells
 
 
 def _execute(specs: list[TaskSpec], jobs: int) -> list[TaskResult]:
@@ -579,13 +497,13 @@ def _write_nnbp_diagnostics(out_dir: Path, result: TaskResult) -> None:
 
 
 def _summarize_cells(
-    cells: list[tuple[str, str, dict]],
+    cells: tuple[Cell, ...],
     results: dict[tuple[str, int], TaskResult],
     replicates: int,
     checkpoints: list[int],
 ) -> list[CellSummary]:
     summaries = []
-    for _, label, _ in cells:
+    for label, _ in cells:
         cell_results = [results[(label, r)] for r in range(replicates)]
         seconds = sum(r.seconds for r in cell_results)
         failed = [r for r in cell_results if not r.ok]
@@ -682,7 +600,8 @@ def _render_columns(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints, cells) -> None:
+def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints) -> None:
+    warm_start = next((c.warm_start for _, c in config.cells if isinstance(c, SosnnConfig)), None)
     manifest = {
         "tool": "seqbet",
         "version": __version__,
@@ -691,11 +610,11 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints, cells)
         "warmup": config.warmup,
         "replicates": config.replicates,
         "checkpoints": list(checkpoints),
-        "cells": [label for _, label, _ in cells],
+        "cells": [label for label, _ in config.cells],
         "config": config.raw,
         "strategy_notes": {
             "sosnn": {
-                "warm_start": None if config.sosnn is None else config.sosnn.warm_start,
+                "warm_start": warm_start,
                 "warmup_betting": "warmup rounds bet 0",
             },
             "nnbp": {"learning_rate_schedule": "constant"},
@@ -711,16 +630,26 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints, cells)
 # Commands
 
 
+def _clear_artifacts(out_dir: Path) -> None:
+    """Create `out_dir` and remove the per-cell and movement artifacts of an
+    earlier run, which the new one might not overwrite. The tables and the
+    manifest are rewritten; nothing else in the directory is touched."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("series", "diagnostics"):
+        if (out_dir / name).is_dir():
+            shutil.rmtree(out_dir / name)
+    (out_dir / "movements.csv").unlink(missing_ok=True)
+
+
 def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
     """Generate data per replicate, run every selected strategy, emit artifacts."""
     if config.mode != "simulate":
         raise UsageError(f"run_simulate got a {config.mode!r} config")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cells = _build_cells(config)
+    _clear_artifacts(out_dir)
     checkpoints = checkpoint_rounds(config.rounds)
-    results = _execute(_task_specs(config, cells), jobs)
-    return _finish_run(config, out_dir, cells, checkpoints, results)
+    results = _execute(_task_specs(config), jobs)
+    return _finish_run(config, out_dir, checkpoints, results)
 
 
 def _backtest_series(config: ExperimentConfig):
@@ -750,7 +679,7 @@ def _backtest_series(config: ExperimentConfig):
     invest = normalize(raw[i_lo - config.warmup : i_hi], rule_source=reference).values
     invest_dates = dates[i_lo - config.warmup : i_hi]
     training = None
-    if config.nnbp is not None:
+    if "nnbp" in config.strategies:
         t_lo, t_hi = window(spec.training)
         if t_lo >= t_hi:
             raise ConfigError("training range selects no movements")
@@ -765,58 +694,53 @@ def run_backtest(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
         raise UsageError(f"run_backtest got a {config.mode!r} config")
     invest, invest_dates, training, betting_rounds = _backtest_series(config)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cells = _build_cells(config)
+    _clear_artifacts(out_dir)
     checkpoints = checkpoint_rounds(betting_rounds)
-    results = _execute(_task_specs(config, cells, invest, training), jobs)
+    results = _execute(_task_specs(config, invest, training), jobs)
     write_movements(out_dir / "movements.csv", invest_dates, invest)
-    return _finish_run(config, out_dir, cells, checkpoints, results)
+    return _finish_run(config, out_dir, checkpoints, results)
 
 
-def _task_specs(config, cells, movements=None, training=None) -> list[TaskSpec]:
+def _task_specs(config, movements=None, training=None) -> list[TaskSpec]:
     """One TaskSpec per (cell, replicate), seeded from the base seed.
 
     A backtest passes its shared normalized `movements` and, for nnbp, the
     `training` movements; without them every task generates its replicate's
     series from the derived data seed.
     """
-    simulate = movements is None
     specs = []
-    for kind, label, params in cells:
+    for label, strategy in config.cells:
         for r in range(config.replicates):
-            p = dict(params)
-            if kind == "sosnn":
-                p["seed"] = derive_seed(
-                    config.seed, r, _ROLE_SOSNN, p["input_count"], p["hidden_count"]
-                )
-            elif kind == "nnbp":
-                p["seed"] = derive_seed(config.seed, r, _ROLE_NNBP_INIT)
-                p["train_data_seed"] = derive_seed(config.seed, r, _ROLE_NNBP_DATA)
-            specs.append(
-                TaskSpec(
-                    kind=kind, label=label, replicate=r, warmup=config.warmup, params=p,
-                    generator=config.data.generator if simulate else None,
-                    rounds=config.rounds,
-                    data_seed=derive_seed(config.seed, r, _ROLE_DATA) if simulate else None,
-                    movements=movements,
-                    training_movements=training if kind == "nnbp" else None,
-                )
-            )
+            series, training_series = movements, None
+            if movements is None:
+                length = config.warmup + config.rounds
+                series = (config.data.generator, length, derive_seed(config.seed, r, _ROLE_DATA))
+            if isinstance(strategy, SosnnConfig):
+                net = strategy.net
+                seed = derive_seed(config.seed, r, _ROLE_SOSNN, net.input_count, net.hidden_count)
+                strategy = replace(strategy, seed=seed)
+            elif isinstance(strategy, NnbpConfig):
+                strategy = replace(strategy, seed=derive_seed(config.seed, r, _ROLE_NNBP_INIT))
+                training_series = training
+                if movements is None:
+                    seed = derive_seed(config.seed, r, _ROLE_NNBP_DATA)
+                    training_series = (config.data.generator, config.training_rounds, seed)
+            specs.append(TaskSpec(label, r, config.warmup, strategy, series, training_series))
     return specs
 
 
-def _finish_run(config, out_dir, cells, checkpoints, results) -> RunReport:
+def _finish_run(config, out_dir, checkpoints, results) -> RunReport:
     results = {(res.label, res.replicate): res for res in results}
-    for (_, label, _) in cells:
+    for label, _ in config.cells:
         for r in range(config.replicates):
             result = results[(label, r)]
             if result.ok:
                 _write_series(out_dir, result)
                 if result.error_per_epoch is not None:
                     _write_nnbp_diagnostics(out_dir, result)
-    summaries = _summarize_cells(cells, results, config.replicates, checkpoints)
+    summaries = _summarize_cells(config.cells, results, config.replicates, checkpoints)
     _write_tables(out_dir, summaries, results, config.replicates, checkpoints)
-    _write_manifest(out_dir, config, checkpoints, cells)
+    _write_manifest(out_dir, config, checkpoints)
     return RunReport(out_dir=out_dir, checkpoints=list(checkpoints), cells=summaries)
 
 

@@ -168,7 +168,7 @@ def forward(window: Sequence[float], weights: NetworkWeights) -> ForwardTrace:
     hidden_in = weights.hidden_weights @ u
     hidden_out = np.tanh(hidden_in)
     out_in = float(weights.output_weights @ hidden_out)
-    out = float(np.clip(np.tanh(out_in), -_OUTPUT_CAP, _OUTPUT_CAP))
+    out = min(max(float(np.tanh(out_in)), -_OUTPUT_CAP), _OUTPUT_CAP)
     return ForwardTrace(hidden_in, hidden_out, out_in, out)
 
 

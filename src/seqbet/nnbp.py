@@ -44,6 +44,8 @@ class NnbpConfig:
             raise UsageError("error_threshold must be positive")
         if self.max_steps < 1:
             raise UsageError("max_steps must be >= 1")
+        if self.init_scale <= 0:
+            raise UsageError("init_scale must be positive")
 
 
 @dataclass

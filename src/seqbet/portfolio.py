@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import StrategyViolationError, UsageError
-from .game import RATIO_MARGIN, checkpoint_rounds
+from .game import RATIO_MARGIN, StrategyRunResult, _checkpoints
 from .network import (
     NetworkConfig,
     _OUTPUT_CAP,
@@ -152,36 +152,16 @@ def _optimize_portfolio(windows, moves, config: SosnnConfig, init: PortfolioWeig
     return PortfolioWeights(w_hidden, w_out), report
 
 
-@dataclass
-class PortfolioRunResult:
-    """Per-round ratio vectors and the log capital path of a multi-asset run."""
-
-    ratios: np.ndarray  # (rounds, assets); zero rows through the warmup
-    log_capital_path: np.ndarray
-    warmup: int
-    checkpoints: dict[int, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.checkpoints is None:
-            marks = checkpoint_rounds(len(self.log_capital_path) - self.warmup)
-            self.checkpoints = {
-                r: float(self.log_capital_path[self.warmup + r - 1]) for r in marks
-            }
-
-    @property
-    def final_log_capital(self) -> float:
-        return float(self.log_capital_path[-1])
-
-
 def run_sosnn_portfolio(
     movements: np.ndarray, config: SosnnConfig, label: str = ""
-) -> PortfolioRunResult:
+) -> StrategyRunResult:
     """Sequentially optimized betting over a (rounds x assets) movement panel.
 
     Mirrors the single-asset run round for round: shared input windows are
     built from the first asset's movements, refits start from the previous
     optimum (or fresh draws), and the ratio vector is exposure-rescaled
-    before betting.
+    before betting. The result's `ratios` is a (rounds x assets) matrix with
+    zero rows through the warmup.
     """
     moves = np.asarray(movements, dtype=float)
     if moves.ndim != 2 or moves.shape[1] < 1:
@@ -222,4 +202,4 @@ def run_sosnn_portfolio(
             # math.log1p, as in the game loop, keeps one asset identical to run_sosnn.
             log_k += math.log1p(float(bet @ moves[i]))
         path[i] = log_k
-    return PortfolioRunResult(ratios=ratios, log_capital_path=path, warmup=warmup)
+    return StrategyRunResult(ratios, path, warmup, _checkpoints(path, warmup))

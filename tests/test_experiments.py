@@ -15,6 +15,10 @@ from seqbet.experiments import (
     run_compare,
     run_simulate,
 )
+from seqbet.markov import MarkovOrder
+from seqbet.network import AnnealingSchedule, NetworkConfig
+from seqbet.nnbp import NnbpConfig
+from seqbet.sosnn import SosnnConfig
 
 TINY_SIM = """
 [experiment]
@@ -99,7 +103,7 @@ class TestParseConfig:
         assert config.mode == "simulate"
         assert config.strategies == ("mkv0", "mkv1", "sosnn")
         assert config.rounds == 50 and config.replicates == 2
-        assert config.sosnn.input_counts == (1,)
+        assert [label for label, _ in config.cells] == ["mkv0", "mkv1", "sosnn_1x2"]
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = TINY_SIM.replace("generator = ar1", "generator = ar1\ntypo_key = 3")
@@ -153,6 +157,98 @@ class TestParseConfig:
         text = TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0") + "\n"
         with pytest.raises(ConfigError, match="sosnn"):
             parse_config(write_config(tmp_path, text))
+
+    def test_cells_carry_configs_with_dataclass_defaults(self, tmp_path):
+        config = parse_config(write_config(tmp_path, TINY_SIM))
+        assert config.cells == (
+            ("mkv0", MarkovOrder(0)),
+            ("mkv1", MarkovOrder(1)),
+            ("sosnn_1x2", SosnnConfig(NetworkConfig(1, 2), warmup=5)),
+        )
+        assert config.training_rounds is None
+
+    def test_grid_and_set_keys_reach_every_cell(self, tmp_path):
+        text = TINY_SIM.replace("strategies = mkv0, mkv1, sosnn", "strategies = nnbp, sosnn")
+        text = text.replace("input_counts = 1", "input_counts = 1, 2\ninitial_rate = 0.5")
+        text = text.replace("hidden_counts = 2", "hidden_counts = 3, 4\nwarm_start = no")
+        text += "\n[nnbp]\ninput_count = 2\nhidden_count = 3\nmax_steps = 50\n"
+        config = parse_config(write_config(tmp_path, text))
+        labels = [label for label, _ in config.cells]
+        assert labels == ["nnbp_2x3", "sosnn_1x3", "sosnn_1x4", "sosnn_2x3", "sosnn_2x4"]
+        for _, cell in config.cells[1:]:
+            assert cell.schedule == AnnealingSchedule(initial_rate=0.5)
+            assert cell.warm_start is False and cell.warmup == 5
+        assert config.cells[0][1] == NnbpConfig(NetworkConfig(2, 3), max_steps=50)
+        assert config.training_rounds == 300
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("rounds = 50", "rounds = many", "[experiment] rounds must be an integer, got 'many'"),
+            ("input_counts = 1", "input_counts = 1, a",
+             "[sosnn] input_counts must be a comma list of integers"),
+            ("input_counts = 1", "input_counts = ,", "[sosnn] input_counts must not be empty"),
+            ("strategies = mkv0, mkv1, sosnn", "strategies = ,",
+             "[experiment] strategies must not be empty"),
+            ("hidden_counts = 2", "hidden_counts = 2\ninitial_rate = fast",
+             "[sosnn] initial_rate must be a number, got 'fast'"),
+            ("hidden_counts = 2", "hidden_counts = 2\nwarm_start = maybe",
+             "[sosnn] warm_start must be a boolean, got 'maybe'"),
+            ("hidden_counts = 2\n", "", "[sosnn] is missing required key 'hidden_counts'"),
+        ],
+    )
+    def test_value_errors_name_section_and_key(self, tmp_path, old, new, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, TINY_SIM.replace(old, new)))
+        assert str(info.value) == message
+
+    def test_bad_date_named(self, tmp_path):
+        make_prices(tmp_path)
+        text = BT_TEMPLATE.format(strategies="mkv0", extra="").replace(
+            "investing_end = 2020-04-19", "investing_end = 2020-04-31"
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, text))
+        assert str(info.value) == "[data] investing_end must be an ISO date, got '2020-04-31'"
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("hidden_counts = 2", "hidden_counts = 2\nweight_tolerance = 0",
+             "[sosnn] weight_tolerance must be positive"),
+            ("hidden_counts = 2", "hidden_counts = 2\nmax_iterations = 0",
+             "[sosnn] max_iterations must be >= 1"),
+            ("hidden_counts = 2", "hidden_counts = 2\ninit_scale = -0.1",
+             "[sosnn] init_scale must be positive"),
+            ("hidden_counts = 2", "hidden_counts = 2\ndecay_steps = 0",
+             "[sosnn] annealing parameters must be strictly positive"),
+            ("hidden_counts = 2", "hidden_counts = 0",
+             "[sosnn] layer sizes must be >= 1, got 1x0"),
+        ],
+    )
+    def test_invalid_strategy_values_are_config_errors(self, tmp_path, old, new, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, TINY_SIM.replace(old, new)))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "line, rule",
+        [
+            ("learning_rate = -1", "learning_rate must be positive"),
+            ("error_threshold = 0", "error_threshold must be positive"),
+            ("max_steps = 0", "max_steps must be >= 1"),
+            ("init_scale = -1", "init_scale must be positive"),
+            ("hidden_count = 0", "layer sizes must be >= 1, got 3x0"),
+        ],
+    )
+    def test_invalid_nnbp_values_are_config_errors(self, tmp_path, line, rule):
+        make_prices(tmp_path)
+        section = "[nnbp]\ninput_count = 3\n"
+        section += line if line.startswith("hidden_count") else f"hidden_count = 4\n{line}"
+        text = BT_TEMPLATE.format(strategies="nnbp", extra=section + "\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, text))
+        assert str(info.value) == f"[nnbp] {rule}"
 
 
 class TestDeriveSeed:
@@ -328,6 +424,34 @@ class TestDeterminism:
         assert a["summary.csv"] != b["summary.csv"]
 
 
+class TestRerun:
+    def test_rerun_replaces_previous_artifacts(self, tmp_path):
+        # A backtest with an nnbp cell leaves movements.csv, series and
+        # diagnostics; a smaller simulate into the same directory must leave
+        # exactly what a fresh run writes, plus files the run does not own.
+        make_prices(tmp_path)
+        backtest = write_config(
+            tmp_path, BT_TEMPLATE.format(strategies="mkv0, nnbp", extra=BT_NNBP), "bt.ini"
+        )
+        run_backtest(parse_config(backtest), tmp_path / "out")
+        (tmp_path / "out" / "notes.txt").write_text("kept", encoding="utf-8")
+        sim = write_config(tmp_path, TINY_SIM.replace("replicates = 2", "replicates = 1"))
+        run_simulate(parse_config(sim), tmp_path / "out")
+        run_simulate(parse_config(sim), tmp_path / "fresh")
+        rerun = tree_bytes(tmp_path / "out")
+        assert rerun.pop("notes.txt") == b"kept"
+        assert rerun == tree_bytes(tmp_path / "fresh")
+
+    def test_simulate_rerun_with_fewer_cells(self, tmp_path):
+        path = write_config(tmp_path, TINY_SIM)
+        run_simulate(parse_config(path), tmp_path / "out")
+        fewer = write_config(tmp_path, TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv1")
+                             .replace("[sosnn]\ninput_counts = 1\nhidden_counts = 2\n", ""), "b.ini")
+        run_simulate(parse_config(fewer), tmp_path / "out")
+        run_simulate(parse_config(fewer), tmp_path / "fresh")
+        assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "fresh")
+
+
 class TestBacktest:
     def test_full_backtest_with_nnbp(self, tmp_path):
         make_prices(tmp_path)
@@ -479,6 +603,22 @@ class TestCli:
         path = write_config(tmp_path, TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv9"))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (TINY_SIM + "weight_tolerance = 0\n",
+             "error: [sosnn] weight_tolerance must be positive"),
+            (TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, nnbp").split("[sosnn]")[0]
+             + "[nnbp]\ninput_count = 2\nhidden_count = 3\nlearning_rate = -1\n",
+             "error: [nnbp] learning_rate must be positive"),
+        ],
+    )
+    def test_invalid_strategy_value_exits_1(self, tmp_path, capsys, text, message):
+        path = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "no.ini"), "--out", "o"]) == 1

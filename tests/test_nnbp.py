@@ -138,6 +138,12 @@ class TestTrain:
         with pytest.raises(UsageError):
             train(MovementSeries(np.array([0.5])), toy_config())
 
+    def test_nonpositive_init_scale_rejected(self):
+        with pytest.raises(UsageError, match="init_scale"):
+            toy_config(init_scale=-1.0)
+        with pytest.raises(UsageError, match="init_scale"):
+            toy_config(init_scale=0.0)
+
 
 class TestRunNnbp:
     def test_zero_weights_zero_path(self, rng):

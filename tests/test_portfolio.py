@@ -135,7 +135,7 @@ class TestRunPortfolio:
         panel = run_sosnn_portfolio(ms.values[:, None], config)
         np.testing.assert_array_equal(panel.ratios[:, 0], single.ratios)
         np.testing.assert_array_equal(panel.log_capital_path, single.log_capital_path)
-        assert panel.checkpoints.keys() == single.checkpoints.keys()
+        assert panel.checkpoints == single.checkpoints
 
     def test_two_assets_run_and_solvency(self, rng):
         panel = np.column_stack(
