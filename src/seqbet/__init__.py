@@ -52,8 +52,16 @@ from .data import (
     normalize,
 )
 from .markov import MarkovOrder, bucket_index, optimize_bucket, run_mkv
-from .sosnn import OptimizeReport, SosnnConfig, optimize_weights, run_sosnn
-from .nnbp import NnbpConfig, TrainingDiagnostics, run_nnbp, sign_target, train, training_error
+from .sosnn import OptimizeReport, SosnnConfig, optimize_weights, run_sosnn, run_sosnn_replicates
+from .nnbp import (
+    NnbpConfig,
+    TrainingDiagnostics,
+    run_nnbp,
+    sign_target,
+    train,
+    train_replicates,
+    training_error,
+)
 from .portfolio import (
     PortfolioWeights,
     capital_step_portfolio,

@@ -36,8 +36,10 @@ from .errors import ConfigError, SeqbetError, UsageError
 from .game import MovementSeries, checkpoint_rounds
 from .markov import MarkovOrder, run_mkv
 from .network import AnnealingSchedule, NetworkConfig
-from .nnbp import NnbpConfig, run_nnbp, train
-from .sosnn import SosnnConfig, run_sosnn
+# Tasks call the replicate-stack entry points. The one-replicate `run_sosnn`
+# and `train` stay importable here because perfbench patches these names.
+from .nnbp import NnbpConfig, run_nnbp, train, train_replicates  # noqa: F401
+from .sosnn import SosnnConfig, run_sosnn, run_sosnn_replicates  # noqa: F401
 
 STRATEGY_NAMES = ("sosnn", "nnbp", "mkv0", "mkv1", "mkv2")
 FAILURE_MARK = "---"
@@ -311,6 +313,11 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
             "learning_rate": _FLOAT, "error_threshold": _FLOAT,
             "max_steps": _INT, "init_scale": _FLOAT,
         })
+        if mode == "backtest" and "training_rounds" in sec.items:
+            raise ConfigError(
+                "[nnbp] training_rounds applies to simulate mode only; "
+                "a backtest trains on its training date range"
+            )
         training_rounds = sec.get("training_rounds", _INT, 300)
         sec.reject_unknown()
         with _section_rules("nnbp"):
@@ -351,22 +358,25 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
 @dataclass
 class TaskSpec:
-    """Everything one worker needs to produce one (cell, replicate) result.
+    """Everything one worker needs to run one cell over all its replicates.
 
-    A series is either a normalized array (backtest) or the recipe
-    (generator, length, seed) the worker generates it from (simulate).
+    `configs` and `series` hold one entry per replicate. A series is either
+    a normalized array (backtest) or the recipe (generator, length, seed)
+    the worker generates it from (simulate).
     """
 
     label: str
-    replicate: int
     warmup: int
-    config: SosnnConfig | NnbpConfig | MarkovOrder
-    series: np.ndarray | tuple[str, int, int]
-    training: np.ndarray | tuple[str, int, int] | None = None  # nnbp only
+    configs: list[SosnnConfig | NnbpConfig | MarkovOrder]
+    series: list[np.ndarray | tuple[str, int, int]]
+    training: list[np.ndarray | tuple[str, int, int]] | None = None  # nnbp only
 
 
 @dataclass
 class TaskResult:
+    """One (cell, replicate) outcome; `seconds` is the replicate's equal
+    share of its cell task's wall time."""
+
     label: str
     replicate: int
     ok: bool
@@ -390,47 +400,85 @@ def _series(series, label: str) -> MovementSeries:
     return normalize(gen(length, NoiseSpec(seed=seed)), label=f"{generator} {label}")
 
 
-def _run_task(spec: TaskSpec) -> TaskResult:
-    start = time.monotonic()
-    config = spec.config
-    try:
-        movements = _series(spec.series, f"rep{spec.replicate}")
-        extra = {}
-        if isinstance(config, MarkovOrder):
-            run = run_mkv(movements, config, spec.warmup)
-        elif isinstance(config, SosnnConfig):
-            run = run_sosnn(movements, config)
+def _run_cell(spec: TaskSpec) -> list:
+    """Per replicate, its run and the extra TaskResult fields, or the
+    `SeqbetError` that failed it."""
+    movements = [_series(s, f"rep{r}") for r, s in enumerate(spec.series)]
+    config = spec.configs[0]
+    if isinstance(config, SosnnConfig):
+        outcomes = []
+        for run in run_sosnn_replicates(movements, spec.configs):
+            if isinstance(run, SeqbetError):
+                outcomes.append(run)
+                continue
             iters = [d.iterations for d in run.diagnostics]
             conv = [d.converged for d in run.diagnostics]
-            extra = dict(
+            outcomes.append((run, dict(
                 mean_iterations=float(np.mean(iters)) if iters else 0.0,
                 converged_fraction=float(np.mean(conv)) if conv else 1.0,
-            )
-        else:
-            training = _series(spec.training, f"training rep{spec.replicate}")
-            weights, diag = train(training, config)
-            run = run_nnbp(weights, movements, spec.warmup)
-            extra = dict(
+            )))
+        return outcomes
+    if isinstance(config, NnbpConfig):
+        training = [_series(s, f"training rep{r}") for r, s in enumerate(spec.training)]
+        fits = train_replicates(training, spec.configs)
+
+        def play(r):
+            weights, diag = fits[r]
+            return run_nnbp(weights, movements[r], spec.warmup), dict(
                 training_error=diag.final_error,
                 error_per_epoch=diag.error_per_epoch,
                 per_day_error=diag.per_day_error,
             )
-        result = TaskResult(
-            spec.label, spec.replicate, True,
+    else:
+
+        def play(r):
+            return run_mkv(movements[r], config, spec.warmup), {}
+
+    outcomes = []
+    for r in range(len(movements)):
+        try:
+            outcomes.append(play(r))
+        except SeqbetError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _run_task(spec: TaskSpec) -> list[TaskResult]:
+    """Run one cell over all its replicates; one TaskResult per replicate.
+
+    A failure that hits the whole cell (bad data, an invalid config) fails
+    every replicate with the same reason; one inside a replicate's own run,
+    such as a SOSNN refit that turns non-finite, fails only that replicate.
+    """
+    start = time.monotonic()
+    try:
+        outcomes = _run_cell(spec)
+    except SeqbetError as exc:
+        outcomes = [exc] * len(spec.configs)
+    results = []
+    for r, outcome in enumerate(outcomes):
+        if isinstance(outcome, SeqbetError):
+            results.append(TaskResult(spec.label, r, False, reason=str(outcome)))
+            continue
+        run, extra = outcome
+        results.append(TaskResult(
+            spec.label, r, True,
             ratios=run.ratios, log_capital_path=run.log_capital_path,
             checkpoints=run.checkpoints, **extra,
-        )
-    except SeqbetError as exc:
-        result = TaskResult(spec.label, spec.replicate, False, reason=str(exc))
-    result.seconds = time.monotonic() - start
-    return result
+        ))
+    share = (time.monotonic() - start) / len(results)
+    for result in results:
+        result.seconds = share
+    return results
 
 
 def _execute(specs: list[TaskSpec], jobs: int) -> list[TaskResult]:
     if jobs <= 1 or len(specs) <= 1:
-        return [_run_task(spec) for spec in specs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_task, specs, chunksize=1))
+        cells = [_run_task(spec) for spec in specs]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            cells = list(pool.map(_run_task, specs, chunksize=1))
+    return [result for cell in cells for result in cell]
 
 
 # ---------------------------------------------------------------------------
@@ -702,31 +750,50 @@ def run_backtest(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
 
 
 def _task_specs(config, movements=None, training=None) -> list[TaskSpec]:
-    """One TaskSpec per (cell, replicate), seeded from the base seed.
+    """One TaskSpec per cell, holding every replicate, seeded from the base
+    seed and listed in submission order.
 
     A backtest passes its shared normalized `movements` and, for nnbp, the
-    `training` movements; without them every task generates its replicate's
-    series from the derived data seed.
+    `training` movements; without them every replicate's series is
+    generated from its derived data seed. Cells are submitted longest first,
+    so the pool does not end on one long task: NNBP (the most steps per
+    cell), then SOSNN from the largest network down, then MKV. The order
+    never reaches the artifacts, which are written by (cell, replicate).
     """
     specs = []
     for label, strategy in config.cells:
+        configs, series, training_series = [], [], None
         for r in range(config.replicates):
-            series, training_series = movements, None
             if movements is None:
                 length = config.warmup + config.rounds
-                series = (config.data.generator, length, derive_seed(config.seed, r, _ROLE_DATA))
+                series.append((config.data.generator, length, derive_seed(config.seed, r, _ROLE_DATA)))
+            else:
+                series.append(movements)
             if isinstance(strategy, SosnnConfig):
                 net = strategy.net
                 seed = derive_seed(config.seed, r, _ROLE_SOSNN, net.input_count, net.hidden_count)
-                strategy = replace(strategy, seed=seed)
+                configs.append(replace(strategy, seed=seed))
             elif isinstance(strategy, NnbpConfig):
-                strategy = replace(strategy, seed=derive_seed(config.seed, r, _ROLE_NNBP_INIT))
-                training_series = training
+                configs.append(replace(strategy, seed=derive_seed(config.seed, r, _ROLE_NNBP_INIT)))
+                training_series = training_series or []
                 if movements is None:
                     seed = derive_seed(config.seed, r, _ROLE_NNBP_DATA)
-                    training_series = (config.data.generator, config.training_rounds, seed)
-            specs.append(TaskSpec(label, r, config.warmup, strategy, series, training_series))
-    return specs
+                    training_series.append((config.data.generator, config.training_rounds, seed))
+                else:
+                    training_series.append(training)
+            else:
+                configs.append(strategy)
+        specs.append(TaskSpec(label, config.warmup, configs, series, training_series))
+    return sorted(specs, key=_submission_rank)
+
+
+def _submission_rank(spec: TaskSpec) -> tuple[int, int]:
+    config = spec.configs[0]
+    if isinstance(config, NnbpConfig):
+        return (0, 0)
+    if isinstance(config, SosnnConfig):
+        return (1, -config.net.hidden_count * (config.net.input_count + 1))
+    return (2, 0)
 
 
 def _finish_run(config, out_dir, checkpoints, results) -> RunReport:

@@ -7,12 +7,16 @@ its analytic gradient (used by the sequential optimizer), the squared
 prediction error gradient (used by supervised training), and the
 search-then-converge learning-rate schedule.
 
-The objective and its gradient are one batched core over K recorded rounds:
-a K x L window matrix, a K x P movement matrix and P output rows, one per
-asset. A single asset is the P = 1 case, so `log_wealth` and the multi-asset
-functions in `seqbet.portfolio` evaluate the same arithmetic. The kernel
-writes the gradient into arrays the caller provides, so the ascent loop in
-`seqbet.sosnn` reuses one flat buffer for every step.
+The objective and its gradient are one batched core over R independent
+problems (the replicate axis) of K recorded rounds each: R x K x L windows,
+R x K x P movements, R x M x L hidden weights and R x P x M output rows, one
+row per asset. Every product is a stacked `np.matmul`, which runs each
+replicate's product exactly as the unstacked call would, so replicate r's
+numbers do not depend on what else is in the stack. A single problem is the
+R = 1 case and a single asset the P = 1 case, so `log_wealth` and the
+multi-asset functions in `seqbet.portfolio` evaluate the same arithmetic.
+The kernel writes the gradient into arrays the caller provides, so the
+ascent loop in `seqbet.sosnn` reuses one flat R x D buffer for every step.
 
 Input windows are most-recent-first: the window feeding round k holds
 (x_{k-1}, ..., x_{k-L}).
@@ -20,7 +24,7 @@ Input windows are most-recent-first: the window feeding round k holds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -132,6 +136,25 @@ class AnnealingSchedule:
             raise UsageError(f"annealing step must be nonnegative, got {step}")
         return self.initial_rate / (1.0 + step / self.decay_steps)
 
+    def rates(self):
+        """rate(0), rate(1), ... as a stream, for a loop that steps through
+        them without a call and a check per step; the same numbers."""
+        initial, decay = self.initial_rate, self.decay_steps
+        step = 0
+        while True:
+            yield initial / (1.0 + step / decay)
+            step += 1
+
+
+def _shared_config(configs: Sequence, kind: str):
+    """The config of a replicate stack, whose members may differ only in seed."""
+    if not configs:
+        raise UsageError(f"a stack of {kind} replicates needs at least one config")
+    first = configs[0]
+    if any(replace(c, seed=first.seed) != first for c in configs[1:]):
+        raise UsageError(f"{kind} replicates must share every setting but the seed")
+    return first
+
 
 def input_window(values: Sequence[float], k: int, length: int) -> np.ndarray:
     """Window feeding round k: the `length` movements before it, newest first.
@@ -207,45 +230,68 @@ def _stack_history(
 
 
 def _batch_forward(windows, w_hidden, w_out):
-    """Hidden outputs (K x M) and ratios for K windows.
+    """Hidden outputs (R x K x M) and ratios (R x K x P) for R stacks of K
+    windows, from R x M x L hidden and R x P x M output weights.
 
-    `w_out` is P x M (ratios K x P) or one length-M row (ratios of length K).
     The output cap is applied in place; for finite input it equals `np.clip`.
     """
-    hidden_out = np.tanh(windows @ w_hidden.T)
-    out = np.tanh(hidden_out @ w_out.T)
+    hidden_out = np.tanh(windows @ w_hidden.mT)
+    out = np.tanh(hidden_out @ w_out.mT)
     np.minimum(np.maximum(out, -_OUTPUT_CAP, out=out), _OUTPUT_CAP, out=out)
     return hidden_out, out
 
 
-def _log_wealth(windows, moves, w_hidden, w_out) -> float:
-    """Summed log(1 + sum_h f_kh x_kh) over K rounds; -inf once a round's
-    gross return is nonpositive, which only several assets can reach."""
+def _log_wealth(windows, moves, w_hidden, w_out) -> np.ndarray:
+    """Summed log(1 + sum_h f_kh x_kh) over K rounds, one value per replicate;
+    -inf where a round's gross return is nonpositive, which only several
+    assets can reach."""
     _, out = _batch_forward(windows, w_hidden, w_out)
     summed = np.vecdot(out, moves)
-    if summed.size and summed.min() <= -1.0:
-        return -np.inf
-    return float(np.log1p(summed).sum())
+    if not summed.size or summed.min() > -1.0:
+        return np.log1p(summed).sum(axis=-1)
+    solvent = summed.min(axis=-1) > -1.0
+    values = np.full(summed.shape[0], -np.inf)
+    values[solvent] = np.log1p(summed[solvent]).sum(axis=-1)
+    return values
 
 
-def _wealth_value_and_gradient(windows, moves, w_hidden, w_out, grad_hidden, grad_out):
-    """Objective over K rounds and P assets, at an iterate where every gross
-    return is positive; the gradient is written into the caller's arrays
-    `grad_hidden` (M x L) and `grad_out` (P x M).
+def _wealth_value_and_gradient(windows, moves, w_hidden_t, w_out, w_out_t, grad_hidden, grad_out):
+    """Objective of each of R replicates over K rounds and P assets, at an
+    iterate where every gross return is positive.
+
+    The weights come as views: `w_hidden_t` is the R x L x M transpose of the
+    hidden layer, `w_out` the R x P x M output rows and `w_out_t` their
+    transpose, so a caller that steps the same arrays builds the views once.
+    The gradient is written into the caller's arrays `grad_hidden`
+    (R x M x L) and `grad_out` (R x P x M).
 
     Round k contributes out_delta_kh * hidden_out_k to output row h and
     (sum_h out_delta_kh * w_out_hi) * (1 - hidden_out_ki^2) * window_kj to
     the hidden layer, where out_delta_kh = x_kh / (1 + sum_g f_kg x_kg) * (1 - f_kh^2).
-    Returns the objective and the K x P output and K x M hidden deltas.
+    Returns the R objectives and the R x K x P output and R x K x M hidden deltas.
     """
-    hidden_out, out = _batch_forward(windows, w_hidden, w_out)
+    hidden_out = np.tanh(windows @ w_hidden_t)
+    out = np.tanh(hidden_out @ w_out_t)
+    np.minimum(np.maximum(out, -_OUTPUT_CAP, out=out), _OUTPUT_CAP, out=out)
     summed = np.vecdot(out, moves)
-    value = float(np.log1p(summed).sum())
-    out_deltas = moves / (1.0 + summed)[:, None] * (1.0 - out * out)
-    np.matmul(out_deltas.T, hidden_out, out=grad_out)
+    values = np.log1p(summed).sum(axis=-1)
+    out_deltas = moves / (1.0 + summed)[..., None] * (1.0 - out * out)
+    np.matmul(out_deltas.mT, hidden_out, out=grad_out)
     hidden_deltas = (out_deltas @ w_out) * (1.0 - hidden_out * hidden_out)
-    np.matmul(hidden_deltas.T, windows, out=grad_hidden)
-    return value, out_deltas, hidden_deltas
+    np.matmul(hidden_deltas.mT, windows, out=grad_hidden)
+    return values, out_deltas, hidden_deltas
+
+
+def _single_gradient(windows, moves, w_hidden, w_out):
+    """The kernel at R = 1 on K x L windows, K x P movements and unstacked
+    weights: both gradients and the K x P and K x M deltas."""
+    w_hidden, w_out = w_hidden[None], w_out[None]
+    grad_hidden = np.empty_like(w_hidden)
+    grad_out = np.empty_like(w_out)
+    _, out_deltas, hidden_deltas = _wealth_value_and_gradient(
+        windows[None], moves[None], w_hidden.mT, w_out, w_out.mT, grad_hidden, grad_out
+    )
+    return grad_hidden[0], grad_out[0], out_deltas[0], hidden_deltas[0]
 
 
 def log_wealth(weights: NetworkWeights, history: Iterable) -> float:
@@ -254,7 +300,9 @@ def log_wealth(weights: NetworkWeights, history: Iterable) -> float:
     `history` is a sequence of (input window, movement) pairs.
     """
     windows, moves = _stack_history(history, weights.hidden_weights.shape[1])
-    return _log_wealth(windows, moves, weights.hidden_weights, weights.output_weights[None, :])
+    return float(_log_wealth(
+        windows[None], moves[None], weights.hidden_weights[None], weights.output_weights[None, None]
+    )[0])
 
 
 def log_wealth_gradient(weights: NetworkWeights, history: Iterable) -> WeightGradient:
@@ -265,11 +313,8 @@ def log_wealth_gradient(weights: NetworkWeights, history: Iterable) -> WeightGra
     layer, where out_delta_k = x_k / (1 + f x_k) * (1 - f^2).
     """
     windows, moves = _stack_history(history, weights.hidden_weights.shape[1])
-    grad_hidden = np.empty_like(weights.hidden_weights)
-    grad_out = np.empty((1, weights.output_weights.size))
-    _, out_deltas, hidden_deltas = _wealth_value_and_gradient(
-        windows, moves, weights.hidden_weights, weights.output_weights[None, :],
-        grad_hidden, grad_out,
+    grad_hidden, grad_out, out_deltas, hidden_deltas = _single_gradient(
+        windows, moves, weights.hidden_weights, weights.output_weights[None, :]
     )
     return WeightGradient(grad_hidden, grad_out[0], out_deltas[:, 0], hidden_deltas)
 

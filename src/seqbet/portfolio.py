@@ -21,14 +21,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import StrategyViolationError, UsageError
+from .errors import NumericError, StrategyViolationError, UsageError
 from .game import RATIO_MARGIN, StrategyRunResult, _checkpoints
 from .network import (
     NetworkConfig,
     _OUTPUT_CAP,
     _log_wealth,
+    _single_gradient,
     _stack_history,
-    _wealth_value_and_gradient,
     window_matrix,
 )
 from .sosnn import SosnnConfig, _ascend
@@ -127,7 +127,9 @@ def log_wealth_portfolio(weights: PortfolioWeights, history: Iterable) -> float:
     windows, moves = _stack_history(
         history, weights.hidden_weights.shape[1], weights.asset_count
     )
-    return _log_wealth(windows, moves, weights.hidden_weights, weights.output_weights)
+    return float(_log_wealth(
+        windows[None], moves[None], weights.hidden_weights[None], weights.output_weights[None]
+    )[0])
 
 
 def log_wealth_gradient_portfolio(
@@ -137,19 +139,20 @@ def log_wealth_gradient_portfolio(
     windows, moves = _stack_history(
         history, weights.hidden_weights.shape[1], weights.asset_count
     )
-    grad_hidden = np.empty_like(weights.hidden_weights)
-    grad_out = np.empty_like(weights.output_weights)
-    _wealth_value_and_gradient(
-        windows, moves, weights.hidden_weights, weights.output_weights, grad_hidden, grad_out
+    grad_hidden, grad_out, _, _ = _single_gradient(
+        windows, moves, weights.hidden_weights, weights.output_weights
     )
     return grad_hidden, grad_out
 
 
 def _optimize_portfolio(windows, moves, config: SosnnConfig, init: PortfolioWeights):
-    w_hidden, w_out, report = _ascend(
-        windows, moves, config, init.hidden_weights, init.output_weights
+    """One refit: the one-replicate case of `_ascend`."""
+    w_hidden, w_out, (report,) = _ascend(
+        windows[None], moves[None], config, init.hidden_weights[None], init.output_weights[None]
     )
-    return PortfolioWeights(w_hidden, w_out), report
+    if isinstance(report, NumericError):
+        raise report
+    return PortfolioWeights(w_hidden[0], w_out[0]), report
 
 
 def run_sosnn_portfolio(

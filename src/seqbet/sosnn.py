@@ -7,13 +7,21 @@ on the latest window. The optimizer returns the best iterate it visited, so
 a round's weights never score below their starting point. A refit stops
 at the iteration cap or once rate * max|g| falls below the weight tolerance,
 which is the same as every applied weight increment falling below it.
+
+Refits carry a leading replicate axis R. The replicates of one grid cell
+play the same rounds, so at every round their refits share the history
+length K and run as one stacked ascent (`run_sosnn_replicates`). Each
+replicate keeps its own stop rule, best iterate, warm start and random
+stream, and leaves the stack when it stops. `optimize_weights`, `run_sosnn`
+and the multi-asset refit are the R = 1 case of the same loop, and every
+replicate's numbers are bit-identical to its run alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +32,7 @@ from .network import (
     NetworkConfig,
     NetworkWeights,
     _log_wealth,
+    _shared_config,
     _stack_history,
     _wealth_value_and_gradient,
     forward,
@@ -45,13 +54,14 @@ class SosnnConfig:
     warm_start: bool = True
 
     def __post_init__(self) -> None:
-        if self.weight_tolerance <= 0:
+        # `not x > 0` also rejects NaN, which every comparison fails.
+        if not self.weight_tolerance > 0:
             raise UsageError("weight_tolerance must be positive")
         if self.max_iterations < 1:
             raise UsageError("max_iterations must be >= 1")
         if self.warmup < 0:
             raise UsageError("warmup must be nonnegative")
-        if self.init_scale <= 0:
+        if not self.init_scale > 0:
             raise UsageError("init_scale must be positive")
 
 
@@ -79,99 +89,234 @@ def optimize_weights(
         raise UsageError(
             f"init weights are {init.config}, config wants {config.net}"
         )
-    return _optimize(windows, moves, config, init)
-
-
-def _optimize(windows, moves, config, init):
-    """Refit of one network: the P = 1 case of `_ascend` (moves is K x 1)."""
-    w_hidden, w_out, report = _ascend(
-        windows, moves, config, init.hidden_weights, init.output_weights[None, :]
+    w_hidden, w_out, (outcome,) = _ascend(
+        windows[None], moves[None], config,
+        init.hidden_weights[None], init.output_weights[None, None],
     )
-    return NetworkWeights(w_hidden, w_out[0]), report
+    if isinstance(outcome, NumericError):
+        raise outcome
+    return NetworkWeights(w_hidden[0], w_out[0, 0]), outcome
 
 
 def _ascend(windows, moves, config, w_hidden, w_out):
-    """Annealed gradient ascent of log wealth over K rounds and P assets.
+    """Annealed gradient ascent of log wealth for R replicates at once.
 
-    Returns the best hidden (M x L) and output (P x M) weights visited and a
-    report. With several assets the raw ratio vector can bankrupt a recorded
-    round, where the objective is undefined, so the start is projected to
-    solvency and every step is shrunk until it stays solvent. One asset can
-    never get there (|f| < 1, |x| <= 1), so neither search runs for P = 1.
+    Replicate r ascends over its own K rounds and P assets: windows[r] is
+    K x L, moves[r] K x P, and it starts at hidden weights w_hidden[r]
+    (M x L) and output rows w_out[r] (P x M). Returns the best hidden
+    (R x M x L) and output (R x P x M) weights each replicate visited, and
+    per replicate either its report or the `NumericError` that stopped it.
 
-    Both weight layers are views of one flat parameter vector, and the
-    kernel writes the gradient g into views of one flat buffer. The ascent
-    stops once the largest applied increment falls below `weight_tolerance`.
-    For one asset that is rate * max|g| < tol, which equals max|rate * g| < tol
-    exactly: rounding a product by a positive scalar is monotone and
-    symmetric in sign.
+    With several assets the raw ratio vector can bankrupt a recorded round,
+    where the objective is undefined, so the start is projected to solvency
+    and every step is shrunk until it stays solvent. One asset can never get
+    there (|f| < 1, |x| <= 1), so neither search runs for P = 1.
+
+    The weights of all active replicates are views of one R x D parameter
+    array theta, and the kernel writes the gradient into views of one R x D
+    buffer. All active replicates take step s together at the same rate.
+    A replicate stops once its largest applied increment falls below
+    `weight_tolerance`; for one asset that is rate * max|g| < tol, which
+    equals max|rate * g| < tol exactly, because rounding a product by a
+    positive scalar is monotone and symmetric in sign. A stopped or failed
+    replicate leaves the active set, so the stack shrinks as the refits end.
     """
-    hidden_shape, out_shape = w_hidden.shape, w_out.shape
-    split = w_hidden.size
+    count = windows.shape[0]
+    hidden_shape, out_shape = w_hidden.shape[1:], w_out.shape[1:]
+    split = hidden_shape[0] * hidden_shape[1]
 
     def views(flat):
-        return flat[:split].reshape(hidden_shape), flat[split:].reshape(out_shape)
+        rows = flat.shape[0]
+        return flat[:, :split].reshape(rows, *hidden_shape), flat[:, split:].reshape(rows, *out_shape)
 
-    theta = np.concatenate((w_hidden.ravel(), w_out.ravel()))
-    grad = np.empty_like(theta)
-    w_hidden, w_out = views(theta)
-    grad_hidden, grad_out = views(grad)
-    several_assets = moves.shape[1] > 1
+    theta = np.concatenate((w_hidden.reshape(count, split), w_out.reshape(count, -1)), axis=1)
+    outcomes: list = [None] * count
+    several_assets = moves.shape[2] > 1
     if several_assets:
         # A warm start fitted before the newest round arrived can bankrupt
         # that round. Shrinking the output layer toward the zero policy,
         # which earns exactly 0, always restores feasibility.
+        out_view = views(theta)[1]
         for _ in range(128):
-            if np.isfinite(_log_wealth(windows, moves, w_hidden, w_out)):
+            solvent = np.isfinite(_log_wealth(windows, moves, *views(theta)))
+            if solvent.all():
                 break
-            w_out *= 0.5
+            out_view[~solvent] *= 0.5
         else:
-            raise NumericError("could not project the initial weights to solvency")
-    best_value = -np.inf
-    best = theta.copy()
-    iterations = 0
-    converged = False
-    grad_norm = np.nan
+            for r in np.flatnonzero(~solvent):
+                outcomes[r] = NumericError("could not project the initial weights to solvency")
+    # Replicate r's best iterate is row best[r][1] of the array best[r][0]:
+    # a snapshot of theta, shared by every row that improved in one step.
+    start = theta.copy()
+    best = [(start, r) for r in range(count)]
+    best_values = [-math.inf] * count
+    # Row i of the active arrays belongs to replicate rows[i].
+    rows = [r for r in range(count) if outcomes[r] is None]
+    if len(rows) < count:
+        theta, windows, moves = theta[rows], windows[rows], moves[rows]
+    norms: list[float] = []
     tol = config.weight_tolerance
-    for step in range(config.max_iterations):
-        value, _, _ = _wealth_value_and_gradient(
-            windows, moves, w_hidden, w_out, grad_hidden, grad_out
+
+    def keep(kept):
+        nonlocal theta, windows, moves, rows, norms, rebind
+        theta, windows, moves = theta[kept], windows[kept], moves[kept]
+        rows = [rows[i] for i in kept]
+        norms = [norms[i] for i in kept]
+        rebind = True
+
+    def settle(stopped, iterations, converged):
+        """Score the last update of the `stopped` rows and file their reports."""
+        finals = _log_wealth(windows[stopped], moves[stopped], *views(theta[stopped]))
+        for i, value in zip(stopped, finals.tolist()):
+            r = rows[i]
+            if math.isfinite(value) and value > best_values[r]:
+                best_values[r] = value
+                best[r] = (theta, i)  # `keep` replaces theta; this one stays as is
+            outcomes[r] = OptimizeReport(iterations, converged, norms[i], best_values[r])
+
+    isfinite = math.isfinite
+    rebind = True
+    for step, rate in zip(range(config.max_iterations), config.schedule.rates()):
+        if not rows:
+            break
+        if rebind:
+            grad = np.empty_like(theta)
+            hidden, out = views(theta)
+            hidden_t, out_t = hidden.mT, out.mT
+            grad_hidden, grad_out = views(grad)
+            if several_assets:
+                trial = np.empty_like(theta)
+                trial_hidden, trial_out = views(trial)
+            rebind = False
+        values, _, _ = _wealth_value_and_gradient(
+            windows, moves, hidden_t, out, out_t, grad_hidden, grad_out
         )
-        grad_norm = np.abs(grad).max()
-        if not (math.isfinite(value) and math.isfinite(grad_norm)):
-            raise NumericError(
-                f"non-finite objective or gradient at ascent step {step}"
-            )
-        if value > best_value:
-            best_value = value
-            best = theta.copy()
-        rate = config.schedule.rate(step)
+        norms = np.abs(grad).max(axis=1).tolist()
+        failed = False
+        stopped = []
+        snapshot = None
+        for i, value in enumerate(values.tolist()):
+            r = rows[i]
+            norm = norms[i]
+            if not (isfinite(value) and isfinite(norm)):
+                outcomes[r] = NumericError(f"non-finite objective or gradient at ascent step {step}")
+                failed = True
+                continue
+            if value > best_values[r]:
+                best_values[r] = value
+                if snapshot is None:
+                    snapshot = theta.copy()
+                best[r] = (snapshot, i)
+            if rate * norm < tol and not several_assets:
+                stopped.append(i)
+        if failed:
+            kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
+            grad = grad[kept]
+            stopped = [kept.index(i) for i in stopped]
+            keep(kept)
+            if not rows:
+                break
         if several_assets:
             increment = rate * grad
             for _ in range(64):
-                if np.isfinite(_log_wealth(windows, moves, *views(theta + increment))):
+                np.add(theta, increment, out=trial)
+                trials = _log_wealth(windows, moves, trial_hidden, trial_out).tolist()
+                insolvent = [i for i, value in enumerate(trials) if not isfinite(value)]
+                if not insolvent:
                     break
-                increment *= 0.5
+                increment[insolvent] *= 0.5
             else:
-                raise NumericError(f"could not find a solvent ascent step at {step}")
+                for i in insolvent:
+                    outcomes[rows[i]] = NumericError(
+                        f"could not find a solvent ascent step at {step}"
+                    )
+                kept = [i for i in range(len(rows)) if i not in insolvent]
+                increment = increment[kept]
+                keep(kept)
             theta += increment
-            largest_increment = np.abs(increment).max()
+            largest = np.abs(increment).max(axis=1).tolist()
+            stopped = [i for i, increment_max in enumerate(largest) if increment_max < tol]
         else:
             theta += rate * grad
-            largest_increment = rate * grad_norm
-        iterations = step + 1
-        if largest_increment < tol:
-            converged = True
-            break
+        if stopped:
+            settle(stopped, step + 1, True)
+            keep([i for i in range(len(rows)) if i not in stopped])
     # The loop never scores its last update; one more evaluation settles it.
-    value = _log_wealth(windows, moves, w_hidden, w_out)
-    if np.isfinite(value) and value > best_value:
-        best_value = value
-        best = theta
-    best_hidden, best_out = views(best)
-    return best_hidden, best_out, OptimizeReport(
-        iterations, converged, float(grad_norm), best_value
-    )
+    if rows:
+        settle(list(range(len(rows))), config.max_iterations, False)
+    best_hidden, best_out = views(np.stack([array[i] for array, i in best]))
+    return best_hidden, best_out, outcomes
+
+
+def run_sosnn_replicates(
+    movements: Sequence[MovementSeries], configs: Sequence[SosnnConfig]
+) -> list[StrategyRunResult | NumericError]:
+    """Run the sequentially optimized strategy on R replicates in lockstep.
+
+    Replicate r bets on `movements[r]` with `configs[r]`; the series must
+    have one length and the configs may differ only in seed. At every round
+    the refits of all replicates run as one stacked ascent. A bet never
+    depends on capital, so the ratios of all rounds are found first and
+    each replicate then plays them through `run_game`. The result of
+    replicate r is bit-identical to `run_sosnn(movements[r], configs[r])`;
+    where that would raise `NumericError`, the list holds the error instead
+    and the other replicates play on.
+    """
+    config = _shared_config(configs, "sosnn")
+    length = config.net.input_count
+    warmup = config.warmup
+    if warmup < length:
+        raise UsageError(
+            f"warmup of {warmup} cannot fill an input window of {length}"
+        )
+    lengths = {len(m) for m in movements}
+    if len(lengths) > 1:
+        raise UsageError(f"replicate series must have one length, got {sorted(lengths)}")
+    n_rounds = lengths.pop()
+    if n_rounds < warmup + 2:
+        raise UsageError(
+            f"series of length {n_rounds} is shorter than warmup + 2 = {warmup + 2}"
+        )
+    count = len(configs)
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    weights = [NetworkWeights.uniform(config.net, config.init_scale, rng) for rng in rngs]
+    # Row i of windows[r] holds the input window of round warmup + 1 + i.
+    windows = np.stack([window_matrix(m.values, length, warmup + 1, n_rounds) for m in movements])
+    moves = np.stack([m.values for m in movements])[:, :, None]
+    ratios = np.zeros((count, n_rounds))
+    diagnostics: list[list[RoundDiagnostics]] = [[] for _ in range(count)]
+    outcomes: list = [None] * count
+    alive = list(range(count))
+    for n in range(warmup + 1, n_rounds + 1):
+        if not alive:
+            break
+        completed = n - 1 - warmup
+        if completed > 0:
+            if not config.warm_start:
+                for r in alive:
+                    weights[r] = NetworkWeights.uniform(config.net, config.init_scale, rngs[r])
+            best_hidden, best_out, reports = _ascend(
+                windows[alive, :completed], moves[alive, warmup : n - 1], config,
+                np.stack([weights[r].hidden_weights for r in alive]),
+                np.stack([weights[r].output_weights[None] for r in alive]),
+            )
+            for i, (r, report) in enumerate(zip(list(alive), reports)):
+                if isinstance(report, NumericError):
+                    outcomes[r] = NumericError(f"round {n}: {report}")
+                    alive.remove(r)
+                    continue
+                weights[r] = NetworkWeights(best_hidden[i], best_out[i, 0])
+                diagnostics[r].append(RoundDiagnostics(n, report.iterations, report.converged))
+        else:
+            for r in alive:
+                diagnostics[r].append(RoundDiagnostics(n, 0, True))
+        for r in alive:
+            ratios[r, n - 1] = clamp_ratio(forward(windows[r, n - warmup - 1], weights[r]).output)
+    for r in alive:
+        bets = ratios[r].tolist()
+        outcomes[r] = run_game(lambda n, past, bets=bets: bets[n - 1], movements[r], warmup)
+        outcomes[r].diagnostics = diagnostics[r]
+    return outcomes
 
 
 def run_sosnn(movements: MovementSeries, config: SosnnConfig) -> StrategyRunResult:
@@ -182,45 +327,9 @@ def run_sosnn(movements: MovementSeries, config: SosnnConfig) -> StrategyRunResu
     rounds k, then the network's output on round n's window is the bet.
     With `warm_start` each refit begins at the previous round's weights;
     otherwise every round draws a fresh uniform init from the seeded stream.
+    This is the one-replicate case of `run_sosnn_replicates`.
     """
-    length = config.net.input_count
-    warmup = config.warmup
-    xs = movements.values
-    if warmup < length:
-        raise UsageError(
-            f"warmup of {warmup} cannot fill an input window of {length}"
-        )
-    if len(xs) < warmup + 2:
-        raise UsageError(
-            f"series of length {len(xs)} is shorter than warmup + 2 = {warmup + 2}"
-        )
-    rng = np.random.default_rng(config.seed)
-    weights = NetworkWeights.uniform(config.net, config.init_scale, rng)
-    # Row i holds the input window of round warmup + 1 + i.
-    windows = window_matrix(xs, length, warmup + 1, len(xs))
-    moves = xs[:, None]
-    diagnostics: list[RoundDiagnostics] = []
-
-    def bet(n: int, past: np.ndarray) -> float:
-        nonlocal weights
-        completed = n - 1 - warmup
-        if completed > 0:
-            init = (
-                weights
-                if config.warm_start
-                else NetworkWeights.uniform(config.net, config.init_scale, rng)
-            )
-            try:
-                weights, report = _optimize(
-                    windows[:completed], moves[warmup : n - 1], config, init
-                )
-            except NumericError as exc:
-                raise NumericError(f"round {n}: {exc}") from None
-            diagnostics.append(RoundDiagnostics(n, report.iterations, report.converged))
-        else:
-            diagnostics.append(RoundDiagnostics(n, 0, True))
-        return clamp_ratio(forward(windows[n - warmup - 1], weights).output)
-
-    result = run_game(bet, movements, warmup)
-    result.diagnostics = diagnostics
-    return result
+    (outcome,) = run_sosnn_replicates([movements], [config])
+    if isinstance(outcome, NumericError):
+        raise outcome
+    return outcome

@@ -9,6 +9,9 @@ import pytest
 from seqbet.cli import main
 from seqbet.errors import ConfigError, DataError, UsageError
 from seqbet.experiments import (
+    _run_task,
+    _series,
+    _task_specs,
     derive_seed,
     parse_config,
     run_backtest,
@@ -18,7 +21,7 @@ from seqbet.experiments import (
 from seqbet.markov import MarkovOrder
 from seqbet.network import AnnealingSchedule, NetworkConfig
 from seqbet.nnbp import NnbpConfig
-from seqbet.sosnn import SosnnConfig
+from seqbet.sosnn import SosnnConfig, run_sosnn
 
 TINY_SIM = """
 [experiment]
@@ -145,6 +148,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="training"):
             parse_config(write_config(tmp_path, text))
 
+    def test_training_rounds_rejected_in_backtest(self, tmp_path):
+        make_prices(tmp_path)
+        text = BT_TEMPLATE.format(strategies="nnbp", extra=BT_NNBP + "training_rounds = 100\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, text))
+        assert str(info.value) == (
+            "[nnbp] training_rounds applies to simulate mode only; "
+            "a backtest trains on its training date range"
+        )
+
     def test_nnbp_ranges_must_be_disjoint(self, tmp_path):
         make_prices(tmp_path)
         text = BT_TEMPLATE.format(strategies="nnbp", extra=BT_NNBP).replace(
@@ -216,6 +229,10 @@ class TestParseConfig:
         [
             ("hidden_counts = 2", "hidden_counts = 2\nweight_tolerance = 0",
              "[sosnn] weight_tolerance must be positive"),
+            ("hidden_counts = 2", "hidden_counts = 2\nweight_tolerance = nan",
+             "[sosnn] weight_tolerance must be positive"),
+            ("hidden_counts = 2", "hidden_counts = 2\ninit_scale = nan",
+             "[sosnn] init_scale must be positive"),
             ("hidden_counts = 2", "hidden_counts = 2\nmax_iterations = 0",
              "[sosnn] max_iterations must be >= 1"),
             ("hidden_counts = 2", "hidden_counts = 2\ninit_scale = -0.1",
@@ -235,7 +252,10 @@ class TestParseConfig:
         "line, rule",
         [
             ("learning_rate = -1", "learning_rate must be positive"),
+            ("learning_rate = nan", "learning_rate must be positive"),
             ("error_threshold = 0", "error_threshold must be positive"),
+            ("error_threshold = nan", "error_threshold must be positive"),
+            ("init_scale = nan", "init_scale must be positive"),
             ("max_steps = 0", "max_steps must be >= 1"),
             ("init_scale = -1", "init_scale must be positive"),
             ("hidden_count = 0", "layer sizes must be >= 1, got 3x0"),
@@ -574,7 +594,7 @@ class TestFailureMarking:
         def explode(*args, **kwargs):
             raise NumericError("round 7: non-finite objective")
 
-        monkeypatch.setattr(exp, "run_sosnn", explode)
+        monkeypatch.setattr(exp, "run_sosnn_replicates", explode)
         config = parse_config(write_config(tmp_path, TINY_SIM))
         report = run_simulate(config, tmp_path / "out")
         summary = {c.label: c for c in report.cells}
@@ -590,6 +610,81 @@ class TestFailureMarking:
         assert failed and all(r.flag == "" for r in failed)
         flagged = [r for r in rows if r.flag]
         assert flagged and all(r.ok for r in flagged)
+
+
+class TestCellTasks:
+    """A task is one cell with all its replicates."""
+
+    def test_cell_task_matches_each_replicate_alone(self, tmp_path):
+        config = parse_config(
+            write_config(tmp_path, TINY_SIM.replace("replicates = 2", "replicates = 3"))
+        )
+        spec = next(s for s in _task_specs(config) if s.label == "sosnn_1x2")
+        results = _run_task(spec)
+        assert [(r.label, r.replicate, r.ok) for r in results] == [
+            ("sosnn_1x2", r, True) for r in range(3)
+        ]
+        for r, result in enumerate(results):
+            alone = run_sosnn(_series(spec.series[r], f"rep{r}"), spec.configs[r])
+            np.testing.assert_array_equal(result.ratios, alone.ratios)
+            np.testing.assert_array_equal(result.log_capital_path, alone.log_capital_path)
+            iters = [d.iterations for d in alone.diagnostics]
+            assert result.mean_iterations == float(np.mean(iters))
+
+    def test_failing_replicate_fails_only_itself(self, tmp_path, monkeypatch):
+        # Poison the objective of replicate 1's refit at its 7th history
+        # round. That replicate must fail with the reason its run alone
+        # raises; the other replicates of the cell must still finish.
+        import seqbet.sosnn as sosnn
+        from seqbet.errors import NumericError
+
+        config = parse_config(
+            write_config(tmp_path, TINY_SIM.replace("replicates = 2", "replicates = 3"))
+        )
+        spec = next(s for s in _task_specs(config) if s.label == "sosnn_1x2")
+        marker = _series(spec.series[1], "rep1").values[config.warmup]
+        kernel = sosnn._wealth_value_and_gradient
+
+        def poisoned(windows, moves, *args):
+            values, out_deltas, hidden_deltas = kernel(windows, moves, *args)
+            values[(moves[:, 0, 0] == marker) & (moves.shape[1] == 7)] = np.nan
+            return values, out_deltas, hidden_deltas
+
+        monkeypatch.setattr(sosnn, "_wealth_value_and_gradient", poisoned)
+        results = _run_task(spec)
+        reason = "round 13: non-finite objective or gradient at ascent step 0"
+        assert [(r.replicate, r.ok, r.reason) for r in results] == [
+            (0, True, ""), (1, False, reason), (2, True, "")
+        ]
+        with pytest.raises(NumericError) as info:
+            run_sosnn(_series(spec.series[1], "rep1"), spec.configs[1])
+        assert str(info.value) == reason
+        for r in (0, 2):
+            alone = run_sosnn(_series(spec.series[r], f"rep{r}"), spec.configs[r])
+            np.testing.assert_array_equal(results[r].ratios, alone.ratios)
+
+        report = run_simulate(config, tmp_path / "out")
+        assert not report.cell("sosnn_1x2").ok
+        assert report.cell("sosnn_1x2").reason == reason
+        series = sorted(p.name for p in (tmp_path / "out" / "series").glob("sosnn_1x2__*"))
+        assert series == ["sosnn_1x2__rep0.csv", "sosnn_1x2__rep2.csv"]
+
+    def test_cells_submitted_longest_first(self, tmp_path):
+        text = (
+            TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, sosnn, nnbp")
+            .replace("input_counts = 1", "input_counts = 1, 2")
+            .replace("hidden_counts = 2", "hidden_counts = 2, 3")
+            + "[nnbp]\ninput_count = 2\nhidden_count = 3\n"
+        )
+        config = parse_config(write_config(tmp_path, text))
+        assert [label for label, _ in config.cells] == [
+            "mkv0", "sosnn_1x2", "sosnn_1x3", "sosnn_2x2", "sosnn_2x3", "nnbp_2x3"
+        ]
+        specs = _task_specs(config)
+        assert [s.label for s in specs] == [
+            "nnbp_2x3", "sosnn_2x3", "sosnn_1x3", "sosnn_2x2", "sosnn_1x2", "mkv0"
+        ]
+        assert all(len(s.configs) == len(s.series) == 2 for s in specs)
 
 
 class TestCli:
@@ -612,12 +707,26 @@ class TestCli:
             (TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, nnbp").split("[sosnn]")[0]
              + "[nnbp]\ninput_count = 2\nhidden_count = 3\nlearning_rate = -1\n",
              "error: [nnbp] learning_rate must be positive"),
+            (TINY_SIM + "weight_tolerance = nan\n",
+             "error: [sosnn] weight_tolerance must be positive"),
+            (TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, nnbp").split("[sosnn]")[0]
+             + "[nnbp]\ninput_count = 2\nhidden_count = 3\nlearning_rate = nan\n",
+             "error: [nnbp] learning_rate must be positive"),
         ],
+        ids=["zero-tolerance", "negative-rate", "nan-tolerance", "nan-rate"],
     )
     def test_invalid_strategy_value_exits_1(self, tmp_path, capsys, text, message):
         path = write_config(tmp_path, text)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "o").exists()
+
+    def test_training_rounds_in_backtest_exits_1(self, tmp_path, capsys):
+        make_prices(tmp_path)
+        text = BT_TEMPLATE.format(strategies="nnbp", extra=BT_NNBP + "training_rounds = 100\n")
+        path = write_config(tmp_path, text)
+        assert main(["backtest", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: [nnbp] training_rounds")
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_1(self, tmp_path, capsys):

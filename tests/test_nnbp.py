@@ -14,7 +14,15 @@ from seqbet.network import (
     input_window,
     squared_error_gradient,
 )
-from seqbet.nnbp import NnbpConfig, run_nnbp, sign_target, train, training_error
+from seqbet.data import NoiseSpec, gen_ar1, normalize
+from seqbet.nnbp import (
+    NnbpConfig,
+    run_nnbp,
+    sign_target,
+    train,
+    train_replicates,
+    training_error,
+)
 
 # Frozen oracle value: 0.5 * (1 - tanh(tanh(10)))**2
 HALF_SQ_ERR_TANH10 = 0.028418673649965337
@@ -201,3 +209,56 @@ class TestRunNnbp:
             clamp_ratio(forward(input_window(xs, n, 3), weights).output) for n in range(6, 41)
         ]
         assert res.ratios.tobytes() == np.array(expected).tobytes()
+
+
+class TestTrainReplicates:
+    """A stack of replicates must train every network exactly as `train`
+    trains it alone, with each replicate's own threshold stop."""
+
+    def assert_same_fit(self, fit, alone):
+        (weights, diag), (alone_weights, alone_diag) = fit, alone
+        np.testing.assert_array_equal(weights.hidden_weights, alone_weights.hidden_weights)
+        np.testing.assert_array_equal(weights.output_weights, alone_weights.output_weights)
+        assert diag.error_per_epoch == alone_diag.error_per_epoch
+        assert diag.final_error == alone_diag.final_error
+        np.testing.assert_array_equal(diag.per_day_error, alone_diag.per_day_error)
+        assert diag.steps_used == alone_diag.steps_used
+        assert diag.converged == alone_diag.converged
+
+    def test_replicates_stop_at_their_own_epochs(self):
+        alternating = np.resize([-0.5, 0.5], 30)
+        damped = alternating * np.random.default_rng(1).uniform(0.2, 1.0, 30)
+        noisy = normalize(gen_ar1(30, NoiseSpec(seed=3))).values
+        series = [MovementSeries(x) for x in (noisy, alternating, damped)]
+        configs = [
+            toy_config(learning_rate=0.3, error_threshold=0.02, max_steps=2000, seed=s)
+            for s in (1, 2, 3)
+        ]
+        fits = train_replicates(series, configs)
+        for movements, config, fit in zip(series, configs, fits):
+            self.assert_same_fit(fit, train(movements, config))
+        epochs = [len(diag.error_per_epoch) for _, diag in fits]
+        # The alternating series reaches the threshold epochs before the
+        # damped one; the noisy one never does and stops at the step cap.
+        assert epochs[1] < epochs[2] < epochs[0]
+        assert [diag.converged for _, diag in fits] == [False, True, True]
+        assert fits[0][1].steps_used == (2000 // 29) * 29
+
+    def test_paper_sized_network_and_given_inits(self):
+        series = [normalize(gen_ar1(300, NoiseSpec(seed=s))) for s in (4, 5, 6)]
+        configs = [NnbpConfig(NetworkConfig(12, 30), max_steps=600, seed=s) for s in (7, 8, 9)]
+        inits = [
+            NetworkWeights.uniform(NetworkConfig(12, 30), 0.2, np.random.default_rng(s))
+            for s in (1, 2, 3)
+        ]
+        fits = train_replicates(series, configs, inits)
+        for movements, config, init, fit in zip(series, configs, inits, fits):
+            self.assert_same_fit(fit, train(movements, config, init))
+        assert fits[0][0].hidden_weights is not inits[0].hidden_weights
+
+    def test_replicates_must_share_settings_and_length(self):
+        series = alternating_series(30)
+        with pytest.raises(UsageError, match="every setting but the seed"):
+            train_replicates([series, series], [toy_config(), toy_config(learning_rate=0.2)])
+        with pytest.raises(UsageError, match="one length"):
+            train_replicates([series, alternating_series(31)], [toy_config(seed=1), toy_config()])

@@ -18,7 +18,7 @@ from seqbet.portfolio import (
     rescale_exposure,
     run_sosnn_portfolio,
 )
-from seqbet.sosnn import SosnnConfig, run_sosnn
+from seqbet.sosnn import SosnnConfig, _ascend, run_sosnn
 
 
 class TestForwardPortfolio:
@@ -185,3 +185,60 @@ class TestRunPortfolio:
         res = run_sosnn_portfolio(panel, config)
         assert np.isfinite(res.log_capital_path).all()
         assert np.abs(res.ratios).sum(axis=1).max() < 1.0
+
+
+class TestReplicateStack:
+    def test_stacked_refits_match_each_panel_alone(self, monkeypatch):
+        # Record every refit of four two-asset runs, then replay each round's
+        # four refits as one stacked ascent: each must give the weights and
+        # report its run got alone. The correlated assets make the solvency
+        # projection and the step halving run inside the stack.
+        import seqbet.portfolio as portfolio
+        import seqbet.sosnn as sosnn
+
+        original = portfolio._optimize_portfolio
+        calls = []
+
+        def recording(windows, moves, config, init):
+            weights, report = original(windows, moves, config, init)
+            calls.append((windows, moves, init, weights, report))
+            return weights, report
+
+        monkeypatch.setattr(portfolio, "_optimize_portfolio", recording)
+        runs = 4
+        for seed in range(runs):
+            shared = gen_ar1(60, NoiseSpec(seed=100 + seed))
+            other = gen_ar1(60, NoiseSpec(seed=200 + seed))
+            panel = np.column_stack(
+                [normalize(shared).values, normalize(0.7 * shared + 0.3 * other).values]
+            )
+            config = SosnnConfig(
+                net=NetworkConfig(1, 3), seed=7 + seed, max_iterations=150, warmup=20
+            )
+            run_sosnn_portfolio(panel, config)
+
+        log_wealth = sosnn._log_wealth
+        insolvent = []
+
+        def counting(*args):
+            values = log_wealth(*args)
+            insolvent.append(int((~np.isfinite(values)).sum()))
+            return values
+
+        monkeypatch.setattr(sosnn, "_log_wealth", counting)
+        rounds = len(calls) // runs
+        mixed_stops = 0
+        for k in range(rounds):
+            group = [calls[r * rounds + k] for r in range(runs)]
+            hidden, out, outcomes = _ascend(
+                np.stack([g[0] for g in group]), np.stack([g[1] for g in group]), config,
+                np.stack([g[2].hidden_weights for g in group]),
+                np.stack([g[2].output_weights for g in group]),
+            )
+            for i, (_, _, _, weights, report) in enumerate(group):
+                np.testing.assert_array_equal(hidden[i], weights.hidden_weights)
+                np.testing.assert_array_equal(out[i], weights.output_weights)
+                assert outcomes[i] == report
+            mixed_stops += len({o.iterations for o in outcomes}) > 1
+        assert mixed_stops > 0
+        assert sum(insolvent) > 0

@@ -13,7 +13,14 @@ from seqbet.network import (
     log_wealth,
     log_wealth_gradient,
 )
-from seqbet.sosnn import SosnnConfig, _ascend, optimize_weights, run_sosnn
+from seqbet.sosnn import (
+    OptimizeReport,
+    SosnnConfig,
+    _ascend,
+    optimize_weights,
+    run_sosnn,
+    run_sosnn_replicates,
+)
 
 
 def small_config(lin=1, hid=1, **kwargs):
@@ -155,8 +162,12 @@ class TestAscentLoop:
         moves = rng.uniform(-0.5, 0.5, (6, assets))
         w_hidden = rng.uniform(-0.5, 0.5, (3, 2))
         w_out = rng.uniform(-0.5, 0.5, (assets, 3))
-        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
-            _ascend(windows, moves, config, w_hidden, w_out)
+        with np.errstate(invalid="ignore"):
+            _, _, (outcome,) = _ascend(
+                windows[None], moves[None], config, w_hidden[None], w_out[None]
+            )
+        assert isinstance(outcome, NumericError)
+        assert str(outcome) == "non-finite objective or gradient at ascent step 0"
 
 
 class TestRunSosnn:
@@ -230,3 +241,66 @@ class TestRunSosnn:
             ),
         )
         assert not np.array_equal(lively.ratios, frozen.ratios)
+
+
+class TestReplicateStack:
+    """A stack of replicates must reproduce every replicate's run alone, bit
+    for bit, however differently the replicates' refits end."""
+
+    @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "fresh"])
+    def test_matches_each_replicate_alone(self, warm_start):
+        series = [normalize(gen_ar1(40, NoiseSpec(seed=s))) for s in (1, 2, 3, 4)]
+        configs = [
+            small_config(2, 3, seed=s, warmup=10, max_iterations=80,
+                         weight_tolerance=1e-3, warm_start=warm_start)
+            for s in (5, 6, 7, 8)
+        ]
+        stacked = run_sosnn_replicates(series, configs)
+        iterations = []
+        for movements, config, result in zip(series, configs, stacked):
+            alone = run_sosnn(movements, config)
+            np.testing.assert_array_equal(result.ratios, alone.ratios)
+            np.testing.assert_array_equal(result.log_capital_path, alone.log_capital_path)
+            assert result.checkpoints == alone.checkpoints
+            assert [(d.round, d.iterations, d.converged) for d in result.diagnostics] == [
+                (d.round, d.iterations, d.converged) for d in alone.diagnostics
+            ]
+            iterations.append([d.iterations for d in result.diagnostics])
+        # In some rounds the replicates stopped at different steps, some at
+        # the cap and some by tolerance, so the stack shrank mid-refit.
+        per_round = np.array(iterations).T
+        assert sum(len(set(row)) > 1 for row in per_round) >= 5
+        assert (per_round == 80).any()
+        assert ((per_round > 0) & (per_round < 80)).any()
+
+    def test_non_finite_replicate_fails_alone(self):
+        rng = np.random.default_rng(9)
+        config = small_config(2, 3, max_iterations=50)
+        windows = rng.uniform(-1, 1, (3, 6, 2))
+        windows[1, 2, 1] = np.inf
+        moves = rng.uniform(-0.5, 0.5, (3, 6, 1))
+        w_hidden = rng.uniform(-0.5, 0.5, (3, 3, 2))
+        w_out = rng.uniform(-0.5, 0.5, (3, 1, 3))
+        with np.errstate(invalid="ignore"):
+            hidden, out, outcomes = _ascend(windows, moves, config, w_hidden, w_out)
+        assert isinstance(outcomes[1], NumericError)
+        assert str(outcomes[1]) == "non-finite objective or gradient at ascent step 0"
+        for r in (0, 2):
+            alone_hidden, alone_out, (alone,) = _ascend(
+                windows[r : r + 1], moves[r : r + 1], config,
+                w_hidden[r : r + 1], w_out[r : r + 1],
+            )
+            assert isinstance(outcomes[r], OptimizeReport)
+            assert outcomes[r] == alone
+            np.testing.assert_array_equal(hidden[r], alone_hidden[0])
+            np.testing.assert_array_equal(out[r], alone_out[0])
+
+    def test_replicates_must_share_settings_and_length(self):
+        series = [normalize(gen_ar1(30, NoiseSpec(seed=s))) for s in (1, 2)]
+        with pytest.raises(UsageError, match="every setting but the seed"):
+            run_sosnn_replicates(series, [small_config(seed=1), small_config(seed=2, warmup=6)])
+        with pytest.raises(UsageError, match="one length"):
+            run_sosnn_replicates(
+                [series[0], normalize(gen_ar1(31, NoiseSpec(seed=3)))],
+                [small_config(seed=1), small_config(seed=2)],
+            )
