@@ -15,8 +15,9 @@ replicate's product exactly as the unstacked call would, so replicate r's
 numbers do not depend on what else is in the stack. A single problem is the
 R = 1 case and a single asset the P = 1 case, so `log_wealth` and the
 multi-asset functions in `seqbet.portfolio` evaluate the same arithmetic.
-The kernel writes the gradient into arrays the caller provides, so the
-ascent loop in `seqbet.sosnn` reuses one flat R x D buffer for every step.
+`_evaluate` runs the forward pass and keeps its state, and `_gradient` runs
+the backward pass from that state into arrays the caller provides, so the
+ascent loop in `seqbet.sosnn` evaluates each point it visits once.
 
 Input windows are most-recent-first: the window feeding round k holds
 (x_{k-1}, ..., x_{k-L}).
@@ -229,68 +230,66 @@ def _stack_history(
     return windows, moves
 
 
-def _batch_forward(windows, w_hidden, w_out):
+def _batch_forward(windows, w_hidden_t, w_out_t):
     """Hidden outputs (R x K x M) and ratios (R x K x P) for R stacks of K
-    windows, from R x M x L hidden and R x P x M output weights.
+    windows, from the R x L x M and R x M x P transposes of the weights.
 
     The output cap is applied in place; for finite input it equals `np.clip`.
-    """
-    hidden_out = np.tanh(windows @ w_hidden.mT)
-    out = np.tanh(hidden_out @ w_out.mT)
-    np.minimum(np.maximum(out, -_OUTPUT_CAP, out=out), _OUTPUT_CAP, out=out)
-    return hidden_out, out
-
-
-def _log_wealth(windows, moves, w_hidden, w_out) -> np.ndarray:
-    """Summed log(1 + sum_h f_kh x_kh) over K rounds, one value per replicate;
-    -inf where a round's gross return is nonpositive, which only several
-    assets can reach."""
-    _, out = _batch_forward(windows, w_hidden, w_out)
-    summed = np.vecdot(out, moves)
-    if not summed.size or summed.min() > -1.0:
-        return np.log1p(summed).sum(axis=-1)
-    solvent = summed.min(axis=-1) > -1.0
-    values = np.full(summed.shape[0], -np.inf)
-    values[solvent] = np.log1p(summed[solvent]).sum(axis=-1)
-    return values
-
-
-def _wealth_value_and_gradient(windows, moves, w_hidden_t, w_out, w_out_t, grad_hidden, grad_out):
-    """Objective of each of R replicates over K rounds and P assets, at an
-    iterate where every gross return is positive.
-
-    The weights come as views: `w_hidden_t` is the R x L x M transpose of the
-    hidden layer, `w_out` the R x P x M output rows and `w_out_t` their
-    transpose, so a caller that steps the same arrays builds the views once.
-    The gradient is written into the caller's arrays `grad_hidden`
-    (R x M x L) and `grad_out` (R x P x M).
-
-    Round k contributes out_delta_kh * hidden_out_k to output row h and
-    (sum_h out_delta_kh * w_out_hi) * (1 - hidden_out_ki^2) * window_kj to
-    the hidden layer, where out_delta_kh = x_kh / (1 + sum_g f_kg x_kg) * (1 - f_kh^2).
-    Returns the R objectives and the R x K x P output and R x K x M hidden deltas.
     """
     hidden_out = np.tanh(windows @ w_hidden_t)
     out = np.tanh(hidden_out @ w_out_t)
     np.minimum(np.maximum(out, -_OUTPUT_CAP, out=out), _OUTPUT_CAP, out=out)
+    return hidden_out, out
+
+
+def _evaluate(windows, moves, w_hidden_t, w_out_t):
+    """Summed log(1 + sum_h f_kh x_kh) over K rounds for each of R replicates,
+    and the state `(hidden_out, out, summed)` of the forward pass.
+
+    A value is -inf where a round's gross return is nonpositive, which only
+    several assets can reach, so one asset skips that test. The weights come
+    as the transposes `_batch_forward` takes, built once by a stepping caller.
+    """
+    hidden_out, out = _batch_forward(windows, w_hidden_t, w_out_t)
     summed = np.vecdot(out, moves)
-    values = np.log1p(summed).sum(axis=-1)
+    if moves.shape[-1] == 1 or not summed.size or summed.min() > -1.0:
+        values = np.add.reduce(np.log1p(summed), axis=-1)
+    else:
+        solvent = summed.min(axis=-1) > -1.0
+        values = np.full(summed.shape[0], -np.inf)
+        values[solvent] = np.add.reduce(np.log1p(summed[solvent]), axis=-1)
+    return values, (hidden_out, out, summed)
+
+
+def _gradient(state, windows, moves, w_out, grad_hidden, grad_out):
+    """Backward pass from the `_evaluate` state of a solvent point, into the
+    caller's arrays `grad_hidden` (R x M x L) and `grad_out` (R x P x M).
+
+    Round k contributes out_delta_kh * hidden_out_k to output row h and
+    (sum_h out_delta_kh * w_out_hi) * (1 - hidden_out_ki^2) * window_kj to
+    the hidden layer, where out_delta_kh = x_kh / (1 + sum_g f_kg x_kg) * (1 - f_kh^2).
+    Returns the R x K x P output and R x K x M hidden deltas.
+    """
+    hidden_out, out, summed = state
     out_deltas = moves / (1.0 + summed)[..., None] * (1.0 - out * out)
     np.matmul(out_deltas.mT, hidden_out, out=grad_out)
     hidden_deltas = (out_deltas @ w_out) * (1.0 - hidden_out * hidden_out)
     np.matmul(hidden_deltas.mT, windows, out=grad_hidden)
-    return values, out_deltas, hidden_deltas
+    return out_deltas, hidden_deltas
+
+
+def _log_wealth(windows, moves, w_hidden, w_out) -> float:
+    """The objective of one problem, from unstacked windows, movements and weights."""
+    values, _ = _evaluate(windows[None], moves[None], w_hidden[None].mT, w_out[None].mT)
+    return float(values[0])
 
 
 def _single_gradient(windows, moves, w_hidden, w_out):
-    """The kernel at R = 1 on K x L windows, K x P movements and unstacked
-    weights: both gradients and the K x P and K x M deltas."""
-    w_hidden, w_out = w_hidden[None], w_out[None]
-    grad_hidden = np.empty_like(w_hidden)
-    grad_out = np.empty_like(w_out)
-    _, out_deltas, hidden_deltas = _wealth_value_and_gradient(
-        windows[None], moves[None], w_hidden.mT, w_out, w_out.mT, grad_hidden, grad_out
-    )
+    """Both gradients of one problem, with the K x P and K x M deltas."""
+    windows, moves, w_hidden, w_out = windows[None], moves[None], w_hidden[None], w_out[None]
+    grad_hidden, grad_out = np.empty_like(w_hidden), np.empty_like(w_out)
+    _, state = _evaluate(windows, moves, w_hidden.mT, w_out.mT)
+    out_deltas, hidden_deltas = _gradient(state, windows, moves, w_out, grad_hidden, grad_out)
     return grad_hidden[0], grad_out[0], out_deltas[0], hidden_deltas[0]
 
 
@@ -300,9 +299,7 @@ def log_wealth(weights: NetworkWeights, history: Iterable) -> float:
     `history` is a sequence of (input window, movement) pairs.
     """
     windows, moves = _stack_history(history, weights.hidden_weights.shape[1])
-    return float(_log_wealth(
-        windows[None], moves[None], weights.hidden_weights[None], weights.output_weights[None, None]
-    )[0])
+    return _log_wealth(windows, moves, weights.hidden_weights, weights.output_weights[None])
 
 
 def log_wealth_gradient(weights: NetworkWeights, history: Iterable) -> WeightGradient:

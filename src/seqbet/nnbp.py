@@ -82,7 +82,7 @@ def training_error(weights: NetworkWeights, training: Iterable) -> float:
     if not targets.size:
         raise UsageError("training set must not be empty")
     _, out = _batch_forward(
-        windows[None], weights.hidden_weights[None], weights.output_weights[None, None]
+        windows[None], weights.hidden_weights[None].mT, weights.output_weights[None, None].mT
     )
     return float(0.5 * np.mean((targets[:, 0] - out[0, :, 0]) ** 2))
 
@@ -196,7 +196,7 @@ def train_replicates(
         # One replicate at a time: a stacked pass would hold R x m x M hidden
         # outputs at once, for no gain in an evaluation made once per epoch.
         out = np.concatenate([
-            _batch_forward(windows[i : i + 1], w_hidden[i : i + 1], w_out[i : i + 1])[1]
+            _batch_forward(windows[i : i + 1], w_hidden[i : i + 1].mT, w_out[i : i + 1].mT)[1]
             for i in range(len(rows))
         ])[..., 0]
         epoch_errors = (0.5 * np.mean((targets - out) ** 2, axis=-1)).tolist()

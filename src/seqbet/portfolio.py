@@ -127,9 +127,7 @@ def log_wealth_portfolio(weights: PortfolioWeights, history: Iterable) -> float:
     windows, moves = _stack_history(
         history, weights.hidden_weights.shape[1], weights.asset_count
     )
-    return float(_log_wealth(
-        windows[None], moves[None], weights.hidden_weights[None], weights.output_weights[None]
-    )[0])
+    return _log_wealth(windows, moves, weights.hidden_weights, weights.output_weights)
 
 
 def log_wealth_gradient_portfolio(

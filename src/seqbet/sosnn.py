@@ -5,8 +5,8 @@ gradient ascent, to maximize the log wealth they would have earned over all
 completed post-warmup rounds; the round's bet is the refit network's output
 on the latest window. The optimizer returns the best iterate it visited, so
 a round's weights never score below their starting point. A refit stops
-at the iteration cap or once rate * max|g| falls below the weight tolerance,
-which is the same as every applied weight increment falling below it.
+at the iteration cap or once every applied weight increment falls below the
+weight tolerance, which is rate * max|g|, halved with any shrunk step, < tol.
 
 Refits carry a leading replicate axis R. The replicates of one grid cell
 play the same rounds, so at every round their refits share the history
@@ -31,10 +31,10 @@ from .network import (
     AnnealingSchedule,
     NetworkConfig,
     NetworkWeights,
-    _log_wealth,
+    _evaluate,
+    _gradient,
     _shared_config,
     _stack_history,
-    _wealth_value_and_gradient,
     forward,
     window_matrix,
 )
@@ -112,14 +112,16 @@ def _ascend(windows, moves, config, w_hidden, w_out):
     and every step is shrunk until it stays solvent. One asset can never get
     there (|f| < 1, |x| <= 1), so neither search runs for P = 1.
 
-    The weights of all active replicates are views of one R x D parameter
-    array theta, and the kernel writes the gradient into views of one R x D
-    buffer. All active replicates take step s together at the same rate.
-    A replicate stops once its largest applied increment falls below
-    `weight_tolerance`; for one asset that is rate * max|g| < tol, which
-    equals max|rate * g| < tol exactly, because rounding a product by a
-    positive scalar is monotone and symmetric in sign. A stopped or failed
-    replicate leaves the active set, so the stack shrinks as the refits end.
+    The weights of all active replicates are views of one R x D array theta.
+    Every point is evaluated once: the evaluation of the start (the
+    projection's last) serves step 0, and that of each accepted step (the
+    solvency trial, for several assets) serves the next step's gradient, or
+    the report of a replicate that stops there. All active replicates step
+    together at one rate. A replicate stops once its largest applied
+    increment falls below `weight_tolerance`. That increment is tracked as
+    rate * max|g|, halved with the step, which equals max|rate * g| exactly:
+    rounding a product by a positive scalar is monotone and odd. A stopped
+    or failed replicate leaves the active set, so the stack shrinks.
     """
     count = windows.shape[0]
     hidden_shape, out_shape = w_hidden.shape[1:], w_out.shape[1:]
@@ -129,21 +131,28 @@ def _ascend(windows, moves, config, w_hidden, w_out):
         rows = flat.shape[0]
         return flat[:, :split].reshape(rows, *hidden_shape), flat[:, split:].reshape(rows, *out_shape)
 
+    def layers(flat):
+        """The output rows of a parameter array and the transposes of both layers."""
+        hidden, out = views(flat)
+        return out, hidden.mT, out.mT
+
     theta = np.concatenate((w_hidden.reshape(count, split), w_out.reshape(count, -1)), axis=1)
+    out, hidden_t, out_t = layers(theta)
+    values, state = _evaluate(windows, moves, hidden_t, out_t)
     outcomes: list = [None] * count
     several_assets = moves.shape[2] > 1
     if several_assets:
         # A warm start fitted before the newest round arrived can bankrupt
         # that round. Shrinking the output layer toward the zero policy,
         # which earns exactly 0, always restores feasibility.
-        out_view = views(theta)[1]
-        for _ in range(128):
-            solvent = np.isfinite(_log_wealth(windows, moves, *views(theta)))
-            if solvent.all():
+        for _ in range(127):
+            insolvent = ~np.isfinite(values)
+            if not insolvent.any():
                 break
-            out_view[~solvent] *= 0.5
+            out[insolvent] *= 0.5
+            values, state = _evaluate(windows, moves, hidden_t, out_t)
         else:
-            for r in np.flatnonzero(~solvent):
+            for r in np.flatnonzero(~np.isfinite(values)):
                 outcomes[r] = NumericError("could not project the initial weights to solvency")
     # Replicate r's best iterate is row best[r][1] of the array best[r][0]:
     # a snapshot of theta, shared by every row that improved in one step.
@@ -151,53 +160,50 @@ def _ascend(windows, moves, config, w_hidden, w_out):
     best = [(start, r) for r in range(count)]
     best_values = [-math.inf] * count
     # Row i of the active arrays belongs to replicate rows[i].
-    rows = [r for r in range(count) if outcomes[r] is None]
-    if len(rows) < count:
-        theta, windows, moves = theta[rows], windows[rows], moves[rows]
-    norms: list[float] = []
+    rows, values = list(range(count)), values.tolist()
+    norms = [0.0] * count
+    trial, grad = np.empty_like(theta), np.empty_like(theta)
+    theta_at, trial_at = (out, hidden_t, out_t), layers(trial)
+    grad_hidden, grad_out = views(grad)
     tol = config.weight_tolerance
 
     def keep(kept):
-        nonlocal theta, windows, moves, rows, norms, rebind
-        theta, windows, moves = theta[kept], windows[kept], moves[kept]
+        """Narrow every per-row array to the rows `kept`, leaving the old arrays as they are."""
+        nonlocal theta, trial, grad, windows, moves, state, rows, values, norms
+        nonlocal theta_at, trial_at, grad_hidden, grad_out
+        theta, trial, grad = theta[kept], trial[kept], grad[kept]
+        windows, moves = windows[kept], moves[kept]
+        state = tuple(array[kept] for array in state)
         rows = [rows[i] for i in kept]
+        values = [values[i] for i in kept]
         norms = [norms[i] for i in kept]
-        rebind = True
+        theta_at, trial_at = layers(theta), layers(trial)
+        grad_hidden, grad_out = views(grad)
 
     def settle(stopped, iterations, converged):
-        """Score the last update of the `stopped` rows and file their reports."""
-        finals = _log_wealth(windows[stopped], moves[stopped], *views(theta[stopped]))
-        for i, value in zip(stopped, finals.tolist()):
-            r = rows[i]
-            if math.isfinite(value) and value > best_values[r]:
+        """File the reports of the `stopped` rows; the step scored their last update."""
+        for i in stopped:
+            r, value = rows[i], values[i]
+            if isfinite(value) and value > best_values[r]:
                 best_values[r] = value
                 best[r] = (theta, i)  # `keep` replaces theta; this one stays as is
             outcomes[r] = OptimizeReport(iterations, converged, norms[i], best_values[r])
 
     isfinite = math.isfinite
-    rebind = True
+    if any(outcomes):
+        keep([r for r in rows if outcomes[r] is None])
     for step, rate in zip(range(config.max_iterations), config.schedule.rates()):
         if not rows:
             break
-        if rebind:
-            grad = np.empty_like(theta)
-            hidden, out = views(theta)
-            hidden_t, out_t = hidden.mT, out.mT
-            grad_hidden, grad_out = views(grad)
-            if several_assets:
-                trial = np.empty_like(theta)
-                trial_hidden, trial_out = views(trial)
-            rebind = False
-        values, _, _ = _wealth_value_and_gradient(
-            windows, moves, hidden_t, out, out_t, grad_hidden, grad_out
-        )
-        norms = np.abs(grad).max(axis=1).tolist()
-        failed = False
-        stopped = []
+        _gradient(state, windows, moves, theta_at[0], grad_hidden, grad_out)
+        norms = np.maximum.reduce(np.abs(grad), axis=1).tolist()
+        failed = stopping = False
         snapshot = None
-        for i, value in enumerate(values.tolist()):
+        for i, value in enumerate(values):
             r = rows[i]
             norm = norms[i]
+            if rate * norm < tol:
+                stopping = True
             if not (isfinite(value) and isfinite(norm)):
                 outcomes[r] = NumericError(f"non-finite objective or gradient at ascent step {step}")
                 failed = True
@@ -207,41 +213,39 @@ def _ascend(windows, moves, config, w_hidden, w_out):
                 if snapshot is None:
                     snapshot = theta.copy()
                 best[r] = (snapshot, i)
-            if rate * norm < tol and not several_assets:
-                stopped.append(i)
         if failed:
-            kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
-            grad = grad[kept]
-            stopped = [kept.index(i) for i in stopped]
-            keep(kept)
+            keep([i for i, r in enumerate(rows) if outcomes[r] is None])
             if not rows:
                 break
+        increment = rate * grad
+        halved = {}  # replicate r's largest applied increment, where its step was halved
         if several_assets:
-            increment = rate * grad
             for _ in range(64):
                 np.add(theta, increment, out=trial)
-                trials = _log_wealth(windows, moves, trial_hidden, trial_out).tolist()
-                insolvent = [i for i, value in enumerate(trials) if not isfinite(value)]
+                values, state = _evaluate(windows, moves, trial_at[1], trial_at[2])
+                values = values.tolist()
+                insolvent = [i for i, value in enumerate(values) if not isfinite(value)]
                 if not insolvent:
                     break
                 increment[insolvent] *= 0.5
+                for i in insolvent:
+                    r = rows[i]
+                    halved[r] = halved.get(r, rate * norms[i]) * 0.5
+                    stopping = stopping or halved[r] < tol
             else:
                 for i in insolvent:
-                    outcomes[rows[i]] = NumericError(
-                        f"could not find a solvent ascent step at {step}"
-                    )
-                kept = [i for i in range(len(rows)) if i not in insolvent]
-                increment = increment[kept]
-                keep(kept)
-            theta += increment
-            largest = np.abs(increment).max(axis=1).tolist()
-            stopped = [i for i, increment_max in enumerate(largest) if increment_max < tol]
+                    error = f"could not find a solvent ascent step at {step}"
+                    outcomes[rows[i]] = NumericError(error)
+                keep([i for i in range(len(rows)) if i not in insolvent])
+            theta, trial, theta_at, trial_at = trial, theta, trial_at, theta_at
         else:
-            theta += rate * grad
-        if stopped:
+            theta += increment
+            values, state = _evaluate(windows, moves, theta_at[1], theta_at[2])
+            values = values.tolist()
+        if stopping:
+            stopped = [i for i, norm in enumerate(norms) if halved.get(rows[i], rate * norm) < tol]
             settle(stopped, step + 1, True)
             keep([i for i in range(len(rows)) if i not in stopped])
-    # The loop never scores its last update; one more evaluation settles it.
     if rows:
         settle(list(range(len(rows))), config.max_iterations, False)
     best_hidden, best_out = views(np.stack([array[i] for array, i in best]))

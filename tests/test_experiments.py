@@ -643,14 +643,14 @@ class TestCellTasks:
         )
         spec = next(s for s in _task_specs(config) if s.label == "sosnn_1x2")
         marker = _series(spec.series[1], "rep1").values[config.warmup]
-        kernel = sosnn._wealth_value_and_gradient
+        evaluate = sosnn._evaluate
 
         def poisoned(windows, moves, *args):
-            values, out_deltas, hidden_deltas = kernel(windows, moves, *args)
+            values, state = evaluate(windows, moves, *args)
             values[(moves[:, 0, 0] == marker) & (moves.shape[1] == 7)] = np.nan
-            return values, out_deltas, hidden_deltas
+            return values, state
 
-        monkeypatch.setattr(sosnn, "_wealth_value_and_gradient", poisoned)
+        monkeypatch.setattr(sosnn, "_evaluate", poisoned)
         results = _run_task(spec)
         reason = "round 13: non-finite objective or gradient at ascent step 0"
         assert [(r.replicate, r.ok, r.reason) for r in results] == [

@@ -12,6 +12,10 @@ bet is locked:
 - a backtest on the bundled `data/demo_prices.csv` (MKV0-2 and a small NNBP
   cell), which also pins the normalized `movements.csv`.
 
+`test_portfolio_digest` pins the raw bytes of the ratio matrix and the
+log-capital path of a small two-asset `run_sosnn_portfolio`, whose refits
+run the solvency projection and the step halving of the multi-asset ascent.
+
 The pins depend on the numpy and BLAS builds, whose summation order reaches
 the last bits of every value. A change that must re-pin one says why in
 CHANGES.md; a change that only makes the code faster must leave them as
@@ -21,7 +25,13 @@ they are.
 import hashlib
 from pathlib import Path
 
+import numpy as np
+
+from seqbet.data import NoiseSpec, gen_ar1, normalize
 from seqbet.experiments import parse_config, run_backtest, run_simulate
+from seqbet.network import NetworkConfig
+from seqbet.portfolio import run_sosnn_portfolio
+from seqbet.sosnn import SosnnConfig
 
 DEMO_PRICES = Path(__file__).resolve().parents[1] / "data" / "demo_prices.csv"
 
@@ -91,6 +101,8 @@ max_steps = 3000
 
 BACKTEST_SHA256 = "5da1077d22471d096a7b074bb4c38e3b196d3db2245c6f1a03863f498236ab6a"
 
+PORTFOLIO_SHA256 = "b2be74258c633edbe76b9d12ffed99767b984ecd98340172883776782f0c5959"
+
 
 def _run(tmp_path, text, runner):
     path = tmp_path / "golden.ini"
@@ -129,3 +141,15 @@ def test_demo_backtest_digest(tmp_path):
     names = ["movements.csv", "summary.csv", "replicates.csv", *_series_names(out)]
     assert len(names) == 7
     assert _digest(out, *names) == BACKTEST_SHA256
+
+
+def test_portfolio_digest():
+    shared = gen_ar1(50, NoiseSpec(seed=101))
+    other = gen_ar1(50, NoiseSpec(seed=202))
+    panel = np.column_stack(
+        [normalize(shared).values, normalize(0.7 * shared + 0.3 * other).values]
+    )
+    config = SosnnConfig(net=NetworkConfig(1, 3), warmup=10, max_iterations=300, seed=7)
+    result = run_sosnn_portfolio(panel, config)
+    digest = hashlib.sha256(result.ratios.tobytes() + result.log_capital_path.tobytes())
+    assert digest.hexdigest() == PORTFOLIO_SHA256

@@ -1,5 +1,7 @@
 """Multi-asset extension: shared hidden layer, exposure cap, gradient, runs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import fd_gradient, relative_error
 from seqbet.data import NoiseSpec, gen_ar1, normalize
 from seqbet.errors import StrategyViolationError, UsageError
-from seqbet.network import NetworkConfig, NetworkWeights, forward
+from seqbet.network import NetworkConfig, NetworkWeights, forward, window_matrix
 from seqbet.portfolio import (
     PortfolioWeights,
     capital_step_portfolio,
@@ -18,7 +20,7 @@ from seqbet.portfolio import (
     rescale_exposure,
     run_sosnn_portfolio,
 )
-from seqbet.sosnn import SosnnConfig, _ascend, run_sosnn
+from seqbet.sosnn import OptimizeReport, SosnnConfig, _ascend, run_sosnn
 
 
 class TestForwardPortfolio:
@@ -217,15 +219,15 @@ class TestReplicateStack:
             )
             run_sosnn_portfolio(panel, config)
 
-        log_wealth = sosnn._log_wealth
+        evaluate = sosnn._evaluate
         insolvent = []
 
         def counting(*args):
-            values = log_wealth(*args)
+            values, state = evaluate(*args)
             insolvent.append(int((~np.isfinite(values)).sum()))
-            return values
+            return values, state
 
-        monkeypatch.setattr(sosnn, "_log_wealth", counting)
+        monkeypatch.setattr(sosnn, "_evaluate", counting)
         rounds = len(calls) // runs
         mixed_stops = 0
         for k in range(rounds):
@@ -242,3 +244,146 @@ class TestReplicateStack:
             mixed_stops += len({o.iterations for o in outcomes}) > 1
         assert mixed_stops > 0
         assert sum(insolvent) > 0
+
+
+    def test_failed_replicate_leaves_a_two_asset_stack(self, monkeypatch):
+        # A non-finite gradient fails replicate 0 at ascent step 3; replicate
+        # 1 steps on in the narrowed stack and ends as it does alone.
+        import seqbet.sosnn as sosnn
+
+        windows, moves, config, init = _correlated_refit(200)
+        other = PortfolioWeights.uniform(config.net, 2, 0.5, np.random.default_rng(9))
+        alone_hidden, alone_out, (alone,) = _ascend(
+            windows[None], moves[None], config,
+            other.hidden_weights[None], other.output_weights[None],
+        )
+        gradient = sosnn._gradient
+        calls = []
+
+        def poisoned(state, windows, moves, w_out, grad_hidden, grad_out):
+            deltas = gradient(state, windows, moves, w_out, grad_hidden, grad_out)
+            calls.append(len(windows))
+            if len(calls) == 4:
+                grad_out[0] = np.nan
+            return deltas
+
+        monkeypatch.setattr(sosnn, "_gradient", poisoned)
+        hidden, out, outcomes = _ascend(
+            np.stack([windows, windows]), np.stack([moves, moves]), config,
+            np.stack([init.hidden_weights, other.hidden_weights]),
+            np.stack([init.output_weights, other.output_weights]),
+        )
+        assert str(outcomes[0]) == "non-finite objective or gradient at ascent step 3"
+        assert outcomes[1] == alone
+        np.testing.assert_array_equal(hidden[1], alone_hidden[0])
+        np.testing.assert_array_equal(out[1], alone_out[0])
+
+
+def _reference_ascent(windows, moves, config, init):
+    """The multi-asset refit written out from the public objective and
+    gradient: project the start to solvency by halving the output layer,
+    halve each step until it stays solvent, stop once the largest applied
+    increment falls below the tolerance, return the best point scored.
+
+    Also returns how many distinct points it scored and how many steps it
+    halved.
+    """
+    history = list(zip(windows, moves))
+
+    def score(hidden, out):
+        return log_wealth_portfolio(PortfolioWeights(hidden, out), history)
+
+    hidden, out = init.hidden_weights.copy(), init.output_weights.copy()
+    points = halvings = 0
+    for _ in range(128):
+        points += 1
+        value = score(hidden, out)
+        if math.isfinite(value):
+            break
+        out = out * 0.5
+    best, best_value = (hidden, out), -math.inf
+    for step in range(config.max_iterations):
+        if value > best_value:
+            best, best_value = (hidden, out), value
+        weights = PortfolioWeights(hidden, out)
+        grad_hidden, grad_out = log_wealth_gradient_portfolio(weights, history)
+        norm = float(max(np.abs(grad_hidden).max(), np.abs(grad_out).max()))
+        rate = config.schedule.rate(step)
+        step_hidden, step_out = rate * grad_hidden, rate * grad_out
+        for _ in range(64):
+            points += 1
+            value = score(hidden + step_hidden, out + step_out)
+            if math.isfinite(value):
+                break
+            step_hidden, step_out = step_hidden * 0.5, step_out * 0.5
+            halvings += 1
+        hidden, out = hidden + step_hidden, out + step_out
+        if max(np.abs(step_hidden).max(), np.abs(step_out).max()) < config.weight_tolerance:
+            iterations, converged = step + 1, True
+            break
+    else:
+        iterations, converged = config.max_iterations, False
+    if value > best_value:
+        best, best_value = (hidden, out), value
+    report = OptimizeReport(iterations, converged, norm, best_value)
+    return PortfolioWeights(*best), report, points, halvings
+
+
+def _correlated_refit(max_iterations, weight_tolerance=1e-4):
+    """A two-asset refit whose start needs the solvency projection and
+    whose first step is halved twice, from a largest increment of 15.1 to
+    one of 3.8."""
+    shared = gen_ar1(40, NoiseSpec(seed=101))
+    other = gen_ar1(40, NoiseSpec(seed=202))
+    panel = np.column_stack(
+        [normalize(shared).values, normalize(0.7 * shared + 0.3 * other).values]
+    )
+    windows = window_matrix(panel[:, 0], 1, 2, 40)
+    config = SosnnConfig(
+        net=NetworkConfig(1, 3), max_iterations=max_iterations, weight_tolerance=weight_tolerance
+    )
+    init = PortfolioWeights.uniform(config.net, 2, 2.0, np.random.default_rng(5))
+    return windows, panel[1:], config, init
+
+
+class TestReferenceAscent:
+    # The cap hit; the tolerance met after 65 steps; and a tolerance of 4,
+    # which only the halved first step meets.
+    @pytest.mark.parametrize(
+        "max_iterations, weight_tolerance, converged",
+        [(20, 1e-4, False), (2000, 1e-4, True), (2000, 4.0, True)],
+    )
+    def test_refit_matches_written_out_ascent(self, max_iterations, weight_tolerance, converged):
+        import seqbet.portfolio as portfolio
+
+        windows, moves, config, init = _correlated_refit(max_iterations, weight_tolerance)
+        expected, expected_report, points, halvings = _reference_ascent(
+            windows, moves, config, init
+        )
+        assert halvings > 0
+        assert points > expected_report.iterations + halvings  # the start was projected
+        weights, report = portfolio._optimize_portfolio(windows, moves, config, init)
+        np.testing.assert_array_equal(weights.hidden_weights, expected.hidden_weights)
+        np.testing.assert_array_equal(weights.output_weights, expected.output_weights)
+        assert report == expected_report
+        assert report.converged is converged
+
+    @pytest.mark.parametrize("max_iterations", [20, 2000])
+    def test_refit_scores_each_point_once(self, monkeypatch, max_iterations):
+        # The start (each projection point), every step and every halved
+        # step is one point; the refit evaluates each exactly once.
+        import seqbet.portfolio as portfolio
+        import seqbet.sosnn as sosnn
+
+        windows, moves, config, init = _correlated_refit(max_iterations)
+        _, _, points, _ = _reference_ascent(windows, moves, config, init)
+        evaluate = sosnn._evaluate
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].shape[0])
+            return evaluate(*args)
+
+        monkeypatch.setattr(sosnn, "_evaluate", counting)
+        portfolio._optimize_portfolio(windows, moves, config, init)
+        assert calls == [1] * points
