@@ -8,10 +8,14 @@ movements would have produced, a strictly concave one-dimensional problem.
 The maximizer is the root of the slope S(a) = sum(x / (1 + a*x)), found by
 bisection on [-RATIO_CAP, RATIO_CAP] to 1e-10. The computed S is monotone
 non-increasing in `a` (see `_maximize_log_wealth`), so one slope decides
-every bisection midpoint on its side of the point it was taken at. The
-solver replays the bisection from about 5 slope passes per refit (2 endpoint
-tests, ~2 Newton predictions, ~1 probe) instead of about 37, and returns the
-plain bisection's double bit for bit.
+every bisection midpoint on its side of the point it was taken at, and any
+point with S < 0 (S > 0) decides the upper (lower) endpoint test. `run_mkv`
+starts each refit at the bucket's last ratio: a bucket that stays at its cap
+costs one slope pass, and an interior one about 4.5 (Newton predictions from
+the old ratio, a probe, rarely a replayed midpoint). On the two seed-1
+`arma21_long` series that is 2.98 passes per refit over orders 0-2, against
+4.90 for the earlier cold start with two unconditional endpoint tests and
+about 37 for plain bisection, whose double the solver returns bit for bit.
 """
 
 from __future__ import annotations
@@ -66,21 +70,24 @@ def bucket_index(context: Sequence[float], order) -> int:
     return index
 
 
-def optimize_bucket(movements_in_bucket: Sequence[float]) -> float:
+def optimize_bucket(movements_in_bucket: Sequence[float], start: float = 0.0) -> float:
     """Log-wealth-optimal constant ratio for one bucket's past movements.
 
     Maximizes sum(log(1 + a*x)) over [-RATIO_CAP, RATIO_CAP]; strictly concave
     whenever some movement is nonzero, so the maximizer is unique. An empty or
     all-zero bucket bets 0. Movements must be finite and lie in [-1, 1].
+    `start` is only where the search begins (the bucket's last ratio is a good
+    one); the result is the same double for every start.
     """
     moves = np.asarray(movements_in_bucket, dtype=float)
     if moves.ndim != 1:
         raise UsageError(f"bucket movements must be one-dimensional, got shape {moves.shape}")
-    if not (np.abs(moves) <= 1.0).all():  # also rejects NaN
+    peak = np.maximum.reduce(np.abs(moves), initial=0.0)
+    if not peak <= 1.0:  # also rejects NaN
         raise UsageError("bucket movements must lie in [-1, 1]")
-    if moves.size == 0 or not moves.any():
+    if peak == 0.0:
         return 0.0
-    return _maximize_log_wealth(moves)
+    return _maximize_log_wealth(moves, start)
 
 
 # Safeguarded Newton steps that predict the root before the bisection replay,
@@ -91,13 +98,27 @@ _PROBE = 1e-12
 _NEWTON_DONE = 1e-7
 
 
-def _maximize_log_wealth(moves: np.ndarray, tol: float = 1e-10) -> float:
+def _slope(moves: np.ndarray, alpha: float, terms: np.ndarray) -> float:
+    """S(alpha) = sum(x / (1 + alpha*x)), leaving the terms in `terms`.
+
+    The operations of `(moves / (1.0 + alpha * moves)).sum()`, in place.
+    """
+    np.multiply(moves, alpha, out=terms)
+    np.add(terms, 1.0, out=terms)
+    np.divide(moves, terms, out=terms)
+    return float(np.add.reduce(terms))
+
+
+def _maximize_log_wealth(moves: np.ndarray, start: float, tol: float = 1e-10) -> float:
     """Slope bisection on [-RATIO_CAP, RATIO_CAP] to `tol`, replayed from few slopes.
 
     Returns exactly the midpoint that plain bisection on the sign of the
-    computed slope S(a) = sum(x / (1 + a*x)) returns, but evaluates S about
-    5 times per refit on average instead of about 37 (2 endpoint tests and
-    ~35 halvings).
+    computed slope S(a) = sum(x / (1 + a*x)) returns: `hi` if S(hi) >= 0,
+    else `lo` if S(lo) <= 0, else the bisection's last midpoint. It
+    evaluates S only where the answer needs it: 2.98 times per refit on the
+    two seed-1 `arma21_long` series when `run_mkv` starts each refit at the
+    bucket's last ratio (4.00 from 0), instead of about 37 (2 endpoint tests
+    and ~35 halvings).
 
     The replay is exact because the computed S is monotone non-increasing in
     `a` for finite moves in [-1, 1]: each rounded term fl(x / fl(1 + fl(a*x)))
@@ -106,48 +127,60 @@ def _maximize_log_wealth(moves: np.ndarray, tol: float = 1e-10) -> float:
     depends only on the length. So a point `pos` with S(pos) > 0 decides every
     midpoint <= pos (lo = mid), and a point `nonpos` with S(nonpos) <= 0 every
     midpoint >= nonpos (hi = mid); only midpoints strictly between them need a
-    slope. A few safeguarded Newton steps from 0 (S' = -sum(q**2) comes from
-    the same pass) and two probes around their prediction make that gap about
-    2e-12 wide, which the bisection's ~1e-10 final width rarely straddles.
+    slope. The endpoint tests are certified the same way: any point with
+    S < 0 fails the `hi` test (S(hi) <= S(p) < 0), any point with S > 0 the
+    `lo` test, and an endpoint is evaluated only when no such point exists.
+
+    Safeguarded Newton steps from `start`, clamped into the interval (S' =
+    -sum(q**2) comes from the same pass), and two probes around their
+    prediction make the gap between `pos` and `nonpos` about 2e-12 wide,
+    which the bisection's ~1e-10 final width rarely straddles. A prediction
+    past a cap whose test is still open evaluates that cap, and a cap that
+    passes its test is the answer, so a bucket that stays at its cap costs
+    one pass. Which points get evaluated depends on `start`; the result,
+    being plain bisection's, does not.
     """
     terms = np.empty_like(moves)
-
-    def slope(alpha: float) -> float:
-        # The operations of `(moves / (1.0 + alpha * moves)).sum()`, in place.
-        np.multiply(moves, alpha, out=terms)
-        np.add(terms, 1.0, out=terms)
-        np.divide(moves, terms, out=terms)
-        return float(terms.sum())
-
     lo, hi = -RATIO_CAP, RATIO_CAP
-    # A slope pointing outward at a bound means the objective is monotone
-    # over the whole interval; the bound itself is the maximizer.
-    if slope(hi) >= 0.0:
-        return hi
-    if slope(lo) <= 0.0:
-        return lo
     pos, nonpos = lo, hi
-    alpha = 0.0
+    above = below = False  # some evaluated slope is > 0 / < 0
+    alpha = start if lo < start < hi else (hi if start >= hi else lo)
     for _ in range(_NEWTON_STEPS):
-        s = slope(alpha)
+        s = _slope(moves, alpha, terms)
         if s > 0.0:
-            pos = alpha
+            pos, above = alpha, True
         else:
-            nonpos = alpha
+            nonpos, below = alpha, below or s < 0.0
+        if alpha == hi and s >= 0.0:
+            return hi
+        if alpha == lo and s < 0.0:  # S(hi) <= S(lo) < 0 fails the hi test
+            return lo
         curvature = float(np.dot(terms, terms))
         step = s / curvature if curvature > 0.0 else math.inf
         guess = alpha + step
-        if not pos < guess < nonpos:
-            guess = 0.5 * (pos + nonpos)
+        if not pos < guess <= nonpos:  # a zero step keeps an exact root (S = 0)
+            if guess >= hi and not below:
+                guess = hi
+            elif guess <= lo and not above:
+                guess = lo
+            else:
+                guess = 0.5 * (pos + nonpos)
         alpha = guess
         if abs(step) < _NEWTON_DONE:
             break
     for probe in (alpha - _PROBE, alpha + _PROBE):
         if pos < probe < nonpos:
-            if slope(probe) > 0.0:
-                pos = probe
+            s = _slope(moves, probe, terms)
+            if s > 0.0:
+                pos, above = probe, True
             else:
-                nonpos = probe
+                nonpos, below = probe, below or s < 0.0
+    # A slope pointing outward at a bound means the objective is monotone
+    # over the whole interval; the bound itself is the maximizer.
+    if not below and _slope(moves, hi, terms) >= 0.0:
+        return hi
+    if not above and _slope(moves, lo, terms) <= 0.0:
+        return lo
     # Strict concavity makes the slope strictly decreasing, so bisecting on
     # its sign brackets the interior maximizer to `tol`. Comparing objective
     # values instead (golden section) stalls near sqrt(eps) because the
@@ -158,7 +191,7 @@ def _maximize_log_wealth(moves: np.ndarray, tol: float = 1e-10) -> float:
             lo = mid
         elif mid >= nonpos:
             hi = mid
-        elif slope(mid) > 0.0:
+        elif _slope(moves, mid, terms) > 0.0:
             lo = pos = mid
         else:
             hi = nonpos = mid
@@ -170,7 +203,9 @@ def run_mkv(movements: MovementSeries, order, warmup: int) -> StrategyRunResult:
 
     At round n every past round k <= n-1 whose sign context exists (k > order)
     lands in one bucket; round n bets the freshly optimized ratio of its own
-    context's bucket. Fully deterministic.
+    context's bucket. Each refit starts its search at the bucket's last
+    ratio (0 before the first), which changes the work, not the ratio.
+    Fully deterministic.
     """
     order = _as_order(order)
     if warmup < order.order:
@@ -203,7 +238,7 @@ def run_mkv(movements: MovementSeries, order, warmup: int) -> StrategyRunResult:
             next_k += 1
         b = bucket_of[n]
         if stale[b]:
-            ratios[b] = optimize_bucket(buckets[b][: filled[b]])
+            ratios[b] = optimize_bucket(buckets[b][: filled[b]], start=ratios[b])
             stale[b] = False
         return ratios[b]
 

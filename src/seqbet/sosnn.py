@@ -162,23 +162,29 @@ def _ascend(windows, moves, config, w_hidden, w_out):
     # Row i of the active arrays belongs to replicate rows[i].
     rows, values = list(range(count)), values.tolist()
     norms = [0.0] * count
-    trial, grad = np.empty_like(theta), np.empty_like(theta)
-    theta_at, trial_at = (out, hidden_t, out_t), layers(trial)
+    grad = np.empty_like(theta)
     grad_hidden, grad_out = views(grad)
+    theta_at = (out, hidden_t, out_t)
+    # One asset needs no solvency trial, so only several assets get its buffer.
+    trial = np.empty_like(theta) if several_assets else None
+    trial_at = layers(trial) if several_assets else None
     tol = config.weight_tolerance
 
     def keep(kept):
         """Narrow every per-row array to the rows `kept`, leaving the old arrays as they are."""
         nonlocal theta, trial, grad, windows, moves, state, rows, values, norms
         nonlocal theta_at, trial_at, grad_hidden, grad_out
-        theta, trial, grad = theta[kept], trial[kept], grad[kept]
+        theta, grad = theta[kept], grad[kept]
         windows, moves = windows[kept], moves[kept]
         state = tuple(array[kept] for array in state)
         rows = [rows[i] for i in kept]
         values = [values[i] for i in kept]
         norms = [norms[i] for i in kept]
-        theta_at, trial_at = layers(theta), layers(trial)
+        theta_at = layers(theta)
         grad_hidden, grad_out = views(grad)
+        if several_assets:
+            trial = trial[kept]
+            trial_at = layers(trial)
 
     def settle(stopped, iterations, converged):
         """File the reports of the `stopped` rows; the step scored their last update."""

@@ -128,9 +128,9 @@ class TestOptimizeBucket:
         assert optimize_bucket([0.5, 0.5]) == RATIO_CAP
         assert optimize_bucket([-0.25]) == -RATIO_CAP
 
-    def test_empty_and_all_zero(self):
-        assert optimize_bucket([]) == 0.0
-        assert optimize_bucket([0.0, 0.0]) == 0.0
+    @pytest.mark.parametrize("moves", [[], [0.0], [-0.0, 0.0], [0.0, 0.0]])
+    def test_empty_and_all_zero(self, moves):
+        assert optimize_bucket(moves) == 0.0
 
     def test_grid_oracle_agreement(self, rng):
         for _ in range(25):
@@ -154,7 +154,16 @@ class TestOptimizeBucket:
             optimize_bucket([1.5])
 
     @pytest.mark.parametrize(
-        "moves", [[float("nan")], [0.5, float("nan")], [float("inf")], [-0.2, float("-inf")]]
+        "moves",
+        [
+            [float("nan")],
+            [0.5, float("nan")],
+            [float("inf")],
+            [float("-inf")],
+            [-0.2, float("-inf")],
+            [np.nextafter(1.0, 2.0)],
+            [0.5, -np.nextafter(1.0, 2.0)],
+        ],
     )
     def test_rejects_non_finite_movements(self, moves):
         with pytest.raises(UsageError):
@@ -168,10 +177,64 @@ class TestOptimizeBucket:
 class TestSolverMatchesBisection:
     """The certified-sign solver returns the plain bisection's double exactly."""
 
+    @pytest.fixture
+    def slope_points(self, monkeypatch):
+        """Every point the solver evaluates the slope at, in order."""
+        points = []
+        slope = markov._slope
+
+        def recorded(moves, alpha, terms):
+            points.append(alpha)
+            return slope(moves, alpha, terms)
+
+        monkeypatch.setattr(markov, "_slope", recorded)
+        return points
+
     @given(bucket_movements())
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_reference(self, moves):
         assert optimize_bucket(moves).hex() == reference_maximize(moves).hex()
+
+    @given(bucket_movements(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_for_any_start(self, moves, data):
+        root = reference_maximize(moves)
+        start = data.draw(
+            st.one_of(
+                st.sampled_from([0.0, RATIO_CAP, -RATIO_CAP, 5.0, -5.0]),
+                st.floats(-RATIO_CAP, RATIO_CAP),
+                st.sampled_from(
+                    [root, np.nextafter(root, -np.inf), np.nextafter(root, np.inf)]
+                ),
+            )
+        )
+        assert optimize_bucket(moves, start=start).hex() == root.hex()
+
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_start_is_only_a_hint(self, start, rng):
+        for moves in (rng.uniform(-1.0, 1.0, 50), np.array([0.5, 0.5]), np.array([-0.25])):
+            assert optimize_bucket(moves, start=start).hex() == reference_maximize(moves).hex()
+
+    def test_start_at_the_cap_it_keeps_costs_one_pass(self, slope_points):
+        assert optimize_bucket([0.5, 0.5], start=RATIO_CAP) == RATIO_CAP
+        assert optimize_bucket([-0.25], start=-RATIO_CAP) == -RATIO_CAP
+        assert slope_points == [RATIO_CAP, -RATIO_CAP]
+
+    @pytest.mark.parametrize("start", [-5.0, -RATIO_CAP, 0.0, 0.5, RATIO_CAP])
+    @pytest.mark.parametrize("scale", [1e-20, 1e-170])  # S' nonzero / underflowed
+    def test_slope_exactly_zero_everywhere(self, start, scale):
+        # Every computed slope is 0, so plain bisection's hi test passes; a
+        # zero slope must not count as a certificate against it.
+        moves = np.array([scale, -scale])
+        assert reference_maximize(moves) == RATIO_CAP
+        assert optimize_bucket(moves, start=start) == RATIO_CAP
+
+    def test_start_at_an_exact_root_is_kept(self, slope_points):
+        # S(0) is exactly 0 here, so 0 certifies the upper side of the root;
+        # one probe below it and the hi test decide every midpoint.
+        moves = np.array([0.5, -0.5])
+        assert optimize_bucket(moves).hex() == reference_maximize(moves).hex()
+        assert len(slope_points) == 3
 
     @pytest.mark.parametrize("n", PAIRWISE_SIZES)
     def test_pairwise_block_sizes(self, n, rng):
@@ -189,10 +252,30 @@ class TestSolverMatchesBisection:
     def test_run_mkv_ratios_match_reference_solver(self, monkeypatch):
         series = normalize(gen_arma21(2000, NoiseSpec(seed=7)))
         fast = [run_mkv(series, order, warmup=20).ratios for order in (0, 1, 2)]
-        monkeypatch.setattr(markov, "_maximize_log_wealth", reference_maximize)
+        # `run_mkv` passes each bucket's last ratio as the start; plain
+        # bisection has no use for it.
+        monkeypatch.setattr(
+            markov, "_maximize_log_wealth", lambda moves, start=0.0: reference_maximize(moves)
+        )
         for order, ratios in zip((0, 1, 2), fast):
             slow = run_mkv(series, order, warmup=20).ratios
             assert ratios.tobytes() == slow.tobytes()
+
+    def test_warm_start_saves_slope_passes(self, slope_points, monkeypatch):
+        # A deterministic count, so dropping the warm start fails here.
+        series = normalize(gen_arma21(2000, NoiseSpec(seed=7)))
+
+        def run_all():
+            slope_points.clear()
+            ratios = [run_mkv(series, order, warmup=20).ratios.tobytes() for order in (0, 1, 2)]
+            return len(slope_points), ratios
+
+        warm, warm_ratios = run_all()
+        optimize = markov.optimize_bucket
+        monkeypatch.setattr(markov, "optimize_bucket", lambda moves, start=0.0: optimize(moves))
+        cold, cold_ratios = run_all()
+        assert warm_ratios == cold_ratios
+        assert warm <= 0.7 * cold
 
 
 class TestBucketDecomposition:
