@@ -20,26 +20,19 @@ from .game import (
     CHECKPOINT_ROUNDS,
     RATIO_CAP,
     RATIO_MARGIN,
-    GameState,
     MovementSeries,
     RoundDiagnostics,
     StrategyRunResult,
-    capital_step,
     clamp_ratio,
-    log_capital,
     run_game,
 )
 from .network import (
     AnnealingSchedule,
-    ForwardTrace,
     NetworkConfig,
     NetworkWeights,
-    WeightGradient,
     forward,
-    input_window,
     log_wealth,
     log_wealth_gradient,
-    squared_error_gradient,
 )
 from .data import (
     NoiseSpec,
@@ -64,10 +57,7 @@ from .nnbp import (
 )
 from .portfolio import (
     PortfolioWeights,
-    capital_step_portfolio,
     forward_portfolio,
-    log_wealth_gradient_portfolio,
-    log_wealth_portfolio,
     rescale_exposure,
     run_sosnn_portfolio,
 )

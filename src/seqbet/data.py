@@ -185,7 +185,7 @@ def load_movement_matrix(path) -> tuple[list[datetime.date], np.ndarray]:
     if n_values < 1:
         raise DataError(f"{path}: records need at least one value column")
     for lineno, day, values in _parse_rows(path, n_values):
-        if max(abs(v) for v in values) > 1.0:
+        if not all(abs(v) <= 1.0 for v in values):  # also rejects NaN
             raise DataError(f"{path}:{lineno}: movements must lie in [-1, 1]")
         if dates and day <= dates[-1]:
             raise DataError(

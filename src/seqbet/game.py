@@ -2,15 +2,17 @@
 
 Each round Investor bets a fraction alpha_n of current capital, Market reveals a
 move x_n in [-1, 1], and capital multiplies by (1 + alpha_n * x_n). Keeping
-|alpha_n| < 1 rules out bankruptcy. Capital is tracked in log space as the
-primary representation; the linear value is derived on demand.
+|alpha_n| < 1 rules out bankruptcy. Capital is tracked in log space only:
+`run_game` adds log1p(alpha_n * x_n) per round, which is the one capital
+update. `run_game` rejects a ratio outside (-1, 1), and `MovementSeries`
+rejects a movement outside [-1, 1], so every update is finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,16 +31,6 @@ CHECKPOINT_ROUNDS = (100, 200, 300)
 def clamp_ratio(alpha: float) -> float:
     """Clamp a betting ratio into [-RATIO_CAP, RATIO_CAP]."""
     return min(max(float(alpha), -RATIO_CAP), RATIO_CAP)
-
-
-def _check_ratio(alpha: float) -> None:
-    if not -1.0 < alpha < 1.0:  # also rejects NaN
-        raise DomainError(f"betting ratio must lie in (-1, 1), got {alpha!r}")
-
-
-def _check_movement(x: float) -> None:
-    if not -1.0 <= x <= 1.0:
-        raise DomainError(f"market movement must lie in [-1, 1], got {x!r}")
 
 
 @dataclass
@@ -63,48 +55,6 @@ class MovementSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class GameState:
-    """Investor's position after `round` rounds; round 0 holds capital exactly 1."""
-
-    round: int = 0
-    log_capital: float = 0.0
-
-    @property
-    def capital(self) -> float:
-        return math.exp(self.log_capital)
-
-    def advance(self, alpha: float, x: float) -> "GameState":
-        """State after betting `alpha` against the move `x`."""
-        _check_ratio(alpha)
-        _check_movement(x)
-        return GameState(self.round + 1, self.log_capital + math.log1p(alpha * x))
-
-
-def capital_step(capital_prev: float, alpha: float, x: float) -> float:
-    """One multiplicative capital update: capital_prev * (1 + alpha * x)."""
-    if not (capital_prev > 0.0 and math.isfinite(capital_prev)):
-        raise DomainError(f"capital must be positive and finite, got {capital_prev!r}")
-    _check_ratio(alpha)
-    _check_movement(x)
-    return capital_prev * (1.0 + alpha * x)
-
-
-def log_capital(ratios: Sequence[float], movements) -> float:
-    """Log capital after betting `ratios` against `movements`, round by round."""
-    xs = movements.values if isinstance(movements, MovementSeries) else np.asarray(movements, float)
-    alphas = np.asarray(ratios, dtype=float)
-    if alphas.shape != xs.shape:
-        raise UsageError(
-            f"{alphas.size} ratios against {xs.size} movements (lengths must match)"
-        )
-    for a in alphas:
-        _check_ratio(a)
-    for x in xs:
-        _check_movement(x)
-    return float(np.log1p(alphas * xs).sum())
 
 
 @dataclass
@@ -173,7 +123,7 @@ def run_game(
         )
     ratios = np.zeros(n_rounds)
     path = np.empty(n_rounds)
-    state = GameState()
+    log_k = 0.0
     for i in range(n_rounds):
         n = i + 1
         alpha = 0.0
@@ -183,9 +133,9 @@ def run_game(
                 raise StrategyViolationError(
                     f"strategy returned ratio {alpha!r} outside (-1, 1) at round {n}"
                 )
-        state = state.advance(alpha, xs[i])
+        log_k += math.log1p(alpha * xs[i])
         ratios[i] = alpha
-        path[i] = state.log_capital
+        path[i] = log_k
     return StrategyRunResult(
         ratios=ratios,
         log_capital_path=path,

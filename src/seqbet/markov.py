@@ -96,6 +96,8 @@ def optimize_bucket(movements_in_bucket: Sequence[float], start: float = 0.0) ->
 _NEWTON_STEPS = 6
 _PROBE = 1e-12
 _NEWTON_DONE = 1e-7
+# Width at which the slope bisection stops (the manifest records it).
+_TOL = 1e-10
 
 
 def _slope(moves: np.ndarray, alpha: float, terms: np.ndarray) -> float:
@@ -109,8 +111,8 @@ def _slope(moves: np.ndarray, alpha: float, terms: np.ndarray) -> float:
     return float(np.add.reduce(terms))
 
 
-def _maximize_log_wealth(moves: np.ndarray, start: float, tol: float = 1e-10) -> float:
-    """Slope bisection on [-RATIO_CAP, RATIO_CAP] to `tol`, replayed from few slopes.
+def _maximize_log_wealth(moves: np.ndarray, start: float) -> float:
+    """Slope bisection on [-RATIO_CAP, RATIO_CAP] to `_TOL`, replayed from few slopes.
 
     Returns exactly the midpoint that plain bisection on the sign of the
     computed slope S(a) = sum(x / (1 + a*x)) returns: `hi` if S(hi) >= 0,
@@ -182,10 +184,10 @@ def _maximize_log_wealth(moves: np.ndarray, start: float, tol: float = 1e-10) ->
     if not above and _slope(moves, lo, terms) <= 0.0:
         return lo
     # Strict concavity makes the slope strictly decreasing, so bisecting on
-    # its sign brackets the interior maximizer to `tol`. Comparing objective
+    # its sign brackets the interior maximizer to `_TOL`. Comparing objective
     # values instead (golden section) stalls near sqrt(eps) because the
     # objective is flat to machine precision around its maximum.
-    while hi - lo > tol:
+    while hi - lo > _TOL:
         mid = 0.5 * (lo + hi)
         if mid <= pos:
             lo = mid

@@ -1,23 +1,24 @@
-"""Three-layer tanh network and the two gradients that drive the strategies.
+"""Three-layer tanh network and the log-wealth objective that drives the strategies.
 
 The network maps an input window of past movements through one hidden tanh
 layer to tanh outputs, the betting ratios. There are no bias terms. This
 module provides the forward pass, the cumulative log-wealth objective and
-its analytic gradient (used by the sequential optimizer), the squared
-prediction error gradient (used by supervised training), and the
+its analytic gradient (used by the sequential optimizer), and the
 search-then-converge learning-rate schedule.
 
-The objective and its gradient are one batched core over R independent
-problems (the replicate axis) of K recorded rounds each: R x K x L windows,
-R x K x P movements, R x M x L hidden weights and R x P x M output rows, one
-row per asset. Every product is a stacked `np.matmul`, which runs each
-replicate's product exactly as the unstacked call would, so replicate r's
-numbers do not depend on what else is in the stack. A single problem is the
-R = 1 case and a single asset the P = 1 case, so `log_wealth` and the
-multi-asset functions in `seqbet.portfolio` evaluate the same arithmetic.
-`_evaluate` runs the forward pass and keeps its state, and `_gradient` runs
-the backward pass from that state into arrays the caller provides, so the
-ascent loop in `seqbet.sosnn` evaluates each point it visits once.
+The public objective takes matrices: K x L input windows and K x P
+movements (a length-K vector for one asset), scored against
+`NetworkWeights` (one output row) or `seqbet.portfolio.PortfolioWeights`
+(P rows). Both go through one batched core over R independent problems
+(the replicate axis) of K recorded rounds each: R x K x L windows,
+R x K x P movements, R x M x L hidden weights and R x P x M output rows.
+Every product is a stacked `np.matmul`, which runs each replicate's product
+exactly as the unstacked call would, so replicate r's numbers do not depend
+on what else is in the stack. `log_wealth` is the R = 1 case, and one
+asset the P = 1 case. `_evaluate` runs the forward pass and keeps its
+state, and `_gradient` runs the backward pass from that state into arrays
+the caller provides, so the ascent loop in `seqbet.sosnn` evaluates each
+point it visits once.
 
 Input windows are most-recent-first: the window feeding round k holds
 (x_{k-1}, ..., x_{k-L}).
@@ -26,7 +27,7 @@ Input windows are most-recent-first: the window feeding round k holds
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,30 +98,6 @@ class NetworkWeights:
         return NetworkWeights(self.hidden_weights.copy(), self.output_weights.copy())
 
 
-@dataclass
-class ForwardTrace:
-    """Intermediate quantities of one forward pass, kept for the gradients."""
-
-    hidden_inputs: np.ndarray
-    hidden_outputs: np.ndarray
-    output_input: float
-    output: float
-
-
-@dataclass
-class WeightGradient:
-    """Gradient with the per-round chain factors retained for diagnostics.
-
-    `output_deltas[k]` is the scalar factor of round k's output-layer term and
-    `hidden_deltas[k]` the per-hidden-neuron factors of its hidden-layer term.
-    """
-
-    hidden_weights: np.ndarray
-    output_weights: np.ndarray
-    output_deltas: np.ndarray
-    hidden_deltas: np.ndarray
-
-
 @dataclass(frozen=True)
 class AnnealingSchedule:
     """Search-then-converge decay: rate(s) = initial_rate / (1 + s / decay_steps)."""
@@ -157,19 +134,6 @@ def _shared_config(configs: Sequence, kind: str):
     return first
 
 
-def input_window(values: Sequence[float], k: int, length: int) -> np.ndarray:
-    """Window feeding round k: the `length` movements before it, newest first.
-
-    Rounds are 1-based, so this needs k >= length + 1.
-    """
-    xs = np.asarray(values, dtype=float)
-    if k < length + 1:
-        raise UsageError(f"round {k} has fewer than {length} preceding movements")
-    if k - 1 > xs.size:
-        raise UsageError(f"round {k} lies beyond the {xs.size} known movements")
-    return xs[k - 1 - length : k - 1][::-1].copy()
-
-
 def window_matrix(values: np.ndarray, length: int, k_first: int, k_last: int) -> np.ndarray:
     """Stacked input windows for rounds k_first..k_last (one row per round)."""
     xs = np.asarray(values, dtype=float)
@@ -183,45 +147,38 @@ def window_matrix(values: np.ndarray, length: int, k_first: int, k_last: int) ->
     return xs[rounds[:, None] - 2 - np.arange(length)[None, :]]
 
 
-def forward(window: Sequence[float], weights: NetworkWeights) -> ForwardTrace:
-    """Evaluate the network on one input window."""
+def forward(window: Sequence[float], weights: NetworkWeights) -> float:
+    """The network's capped output, its betting ratio, on one input window."""
     u = np.asarray(window, dtype=float)
     m, l = weights.hidden_weights.shape
     if u.shape != (l,):
         raise UsageError(f"window of shape {u.shape} fed to a {m}x{l} network")
-    hidden_in = weights.hidden_weights @ u
-    hidden_out = np.tanh(hidden_in)
+    hidden_out = np.tanh(weights.hidden_weights @ u)
     out_in = float(weights.output_weights @ hidden_out)
-    out = min(max(float(np.tanh(out_in)), -_OUTPUT_CAP), _OUTPUT_CAP)
-    return ForwardTrace(hidden_in, hidden_out, out_in, out)
+    return min(max(float(np.tanh(out_in)), -_OUTPUT_CAP), _OUTPUT_CAP)
 
 
-def _stack_history(
-    history: Iterable, input_count: int, asset_count: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """K x L windows and K x P movements from (window, movement) pairs.
+def _check_history(windows, moves, input_count: int, asset_count: int = 1):
+    """K x L windows and K x P movements as float arrays, checked.
 
-    A scalar movement is a one-asset row. Every window must have one length
-    and every movement one shape, all entries numeric. Windows must be finite
-    and every movement must lie in [-1, 1], which also rejects NaN.
+    1-D movements are one asset. Every entry must be numeric, the windows
+    finite, and every movement in [-1, 1], which also rejects NaN.
     """
-    pairs = list(history)
-    if not pairs:
-        return np.empty((0, input_count)), np.empty((0, asset_count))
     try:
-        windows = np.asarray([np.asarray(w, dtype=float) for w, _ in pairs])
-        moves = np.asarray([np.asarray(x, dtype=float) for _, x in pairs])
+        windows = np.asarray(windows, dtype=float)
+        moves = np.asarray(moves, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"history must hold numeric pairs of one shape: {exc}") from None
+        raise UsageError(f"history must be numeric and of one shape: {exc}") from None
     if moves.ndim == 1:
         moves = moves[:, None]
     if windows.ndim != 2 or windows.shape[1] != input_count:
         raise UsageError(
             f"history windows of shape {windows.shape} fed to input width {input_count}"
         )
-    if moves.shape != (len(pairs), asset_count):
+    if moves.shape != (windows.shape[0], asset_count):
         raise UsageError(
-            f"history movements of shape {moves.shape} fed to {asset_count} asset(s)"
+            f"history movements of shape {moves.shape} against {windows.shape[0]} "
+            f"windows and {asset_count} asset(s)"
         )
     if not np.isfinite(windows).all():
         raise UsageError("history windows must be finite")
@@ -268,71 +225,38 @@ def _gradient(state, windows, moves, w_out, grad_hidden, grad_out):
     Round k contributes out_delta_kh * hidden_out_k to output row h and
     (sum_h out_delta_kh * w_out_hi) * (1 - hidden_out_ki^2) * window_kj to
     the hidden layer, where out_delta_kh = x_kh / (1 + sum_g f_kg x_kg) * (1 - f_kh^2).
-    Returns the R x K x P output and R x K x M hidden deltas.
     """
     hidden_out, out, summed = state
     out_deltas = moves / (1.0 + summed)[..., None] * (1.0 - out * out)
     np.matmul(out_deltas.mT, hidden_out, out=grad_out)
     hidden_deltas = (out_deltas @ w_out) * (1.0 - hidden_out * hidden_out)
     np.matmul(hidden_deltas.mT, windows, out=grad_hidden)
-    return out_deltas, hidden_deltas
 
 
-def _log_wealth(windows, moves, w_hidden, w_out) -> float:
-    """The objective of one problem, from unstacked windows, movements and weights."""
-    values, _ = _evaluate(windows[None], moves[None], w_hidden[None].mT, w_out[None].mT)
+def log_wealth(weights, windows, moves) -> float:
+    """Cumulative log capital from betting the network's outputs on K recorded rounds.
+
+    `weights` is a `NetworkWeights` (one asset) or a `PortfolioWeights` (P
+    assets), `windows` is K x L and `moves` is K x P, or length K for one
+    asset. Returns -inf when some round's gross return is nonpositive, which
+    only several assets can reach.
+    """
+    w_out = np.atleast_2d(weights.output_weights)
+    windows, moves = _check_history(windows, moves, weights.hidden_weights.shape[1], w_out.shape[0])
+    values, _ = _evaluate(windows[None], moves[None], weights.hidden_weights[None].mT, w_out[None].mT)
     return float(values[0])
 
 
-def _single_gradient(windows, moves, w_hidden, w_out):
-    """Both gradients of one problem, with the K x P and K x M deltas."""
-    windows, moves, w_hidden, w_out = windows[None], moves[None], w_hidden[None], w_out[None]
+def log_wealth_gradient(weights, windows, moves) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient of `log_wealth` as (hidden, output) arrays in the
+    weights' own shapes; see `_gradient` for the terms of each round.
+
+    The point must be solvent: every round's gross return positive.
+    """
+    w_out = np.atleast_2d(weights.output_weights)[None]
+    windows, moves = _check_history(windows, moves, weights.hidden_weights.shape[1], w_out.shape[1])
+    windows, moves, w_hidden = windows[None], moves[None], weights.hidden_weights[None]
     grad_hidden, grad_out = np.empty_like(w_hidden), np.empty_like(w_out)
     _, state = _evaluate(windows, moves, w_hidden.mT, w_out.mT)
-    out_deltas, hidden_deltas = _gradient(state, windows, moves, w_out, grad_hidden, grad_out)
-    return grad_hidden[0], grad_out[0], out_deltas[0], hidden_deltas[0]
-
-
-def log_wealth(weights: NetworkWeights, history: Iterable) -> float:
-    """Cumulative log capital from betting the network output on each recorded round.
-
-    `history` is a sequence of (input window, movement) pairs.
-    """
-    windows, moves = _stack_history(history, weights.hidden_weights.shape[1])
-    return _log_wealth(windows, moves, weights.hidden_weights, weights.output_weights[None])
-
-
-def log_wealth_gradient(weights: NetworkWeights, history: Iterable) -> WeightGradient:
-    """Analytic gradient of `log_wealth` with respect to both weight layers.
-
-    Round k contributes out_delta_k * hidden_out_k to the output layer and
-    out_delta_k * w_out_i * (1 - hidden_out_ik^2) * window_kj to the hidden
-    layer, where out_delta_k = x_k / (1 + f x_k) * (1 - f^2).
-    """
-    windows, moves = _stack_history(history, weights.hidden_weights.shape[1])
-    grad_hidden, grad_out, out_deltas, hidden_deltas = _single_gradient(
-        windows, moves, weights.hidden_weights, weights.output_weights[None, :]
-    )
-    return WeightGradient(grad_hidden, grad_out[0], out_deltas[:, 0], hidden_deltas)
-
-
-def squared_error_gradient(
-    weights: NetworkWeights, window: Sequence[float], target: float
-) -> WeightGradient:
-    """Gradient of E = (target - output)^2 / 2 for one sample.
-
-    The descent update subtracts this gradient.
-    """
-    if target not in (-1, 0, 1):
-        raise UsageError(f"target must be one of -1, 0, 1, got {target!r}")
-    trace = forward(window, weights)
-    u = np.asarray(window, dtype=float)
-    out_delta = -(target - trace.output) * (1.0 - trace.output * trace.output)
-    grad_out = out_delta * trace.hidden_outputs
-    hidden_delta = (
-        out_delta * weights.output_weights * (1.0 - trace.hidden_outputs * trace.hidden_outputs)
-    )
-    grad_hidden = np.outer(hidden_delta, u)
-    return WeightGradient(
-        grad_hidden, grad_out, np.array([out_delta]), hidden_delta[None, :]
-    )
+    _gradient(state, windows, moves, w_out, grad_hidden, grad_out)
+    return grad_hidden[0], grad_out[0].reshape(weights.output_weights.shape)

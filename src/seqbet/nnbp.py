@@ -15,7 +15,7 @@ errors and its own threshold stop. `train` is the R = 1 case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .network import (
     NetworkWeights,
     _OUTPUT_CAP,
     _batch_forward,
+    _check_history,
     _shared_config,
-    _stack_history,
     forward,
     window_matrix,
 )
@@ -76,9 +76,10 @@ def sign_target(x: float) -> int:
     return 0
 
 
-def training_error(weights: NetworkWeights, training: Iterable) -> float:
-    """Mean halved squared error over (window, target) pairs: sum((T-y)^2) / 2m."""
-    windows, targets = _stack_history(training, weights.hidden_weights.shape[1])
+def training_error(weights: NetworkWeights, windows, targets) -> float:
+    """Mean halved squared error of the outputs on m x L `windows` against
+    the m `targets`: sum((T-y)^2) / 2m."""
+    windows, targets = _check_history(windows, targets, weights.hidden_weights.shape[1])
     if not targets.size:
         raise UsageError("training set must not be empty")
     _, out = _batch_forward(
@@ -176,9 +177,10 @@ def train_replicates(
                 for j in range(m)
             ]
             rebind = False
-        # One descent step per sample along `squared_error_gradient`, in its
-        # operation order, so every replicate's weights match it bit for bit.
-        # The output and its delta are Python floats, as in the scalar step.
+        # One descent step per sample along the gradient of (T - y)^2 / 2, in
+        # the operation order of the scalar reference `squared_error_gradient`
+        # in tests/conftest.py, so every replicate's weights match it bit for
+        # bit. The output and its delta are Python floats, as in that step.
         for u_col, u_row, sample_targets in samples:
             hidden_out = np.tanh(w_hidden @ u_col)
             for i, (((out,),), target) in enumerate(
@@ -245,6 +247,6 @@ def run_nnbp(
     windows = window_matrix(movements.values, length, warmup + 1, len(movements))
 
     def bet(n: int, past: np.ndarray) -> float:
-        return clamp_ratio(forward(windows[n - warmup - 1], frozen).output)
+        return clamp_ratio(forward(windows[n - warmup - 1], frozen))
 
     return run_game(bet, movements, warmup)

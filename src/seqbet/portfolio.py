@@ -4,33 +4,29 @@ One shared hidden layer feeds P output neurons, one betting ratio per asset,
 and capital updates by 1 plus the exposure-weighted sum of the P movements.
 A per-output tanh keeps each ratio inside (-1, 1) but not their total
 exposure, so ratio vectors are rescaled whenever the sum of their magnitudes
-would reach 1; that cap and the multi-output log-wealth gradient are
-validated against finite differences in the test suite.
+would reach 1. The multi-output log-wealth gradient is validated against
+finite differences in the test suite.
 
-The objective, its gradient and the refit are the network core of
-`seqbet.network` and `seqbet.sosnn`, whose single-asset strategy is the
-P = 1 case. Only for P > 1 can a ratio vector bankrupt a recorded round, so
-only then does the refit search for solvent weights and steps.
+The objective and its gradient are `seqbet.network.log_wealth` and
+`log_wealth_gradient`, which take `PortfolioWeights` as they take
+`NetworkWeights`, and the refit is the ascent loop of `seqbet.sosnn`; the
+single-asset strategy is the P = 1 case. Only for P > 1 can a ratio vector
+bankrupt a recorded round, so only then does the refit search for solvent
+weights and steps. Capital updates by `log1p(ratios @ x)` each round, as in
+the game loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, StrategyViolationError, UsageError
-from .game import RATIO_MARGIN, StrategyRunResult, _checkpoints
-from .network import (
-    NetworkConfig,
-    _OUTPUT_CAP,
-    _log_wealth,
-    _single_gradient,
-    _stack_history,
-    window_matrix,
-)
+from .errors import NumericError, UsageError
+from .game import RATIO_CAP, StrategyRunResult, _checkpoints
+from .network import NetworkConfig, _OUTPUT_CAP, window_matrix
 from .sosnn import SosnnConfig, _ascend
 
 
@@ -85,62 +81,14 @@ def forward_portfolio(window: Sequence[float], weights: PortfolioWeights) -> np.
     return np.clip(np.tanh(out_in), -_OUTPUT_CAP, _OUTPUT_CAP)
 
 
-def rescale_exposure(ratios: Sequence[float], margin: float = RATIO_MARGIN) -> np.ndarray:
-    """Scale a ratio vector so the total exposure sum(|ratio|) stays below 1."""
+def rescale_exposure(ratios: Sequence[float]) -> np.ndarray:
+    """Scale a ratio vector so the total exposure sum(|ratio|) stays below 1,
+    at most RATIO_CAP."""
     ratios = np.asarray(ratios, dtype=float)
     exposure = float(np.abs(ratios).sum())
-    cap = 1.0 - margin
-    if exposure >= cap:
-        return ratios * (cap / exposure)
+    if exposure >= RATIO_CAP:
+        return ratios * (RATIO_CAP / exposure)
     return ratios.copy()
-
-
-def capital_step_portfolio(
-    capital_prev: float, ratios: Sequence[float], x: Sequence[float]
-) -> float:
-    """One multi-asset capital update: capital_prev * (1 + sum(ratio_h * x_h))."""
-    ratios = np.asarray(ratios, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if ratios.shape != x.shape or ratios.ndim != 1:
-        raise UsageError(
-            f"ratio vector {ratios.shape} against movement vector {x.shape}"
-        )
-    if not (capital_prev > 0 and np.isfinite(capital_prev)):
-        raise UsageError(f"capital must be positive and finite, got {capital_prev!r}")
-    if not (np.abs(x) <= 1.0).all():
-        raise UsageError("movements must be finite and lie in [-1, 1]")
-    exposure = float(np.abs(ratios).sum())
-    if not exposure < 1.0:
-        raise StrategyViolationError(
-            f"total exposure {exposure} must stay below 1 to exclude bankruptcy"
-        )
-    return capital_prev * (1.0 + float(ratios @ x))
-
-
-def log_wealth_portfolio(weights: PortfolioWeights, history: Iterable) -> float:
-    """Cumulative log capital over (window, movement-vector) pairs.
-
-    Returns -inf when some recorded round's gross return is nonpositive: with
-    several assets the raw output vector can push the summed exposure past
-    the bankruptcy boundary, unlike the single-output case.
-    """
-    windows, moves = _stack_history(
-        history, weights.hidden_weights.shape[1], weights.asset_count
-    )
-    return _log_wealth(windows, moves, weights.hidden_weights, weights.output_weights)
-
-
-def log_wealth_gradient_portfolio(
-    weights: PortfolioWeights, history: Iterable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of `log_wealth_portfolio` as (hidden, output) arrays."""
-    windows, moves = _stack_history(
-        history, weights.hidden_weights.shape[1], weights.asset_count
-    )
-    grad_hidden, grad_out, _, _ = _single_gradient(
-        windows, moves, weights.hidden_weights, weights.output_weights
-    )
-    return grad_hidden, grad_out
 
 
 def _optimize_portfolio(windows, moves, config: SosnnConfig, init: PortfolioWeights):

@@ -31,10 +31,10 @@ from .network import (
     AnnealingSchedule,
     NetworkConfig,
     NetworkWeights,
+    _check_history,
     _evaluate,
     _gradient,
     _shared_config,
-    _stack_history,
     forward,
     window_matrix,
 )
@@ -79,12 +79,19 @@ def optimize_weights(
     """Ascend the log-wealth objective from `init` until the applied weight
     increments all fall below `weight_tolerance` or the iteration cap hits.
 
+    `history` is a sequence of (input window, movement) pairs, stacked into
+    matrices once; this is the one public entry point that takes pairs.
     Returns the best-objective iterate visited, which is never worse than
     `init`, together with a convergence report.
     """
-    windows, moves = _stack_history(history, config.net.input_count)
-    if windows.shape[0] == 0:
+    pairs = list(history)
+    if not pairs:
         raise UsageError("cannot optimize over an empty history")
+    try:
+        windows, moves = [w for w, _ in pairs], [x for _, x in pairs]
+    except (TypeError, ValueError):
+        raise UsageError("history must hold (window, movement) pairs") from None
+    windows, moves = _check_history(windows, moves, config.net.input_count)
     if init.config != config.net:
         raise UsageError(
             f"init weights are {init.config}, config wants {config.net}"
@@ -321,7 +328,7 @@ def run_sosnn_replicates(
             for r in alive:
                 diagnostics[r].append(RoundDiagnostics(n, 0, True))
         for r in alive:
-            ratios[r, n - 1] = clamp_ratio(forward(windows[r, n - warmup - 1], weights[r]).output)
+            ratios[r, n - 1] = clamp_ratio(forward(windows[r, n - warmup - 1], weights[r]))
     for r in alive:
         bets = ratios[r].tolist()
         outcomes[r] = run_game(lambda n, past, bets=bets: bets[n - 1], movements[r], warmup)

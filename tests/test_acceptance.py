@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, random_instance, relative_error
+from conftest import fd_gradient, random_instance, relative_error, squared_error_gradient
 from seqbet.experiments import parse_config, run_backtest, run_simulate
-from seqbet.game import RATIO_CAP, MovementSeries, capital_step
+from seqbet.game import RATIO_CAP, MovementSeries, run_game
 from seqbet.markov import optimize_bucket, run_mkv
 from seqbet.network import (
     NetworkConfig,
@@ -21,16 +21,9 @@ from seqbet.network import (
     forward,
     log_wealth,
     log_wealth_gradient,
-    squared_error_gradient,
 )
 from seqbet.nnbp import NnbpConfig, run_nnbp, train
-from seqbet.portfolio import (
-    PortfolioWeights,
-    capital_step_portfolio,
-    log_wealth_gradient_portfolio,
-    rescale_exposure,
-    run_sosnn_portfolio,
-)
+from seqbet.portfolio import PortfolioWeights, rescale_exposure, run_sosnn_portfolio
 from seqbet.sosnn import SosnnConfig, run_sosnn
 
 BASE_SEED = 20210601
@@ -94,36 +87,36 @@ def grid_run(tmp_path_factory):
 def test_criterion_1_gradient_correctness(rng, verdict):
     worst_wealth, worst_bp = 0.0, 0.0
     for _ in range(100):
-        config, weights, history = random_instance(rng, history_len=10)
+        config, weights, windows, moves = random_instance(rng, history_len=10)
 
         def wealth(hidden, output):
-            return log_wealth(NetworkWeights(hidden, output), history)
+            return log_wealth(NetworkWeights(hidden, output), windows, moves)
 
-        grad = log_wealth_gradient(weights, history)
+        grad_hidden, grad_out = log_wealth_gradient(weights, windows, moves)
         fd_hidden, fd_output = fd_gradient(
             wealth, [weights.hidden_weights, weights.output_weights], h=1e-6
         )
         worst_wealth = max(
             worst_wealth,
-            relative_error(grad.hidden_weights, fd_hidden).max(),
-            relative_error(grad.output_weights, fd_output).max(),
+            relative_error(grad_hidden, fd_hidden).max(),
+            relative_error(grad_out, fd_output).max(),
         )
 
         window = rng.uniform(-1.0, 1.0, config.input_count)
         target = int(rng.integers(-1, 2))
 
         def bp_error(hidden, output):
-            out = forward(window, NetworkWeights(hidden, output)).output
+            out = forward(window, NetworkWeights(hidden, output))
             return 0.5 * (target - out) ** 2
 
-        bp = squared_error_gradient(weights, window, target)
+        bp_hidden, bp_out, _ = squared_error_gradient(weights, window, target)
         fd_hidden, fd_output = fd_gradient(
             bp_error, [weights.hidden_weights, weights.output_weights], h=1e-6
         )
         worst_bp = max(
             worst_bp,
-            relative_error(bp.hidden_weights, fd_hidden).max(),
-            relative_error(bp.output_weights, fd_output).max(),
+            relative_error(bp_hidden, fd_hidden).max(),
+            relative_error(bp_out, fd_output).max(),
         )
     passed = worst_wealth < 1e-5 and worst_bp < 1e-5
     verdict(
@@ -191,24 +184,22 @@ def test_criterion_4_arma_ordering(tmp_path, verdict):
 
 
 def test_criterion_5_solvency_and_bounds(grid_run, rng, verdict):
-    # 10^6 randomized capital updates, half single-asset, half portfolio
+    # 10^6 randomized capital updates: half single-asset rounds of the game
+    # loop, whose log capital path must stay finite, and half portfolio
     # vectors passed through the exposure rescale.
     steps = 500_000
-    capitals = rng.uniform(1e-6, 1e6, steps)
-    alphas = rng.uniform(-RATIO_CAP, RATIO_CAP, steps)
+    alphas = rng.uniform(-RATIO_CAP, RATIO_CAP, steps).tolist()
     moves = rng.uniform(-1.0, 1.0, steps)
-    single_ok = True
-    for i in range(steps):
-        if capital_step(capitals[i], alphas[i], moves[i]) <= 0.0:
-            single_ok = False
-            break
+    played = run_game(lambda n, past: alphas[n - 1], MovementSeries(moves), warmup=0)
+    single_ok = bool(np.isfinite(played.log_capital_path).all())
     assets = rng.integers(1, 6, steps)
     portfolio_ok = True
     for i in range(steps):
         p = int(assets[i])
         raw = rng.uniform(-1.0, 1.0, p) * 2.0
         ratios = rescale_exposure(raw)
-        if capital_step_portfolio(1.0, ratios, rng.uniform(-1.0, 1.0, p)) <= 0.0:
+        x = rng.uniform(-1.0, 1.0, p)
+        if not (np.abs(ratios).sum() < 1.0 and 1.0 + ratios @ x > 0.0):
             portfolio_ok = False
             break
 
@@ -318,19 +309,19 @@ def test_criterion_8_degenerate_cases(rng, verdict):
         and not panel_run.log_capital_path.any()
     )
 
-    config, _, history = random_instance(rng, 2, 3)
+    config, _, windows, moves = random_instance(rng, 2, 3)
     origin = NetworkWeights.zeros(config)
-    wealth_grad = log_wealth_gradient(origin, history)
-    bp_grad = squared_error_gradient(origin, rng.uniform(-1, 1, 2), 1)
+    wealth_hidden, wealth_out = log_wealth_gradient(origin, windows, moves)
+    bp_hidden, bp_out, _ = squared_error_gradient(origin, rng.uniform(-1, 1, 2), 1)
     port_origin = PortfolioWeights(np.zeros((3, 2)), np.zeros((2, 3)))
-    port_hidden, port_out = log_wealth_gradient_portfolio(
-        port_origin, [(w, np.array([x, -x])) for w, x in history]
+    port_hidden, port_out = log_wealth_gradient(
+        port_origin, windows, np.column_stack([moves, -moves])
     )
     origin_stationary = (
-        np.abs(wealth_grad.hidden_weights).max() < 1e-15
-        and np.abs(wealth_grad.output_weights).max() < 1e-15
-        and np.abs(bp_grad.hidden_weights).max() < 1e-15
-        and np.abs(bp_grad.output_weights).max() < 1e-15
+        np.abs(wealth_hidden).max() < 1e-15
+        and np.abs(wealth_out).max() < 1e-15
+        and np.abs(bp_hidden).max() < 1e-15
+        and np.abs(bp_out).max() < 1e-15
         and np.abs(port_hidden).max() < 1e-15
         and np.abs(port_out).max() < 1e-15
     )

@@ -1,5 +1,7 @@
 """Generators, normalization, price ingestion, and the file formats."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,14 @@ class TestMovementMatrix:
         path = tmp_path / "m.csv"
         path.write_text("2020-01-01,0.1,1.5\n")
         with pytest.raises(DataError, match=r"\[-1, 1\]"):
+            load_movement_matrix(path)
+
+    def test_nan_rejected_with_its_line(self, tmp_path):
+        # NaN fails every comparison, so a range test written as `> 1.0`
+        # would let it through; the line names the file and the row.
+        path = tmp_path / "m.csv"
+        path.write_text("2020-01-01,0.1,0.2\n2020-01-02,0.1,nan\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:2: .*\[-1, 1\]"):
             load_movement_matrix(path)
 
     def test_single_asset_writer(self, tmp_path):

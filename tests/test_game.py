@@ -1,4 +1,4 @@
-"""Game protocol: capital accounting, the run loop, warmup, and causality."""
+"""Game protocol: the run loop and its log1p capital update, warmup, and causality."""
 
 import math
 
@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 
 from seqbet.errors import DomainError, StrategyViolationError, UsageError
 from seqbet.game import (
-    GameState,
     MovementSeries,
-    capital_step,
     checkpoint_rounds,
     clamp_ratio,
-    log_capital,
     run_game,
 )
 
@@ -22,79 +19,15 @@ ratios_st = st.floats(-0.99, 0.99, allow_nan=False)
 moves_st = st.floats(-1.0, 1.0, allow_nan=False)
 
 
-class TestCapitalStep:
-    def test_direct_substitution(self):
-        assert capital_step(1.0, 0.5, 0.2) == pytest.approx(1.1, rel=1e-15)
-
-    def test_zero_bet_leaves_capital_unchanged(self):
-        assert capital_step(1.0, 0.0, -0.9) == 1.0
-
-    def test_short_bet(self):
-        assert capital_step(2.0, -0.5, 1.0) == pytest.approx(1.0, rel=1e-15)
-
-    @pytest.mark.parametrize("alpha", [1.0, -1.0, 1.5, float("nan")])
-    def test_rejects_bad_ratio(self, alpha):
-        with pytest.raises(DomainError, match="ratio"):
-            capital_step(1.0, alpha, 0.0)
-
-    @pytest.mark.parametrize("x", [1.0001, -2.0, float("nan")])
-    def test_rejects_bad_movement(self, x):
-        with pytest.raises(DomainError, match="movement"):
-            capital_step(1.0, 0.0, x)
-
-    def test_rejects_nonpositive_capital(self):
-        with pytest.raises(DomainError, match="capital"):
-            capital_step(0.0, 0.1, 0.1)
-
-    @given(ratios_st, moves_st, st.floats(1e-6, 1e6))
-    def test_stays_positive(self, alpha, x, capital):
-        assert capital_step(capital, alpha, x) > 0.0
-
-
-class TestGameState:
-    def test_round_zero_capital_is_exactly_one(self):
-        state = GameState()
-        assert state.capital == 1.0
-        assert state.round == 0
-
-    def test_log_matches_capital(self):
-        state = GameState()
-        for alpha, x in [(0.5, 0.2), (-0.3, 0.9), (0.8, -0.5)]:
-            state = state.advance(alpha, x)
-            assert state.log_capital == pytest.approx(math.log(state.capital), abs=1e-12)
-        assert state.round == 3
-
-
-class TestLogCapital:
-    def test_no_betting(self):
-        assert log_capital([0, 0, 0], np.array([0.3, -0.5, 1.0])) == 0.0
-
-    def test_single_round(self):
-        # log(1.1), direct evaluation
-        assert log_capital([0.5], [0.2]) == pytest.approx(0.09531017980432493, abs=1e-12)
-
-    def test_two_rounds(self):
-        # log(1.5) + log(0.5) = log(0.75)
-        assert log_capital([0.5, 0.5], [1.0, -1.0]) == pytest.approx(
-            -0.2876820724517809, abs=1e-12
-        )
-
-    def test_length_mismatch(self):
-        with pytest.raises(UsageError, match="match"):
-            log_capital([0.5], [0.2, 0.3])
-
-    @given(st.lists(st.tuples(ratios_st, moves_st), min_size=1, max_size=50))
-    def test_matches_product_form(self, pairs):
-        ratios = [a for a, _ in pairs]
-        moves = [x for _, x in pairs]
-        product = math.prod(1.0 + a * x for a, x in pairs)
-        assert log_capital(ratios, moves) == pytest.approx(math.log(product), abs=1e-10)
-
-
 class TestMovementSeries:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             MovementSeries(np.array([0.0, 1.2]))
+
+    @pytest.mark.parametrize("x", [1.0001, -2.0, float("nan")])
+    def test_rejects_bad_movement(self, x):
+        with pytest.raises(DomainError, match="movement"):
+            MovementSeries(np.array([0.1, x]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
@@ -126,13 +59,19 @@ class TestRunGame:
         expected = -0.0025031302181185294
         assert res.final_log_capital == pytest.approx(expected, abs=1e-12)
         assert res.final_log_capital == pytest.approx(
-            log_capital(res.ratios, ms), abs=1e-12
+            float(np.log1p(res.ratios * ms.values).sum()), abs=1e-12
         )
 
-    def test_out_of_range_ratio_names_round(self):
+    def test_short_bet(self):
+        # alpha = -0.5 against x = 1 halves the capital, as 1 + alpha * x says.
+        res = run_game(lambda n, past: -0.5, MovementSeries(np.array([1.0])), warmup=0)
+        assert res.final_log_capital == pytest.approx(math.log(0.5), abs=1e-15)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, -1.0, float("nan")])
+    def test_out_of_range_ratio_names_round(self, alpha):
         ms = MovementSeries(np.array([0.1, 0.1, 0.1]))
         with pytest.raises(StrategyViolationError, match="round 2"):
-            run_game(lambda n, past: 1.5 if n == 2 else 0.0, ms, warmup=0)
+            run_game(lambda n, past: alpha if n == 2 else 0.0, ms, warmup=0)
 
     def test_series_not_longer_than_warmup(self):
         with pytest.raises(UsageError):
@@ -178,6 +117,8 @@ class TestRunGame:
             prev = res.log_capital_path[i]
         # capital stays positive for any admissible inputs
         assert np.all(np.isfinite(res.log_capital_path))
+        product = math.prod(1.0 + a * x for a, x in pairs)
+        assert res.final_log_capital == pytest.approx(math.log(product), abs=1e-10)
 
 
 class TestCheckpoints:

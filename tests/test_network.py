@@ -7,41 +7,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient, random_instance, relative_error
+from conftest import (
+    fd_gradient,
+    input_window,
+    random_instance,
+    relative_error,
+    squared_error_gradient,
+)
 from seqbet.errors import UsageError
 from seqbet.network import (
     AnnealingSchedule,
     NetworkConfig,
     NetworkWeights,
+    _batch_forward,
     forward,
-    input_window,
     log_wealth,
     log_wealth_gradient,
-    squared_error_gradient,
     window_matrix,
 )
+from seqbet.sosnn import SosnnConfig, optimize_weights
 
 # Frozen oracle values (direct double-precision evaluation).
 TANH_TANH_10 = 0.7615941542245017
 LOG1P_TANH_TANH_10 = 0.5662191685341907
 
 
+def hidden_outputs(window, weights):
+    """The hidden layer's outputs on one window, from the batched forward pass."""
+    u = np.asarray(window, dtype=float)[None, None]
+    hidden, _ = _batch_forward(
+        u, weights.hidden_weights[None].mT, weights.output_weights[None, None].mT
+    )
+    return hidden[0, 0]
+
+
 class TestForward:
     def test_zero_weights_zero_output(self, rng):
         w = NetworkWeights.zeros(NetworkConfig(3, 4))
-        trace = forward(rng.uniform(-1, 1, 3), w)
-        assert trace.output == 0.0
-        assert np.array_equal(trace.hidden_outputs, np.zeros(4))
+        window = rng.uniform(-1, 1, 3)
+        assert forward(window, w) == 0.0
+        assert np.array_equal(hidden_outputs(window, w), np.zeros(4))
 
     def test_zero_input(self):
         w = NetworkWeights([[1.0]], [1.0])
-        assert forward([0.0], w).output == 0.0
+        assert forward([0.0], w) == 0.0
 
     def test_tanh_composition(self):
         w = NetworkWeights([[10.0]], [1.0])
-        trace = forward([1.0], w)
-        assert trace.output == pytest.approx(TANH_TANH_10, abs=1e-12)
-        assert trace.hidden_outputs[0] == pytest.approx(math.tanh(10.0), abs=1e-15)
+        assert forward([1.0], w) == pytest.approx(TANH_TANH_10, abs=1e-12)
+        assert hidden_outputs([1.0], w)[0] == pytest.approx(math.tanh(10.0), abs=1e-15)
 
     def test_dimension_mismatch(self):
         w = NetworkWeights.zeros(NetworkConfig(2, 3))
@@ -58,12 +72,12 @@ class TestForward:
     def test_output_strictly_inside_unit_interval(self, lin, hid, scale, seed):
         rng = np.random.default_rng(seed)
         w = NetworkWeights.uniform(NetworkConfig(lin, hid), max(abs(scale), 1e-3), rng)
-        out = forward(rng.uniform(-1, 1, lin), w).output
+        out = forward(rng.uniform(-1, 1, lin), w)
         assert -1.0 < out < 1.0
 
     def test_saturated_output_stays_inside(self):
         w = NetworkWeights([[1000.0]], [1000.0])
-        assert abs(forward([1.0], w).output) < 1.0
+        assert abs(forward([1.0], w)) < 1.0
 
 
 class TestWindows:
@@ -85,85 +99,106 @@ class TestWindows:
 
 class TestLogWealth:
     def test_zero_weights(self, rng):
-        _, _, history = random_instance(rng, input_count=2, hidden_count=2)
+        _, _, windows, moves = random_instance(rng, input_count=2, hidden_count=2)
         w = NetworkWeights.zeros(NetworkConfig(2, 2))
-        assert log_wealth(w, history) == 0.0
+        assert log_wealth(w, windows, moves) == 0.0
 
-    def test_single_pair_composition(self):
+    def test_single_round_composition(self):
         w = NetworkWeights([[10.0]], [1.0])
-        value = log_wealth(w, [(np.array([1.0]), 1.0)])
+        value = log_wealth(w, [[1.0]], [1.0])
         assert value == pytest.approx(LOG1P_TANH_TANH_10, abs=1e-12)
 
     def test_zero_movements_give_zero(self, rng):
-        config, weights, _ = random_instance(rng)
-        history = [(rng.uniform(-1, 1, config.input_count), 0.0) for _ in range(8)]
-        assert log_wealth(weights, history) == 0.0
+        config, weights, _, _ = random_instance(rng)
+        windows = rng.uniform(-1, 1, (8, config.input_count))
+        assert log_wealth(weights, windows, np.zeros(8)) == 0.0
+
+    def test_column_of_moves_is_one_asset(self, rng):
+        _, weights, windows, moves = random_instance(rng)
+        assert log_wealth(weights, windows, moves[:, None]) == log_wealth(weights, windows, moves)
 
     def test_history_validation(self):
         w = NetworkWeights.zeros(NetworkConfig(1, 2))
-        for history in (
-            [(np.array([0.1]), 1.5)],
-            [(np.array([0.1]), np.nan)],
-            [(np.array([np.nan]), 0.1)],
-            [(np.array([0.1, 0.2]), 0.1)],
+        config = SosnnConfig(net=w.config)
+        bad_matrices = (
+            ([[0.1]], [1.5]),  # movement out of range
+            ([[0.1]], [np.nan]),
+            ([[np.nan]], [0.1]),
+            ([[0.1, 0.2]], [0.1]),  # window wider than the input layer
+        )
+        for windows, moves in bad_matrices:
+            with pytest.raises(UsageError):
+                log_wealth(w, windows, moves)
+            with pytest.raises(UsageError):
+                log_wealth_gradient(w, windows, moves)
+        bad_pairs = (
             [([0.1], 0.1), ([0.1, 0.2], 0.1)],  # ragged windows
             [([0.1], "up")],  # non-numeric movement
-        ):
+            [([0.1], 0.1, 0.2)],  # not a pair
+        )
+        for history in bad_pairs + tuple(list(zip(*m)) for m in bad_matrices):
             with pytest.raises(UsageError):
-                log_wealth(w, history)
+                optimize_weights(history, config, w)
+
+    def test_rows_must_match(self):
+        w = NetworkWeights.zeros(NetworkConfig(1, 2))
+        with pytest.raises(UsageError, match="movements"):
+            log_wealth(w, [[0.1], [0.2]], [0.1])
 
 
 class TestLogWealthGradient:
     def test_zero_weights_stationary(self, rng):
-        config, _, history = random_instance(rng)
+        config, _, windows, moves = random_instance(rng)
         zeros = NetworkWeights.zeros(config)
-        grad = log_wealth_gradient(zeros, history)
-        assert np.abs(grad.hidden_weights).max() < 1e-15
-        assert np.abs(grad.output_weights).max() < 1e-15
+        grad_hidden, grad_out = log_wealth_gradient(zeros, windows, moves)
+        assert np.abs(grad_hidden).max() < 1e-15
+        assert np.abs(grad_out).max() < 1e-15
 
     def test_zero_movements_stationary(self, rng):
-        config, weights, _ = random_instance(rng)
-        history = [(rng.uniform(-1, 1, config.input_count), 0.0) for _ in range(6)]
-        grad = log_wealth_gradient(weights, history)
-        assert np.abs(grad.hidden_weights).max() == 0.0
-        assert np.abs(grad.output_weights).max() == 0.0
+        config, weights, _, _ = random_instance(rng)
+        windows = rng.uniform(-1, 1, (6, config.input_count))
+        grad_hidden, grad_out = log_wealth_gradient(weights, windows, np.zeros(6))
+        assert np.abs(grad_hidden).max() == 0.0
+        assert np.abs(grad_out).max() == 0.0
 
     def test_matches_finite_differences(self, rng):
         for _ in range(20):
-            config, weights, history = random_instance(rng)
+            config, weights, windows, moves = random_instance(rng)
 
             def objective(hidden, output):
-                return log_wealth(NetworkWeights(hidden, output), history)
+                return log_wealth(NetworkWeights(hidden, output), windows, moves)
 
-            grad = log_wealth_gradient(weights, history)
+            grad_hidden, grad_out = log_wealth_gradient(weights, windows, moves)
             fd_hidden, fd_output = fd_gradient(
                 objective, [weights.hidden_weights, weights.output_weights]
             )
-            assert relative_error(grad.hidden_weights, fd_hidden).max() < 1e-5
-            assert relative_error(grad.output_weights, fd_output).max() < 1e-5
+            assert relative_error(grad_hidden, fd_hidden).max() < 1e-5
+            assert relative_error(grad_out, fd_output).max() < 1e-5
 
-    def test_delta_shapes(self, rng):
-        config, weights, history = random_instance(rng, 2, 3, history_len=7)
-        grad = log_wealth_gradient(weights, history)
-        assert grad.output_deltas.shape == (7,)
-        assert grad.hidden_deltas.shape == (7, 3)
+    def test_gradient_in_the_weights_shapes(self, rng):
+        config, weights, windows, moves = random_instance(rng, 2, 3, history_len=7)
+        grad_hidden, grad_out = log_wealth_gradient(weights, windows, moves)
+        assert grad_hidden.shape == (3, 2)
+        assert grad_out.shape == (3,)
 
 
 class TestSquaredErrorGradient:
+    """The scalar reference that `nnbp.train_replicates` inlines."""
+
     def test_output_at_target_is_stationary(self):
         w = NetworkWeights.zeros(NetworkConfig(2, 2))
-        grad = squared_error_gradient(w, [0.3, -0.4], 0)
-        assert np.abs(grad.hidden_weights).max() == 0.0
-        assert np.abs(grad.output_weights).max() == 0.0
+        grad_hidden, grad_out, _ = squared_error_gradient(w, [0.3, -0.4], 0)
+        assert np.abs(grad_hidden).max() == 0.0
+        assert np.abs(grad_out).max() == 0.0
 
     def test_origin_saddle(self):
         # Zero weights, target 1: the output-input slope is -1 but both
         # weight gradients vanish, which is what motivates random inits.
         w = NetworkWeights.zeros(NetworkConfig(2, 3))
-        grad = squared_error_gradient(w, [0.5, -0.5], 1)
-        assert grad.output_deltas[0] == -1.0
-        assert np.abs(grad.hidden_weights).max() == 0.0
-        assert np.abs(grad.output_weights).max() == 0.0
+        grad_hidden, grad_out, out_delta = squared_error_gradient(w, [0.5, -0.5], 1)
+        assert out_delta == -1.0
+        assert np.abs(grad_hidden).max() == 0.0
+        assert np.abs(grad_out).max() == 0.0
 
     def test_rejects_bad_target(self):
         w = NetworkWeights.zeros(NetworkConfig(1, 1))
@@ -172,20 +207,20 @@ class TestSquaredErrorGradient:
 
     def test_matches_finite_differences(self, rng):
         for _ in range(20):
-            config, weights, _ = random_instance(rng, 2, 2, history_len=0)
+            config, weights, _, _ = random_instance(rng, 2, 2, history_len=0)
             window = rng.uniform(-1, 1, 2)
             target = int(rng.integers(-1, 2))
 
             def error(hidden, output):
-                out = forward(window, NetworkWeights(hidden, output)).output
+                out = forward(window, NetworkWeights(hidden, output))
                 return 0.5 * (target - out) ** 2
 
-            grad = squared_error_gradient(weights, window, target)
+            grad_hidden, grad_out, _ = squared_error_gradient(weights, window, target)
             fd_hidden, fd_output = fd_gradient(
                 error, [weights.hidden_weights, weights.output_weights]
             )
-            assert relative_error(grad.hidden_weights, fd_hidden).max() < 1e-5
-            assert relative_error(grad.output_weights, fd_output).max() < 1e-5
+            assert relative_error(grad_hidden, fd_hidden).max() < 1e-5
+            assert relative_error(grad_out, fd_output).max() < 1e-5
 
 
 class TestAnnealingSchedule:

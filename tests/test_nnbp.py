@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import input_window, squared_error_gradient
 from seqbet.errors import UsageError
 from seqbet.game import MovementSeries, clamp_ratio
-from seqbet.network import (
-    NetworkConfig,
-    NetworkWeights,
-    forward,
-    input_window,
-    squared_error_gradient,
-)
+from seqbet.network import NetworkConfig, NetworkWeights, forward
 from seqbet.data import NoiseSpec, gen_ar1, normalize
 from seqbet.nnbp import (
     NnbpConfig,
@@ -52,32 +47,33 @@ class TestSignTarget:
 class TestTrainingError:
     def test_perfect_fit_is_zero(self):
         weights = NetworkWeights.zeros(NetworkConfig(1, 1))
-        assert training_error(weights, [([0.5], 0), ([-0.5], 0)]) == 0.0
+        assert training_error(weights, [[0.5], [-0.5]], [0, 0]) == 0.0
 
     def test_two_sample_substitution(self):
         weights = NetworkWeights.zeros(NetworkConfig(1, 2))
-        assert training_error(weights, [([0.1], 1), ([0.2], -1)]) == 0.5
+        assert training_error(weights, [[0.1], [0.2]], [1, -1]) == 0.5
 
     def test_single_sample_composition(self):
         weights = NetworkWeights([[10.0]], [1.0])
-        err = training_error(weights, [([1.0], 1)])
+        err = training_error(weights, [[1.0]], [1])
         assert err == pytest.approx(HALF_SQ_ERR_TANH10, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
-            training_error(NetworkWeights.zeros(NetworkConfig(1, 1)), [])
+            training_error(NetworkWeights.zeros(NetworkConfig(1, 1)), np.empty((0, 1)), [])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
     def test_invariant_under_reordering(self, seed):
         rng = np.random.default_rng(seed)
         weights = NetworkWeights.uniform(NetworkConfig(2, 2), 0.4, rng)
-        pairs = [
-            (rng.uniform(-1, 1, 2), int(rng.integers(-1, 2))) for _ in range(9)
-        ]
-        shuffled = [pairs[i] for i in rng.permutation(9)]
-        assert training_error(weights, pairs) == pytest.approx(
-            training_error(weights, shuffled), abs=1e-14
+        windows, targets = np.empty((9, 2)), np.empty(9)
+        for k in range(9):
+            windows[k] = rng.uniform(-1, 1, 2)
+            targets[k] = rng.integers(-1, 2)
+        order = rng.permutation(9)
+        assert training_error(weights, windows, targets) == pytest.approx(
+            training_error(weights, windows[order], targets[order]), abs=1e-14
         )
 
 
@@ -101,8 +97,8 @@ class TestTrain:
         assert diag.steps_used <= config.max_steps
         # Independent check of the fitted sign mapping on every input: the
         # movement after +0.9 is -0.9 and vice versa.
-        up = forward([0.9], weights).output
-        down = forward([-0.9], weights).output
+        up = forward([0.9], weights)
+        down = forward([-0.9], weights)
         assert up < -0.8 and down > 0.8
 
     def test_determinism(self):
@@ -123,13 +119,9 @@ class TestTrain:
         rng = np.random.default_rng(5)
         init = NetworkWeights.uniform(config.net, 0.1, rng)
         weights, diag = train(series, config, init=init)
-        grad = squared_error_gradient(init, [0.5], -1)
-        np.testing.assert_array_equal(
-            weights.hidden_weights, init.hidden_weights - 0.25 * grad.hidden_weights
-        )
-        np.testing.assert_array_equal(
-            weights.output_weights, init.output_weights - 0.25 * grad.output_weights
-        )
+        grad_hidden, grad_out, _ = squared_error_gradient(init, [0.5], -1)
+        np.testing.assert_array_equal(weights.hidden_weights, init.hidden_weights - 0.25 * grad_hidden)
+        np.testing.assert_array_equal(weights.output_weights, init.output_weights - 0.25 * grad_out)
         assert diag.steps_used == 1
 
     def test_diagnostics_shape_and_flags(self):
@@ -206,7 +198,7 @@ class TestRunNnbp:
         xs = rng.uniform(-1, 1, 40)
         res = run_nnbp(weights, MovementSeries(xs), warmup=5)
         expected = [0.0] * 5 + [
-            clamp_ratio(forward(input_window(xs, n, 3), weights).output) for n in range(6, 41)
+            clamp_ratio(forward(input_window(xs, n, 3), weights)) for n in range(6, 41)
         ]
         assert res.ratios.tobytes() == np.array(expected).tobytes()
 

@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 
 from conftest import fd_gradient, relative_error
 from seqbet.data import NoiseSpec, gen_ar1, normalize
-from seqbet.errors import StrategyViolationError, UsageError
-from seqbet.network import NetworkConfig, NetworkWeights, forward, window_matrix
+from seqbet.errors import UsageError
+from seqbet.network import (
+    NetworkConfig,
+    NetworkWeights,
+    forward,
+    log_wealth,
+    log_wealth_gradient,
+    window_matrix,
+)
 from seqbet.portfolio import (
     PortfolioWeights,
-    capital_step_portfolio,
     forward_portfolio,
-    log_wealth_gradient_portfolio,
-    log_wealth_portfolio,
     rescale_exposure,
     run_sosnn_portfolio,
 )
@@ -34,7 +38,7 @@ class TestForwardPortfolio:
         single = NetworkWeights.uniform(config, 0.5, np.random.default_rng(12))
         multi = PortfolioWeights(single.hidden_weights, single.output_weights[None, :])
         window = rng.uniform(-1, 1, 2)
-        assert forward_portfolio(window, multi)[0] == forward(window, single).output
+        assert forward_portfolio(window, multi)[0] == forward(window, single)
 
     def test_identical_rows_identical_outputs(self, rng):
         hidden = rng.uniform(-0.5, 0.5, (3, 2))
@@ -49,24 +53,7 @@ class TestForwardPortfolio:
             forward_portfolio([0.1, 0.2, 0.3], w)
 
 
-class TestCapitalStep:
-    def test_zero_ratios_leave_capital(self):
-        assert capital_step_portfolio(3.0, [0.0, 0.0], [1.0, -1.0]) == 3.0
-
-    def test_direct_substitution(self):
-        value = capital_step_portfolio(1.0, [0.3, -0.2], [1.0, 1.0])
-        assert value == pytest.approx(1.1, rel=1e-15)
-
-    def test_exposure_bound_enforced(self):
-        with pytest.raises(StrategyViolationError, match="exposure"):
-            capital_step_portfolio(1.0, [0.5, 0.5], [-1.0, -1.0])
-
-    def test_movement_bound(self):
-        with pytest.raises(UsageError):
-            capital_step_portfolio(1.0, [0.1, 0.1], [1.5, 0.0])
-        with pytest.raises(UsageError):
-            capital_step_portfolio(1.0, [0.1, 0.1], [np.nan, 0.0])
-
+class TestSolvency:
     @given(
         st.integers(1, 5),
         st.integers(0, 2**32 - 1),
@@ -78,7 +65,7 @@ class TestCapitalStep:
         ratios = rescale_exposure(raw)
         x = rng.uniform(-1, 1, assets)
         assert np.abs(ratios).sum() < 1.0
-        assert capital_step_portfolio(1.0, ratios, x) > 0.0
+        assert 1.0 + ratios @ x > 0.0
 
 
 class TestRescale:
@@ -101,15 +88,16 @@ class TestPortfolioGradient:
             w = PortfolioWeights(
                 rng.uniform(-0.1, 0.1, (hid, lin)), rng.uniform(-0.1, 0.1, (assets, hid))
             )
-            history = [
-                (rng.uniform(-1, 1, lin), rng.uniform(-0.5, 0.5, assets))
-                for _ in range(8)
-            ]
+            windows, moves = np.empty((8, lin)), np.empty((8, assets))
+            for k in range(8):
+                windows[k] = rng.uniform(-1, 1, lin)
+                moves[k] = rng.uniform(-0.5, 0.5, assets)
 
             def objective(hidden, output):
-                return log_wealth_portfolio(PortfolioWeights(hidden, output), history)
+                return log_wealth(PortfolioWeights(hidden, output), windows, moves)
 
-            grad_hidden, grad_out = log_wealth_gradient_portfolio(w, history)
+            grad_hidden, grad_out = log_wealth_gradient(w, windows, moves)
+            assert grad_out.shape == (assets, hid)
             fd_hidden, fd_out = fd_gradient(
                 objective, [w.hidden_weights, w.output_weights]
             )
@@ -117,15 +105,15 @@ class TestPortfolioGradient:
             assert relative_error(grad_out, fd_out).max() < 1e-5
 
     def test_single_asset_value_matches_network_objective(self, rng):
-        from seqbet.network import log_wealth
-
         config = NetworkConfig(2, 3)
         single = NetworkWeights.uniform(config, 0.3, np.random.default_rng(4))
         multi = PortfolioWeights(single.hidden_weights, single.output_weights[None, :])
-        history = [(rng.uniform(-1, 1, 2), float(rng.uniform(-1, 1))) for _ in range(9)]
-        panel_history = [(w, np.array([x])) for w, x in history]
-        assert log_wealth_portfolio(multi, panel_history) == pytest.approx(
-            log_wealth(single, history), abs=1e-14
+        windows, moves = np.empty((9, 2)), np.empty(9)
+        for k in range(9):
+            windows[k] = rng.uniform(-1, 1, 2)
+            moves[k] = rng.uniform(-1, 1)
+        assert log_wealth(multi, windows, moves[:, None]) == pytest.approx(
+            log_wealth(single, windows, moves), abs=1e-14
         )
 
 
@@ -152,6 +140,9 @@ class TestRunPortfolio:
         assert np.isfinite(res.log_capital_path).all()
         # warmup rows bet nothing
         assert not res.ratios[:5].any()
+        # each round's capital update is log1p of the exposure-weighted move
+        steps = [math.log1p(float(r @ x)) for r, x in zip(res.ratios, panel)]
+        np.testing.assert_allclose(np.diff(res.log_capital_path, prepend=0.0), steps, atol=1e-12)
 
     def test_deterministic(self):
         panel = np.column_stack(
@@ -288,10 +279,8 @@ def _reference_ascent(windows, moves, config, init):
     Also returns how many distinct points it scored and how many steps it
     halved.
     """
-    history = list(zip(windows, moves))
-
     def score(hidden, out):
-        return log_wealth_portfolio(PortfolioWeights(hidden, out), history)
+        return log_wealth(PortfolioWeights(hidden, out), windows, moves)
 
     hidden, out = init.hidden_weights.copy(), init.output_weights.copy()
     points = halvings = 0
@@ -306,7 +295,7 @@ def _reference_ascent(windows, moves, config, init):
         if value > best_value:
             best, best_value = (hidden, out), value
         weights = PortfolioWeights(hidden, out)
-        grad_hidden, grad_out = log_wealth_gradient_portfolio(weights, history)
+        grad_hidden, grad_out = log_wealth_gradient(weights, windows, moves)
         norm = float(max(np.abs(grad_hidden).max(), np.abs(grad_out).max()))
         rate = config.schedule.rate(step)
         step_hidden, step_out = rate * grad_hidden, rate * grad_out

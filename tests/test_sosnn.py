@@ -37,6 +37,11 @@ def ar1_history(n, seed, lin):
     ]
 
 
+def matrices(history):
+    """The K x L windows and K movements of (window, movement) pairs."""
+    return np.array([w for w, _ in history]), np.array([x for _, x in history])
+
+
 class TestOptimizeWeights:
     def test_zero_movement_history_returns_init(self, rng):
         config = small_config(2, 2)
@@ -74,7 +79,7 @@ class TestOptimizeWeights:
         history = ar1_history(30, seed=11, lin=1)
         init = NetworkWeights.uniform(config.net, 0.1, np.random.default_rng(3))
         weights, report = optimize_weights(history, config, init)
-        achieved = log_wealth(weights, history)
+        achieved = log_wealth(weights, *matrices(history))
 
         grid = np.linspace(-2.0, 2.0, 101)
         windows = np.array([w[0] for w, _ in history])
@@ -95,7 +100,8 @@ class TestOptimizeWeights:
                 (rng.uniform(-1, 1, 2), float(rng.uniform(-1, 1))) for _ in range(25)
             ]
             weights, report = optimize_weights(history, config, init)
-            assert log_wealth(weights, history) >= log_wealth(init, history) - 1e-9
+            windows, moves = matrices(history)
+            assert log_wealth(weights, windows, moves) >= log_wealth(init, windows, moves) - 1e-9
             assert report.iterations <= config.max_iterations
 
     def test_report_objective_matches_returned_weights(self, rng):
@@ -103,31 +109,34 @@ class TestOptimizeWeights:
         history = ar1_history(20, seed=2, lin=1)
         init = NetworkWeights.uniform(config.net, 0.1, rng)
         weights, report = optimize_weights(history, config, init)
-        assert report.objective == pytest.approx(log_wealth(weights, history), abs=1e-12)
+        assert report.objective == pytest.approx(
+            log_wealth(weights, *matrices(history)), abs=1e-12
+        )
 
 
 def reference_ascent(history, config, init):
     """The annealed ascent written plainly: separate weight arrays, the public
     gradient, and the stop rule max|rate * g| < tol on the applied increment."""
+    windows, moves = matrices(history)
     w_hidden = init.hidden_weights.copy()
     w_out = init.output_weights.copy()
     best_value, best = -np.inf, None
     iterations = 0
     for step in range(config.max_iterations):
         weights = NetworkWeights(w_hidden, w_out)
-        value = log_wealth(weights, history)
-        grad = log_wealth_gradient(weights, history)
+        value = log_wealth(weights, windows, moves)
+        grad_hidden, grad_out = log_wealth_gradient(weights, windows, moves)
         if value > best_value:
             best_value, best = value, (w_hidden.copy(), w_out.copy())
         rate = config.schedule.rate(step)
-        inc_hidden = rate * grad.hidden_weights
-        inc_out = rate * grad.output_weights
+        inc_hidden = rate * grad_hidden
+        inc_out = rate * grad_out
         w_hidden = w_hidden + inc_hidden
         w_out = w_out + inc_out
         iterations = step + 1
         if max(np.abs(inc_hidden).max(), np.abs(inc_out).max()) < config.weight_tolerance:
             break
-    if log_wealth(NetworkWeights(w_hidden, w_out), history) > best_value:
+    if log_wealth(NetworkWeights(w_hidden, w_out), windows, moves) > best_value:
         best = (w_hidden, w_out)
     return best, iterations
 
