@@ -76,7 +76,7 @@ def gen_arma21(
     return out
 
 
-def normalize(raw: Sequence[float], rule_source: Sequence[float] | None = None, label: str = "") -> MovementSeries:
+def normalize(raw: Sequence[float], rule_source: Sequence[float] | None = None) -> MovementSeries:
     """Scale movements by the largest absolute movement of `rule_source`, then clamp.
 
     With `rule_source` omitted the series is its own reference, so its extreme
@@ -88,7 +88,7 @@ def normalize(raw: Sequence[float], rule_source: Sequence[float] | None = None, 
     reference_max = float(np.abs(src).max()) if src.size else 0.0
     if reference_max == 0.0 or not np.isfinite(reference_max):
         raise DataError("normalization reference window has no nonzero movement")
-    return MovementSeries(np.clip(raw / reference_max, -1.0, 1.0), label=label)
+    return MovementSeries(np.clip(raw / reference_max, -1.0, 1.0))
 
 
 @dataclass

@@ -2,10 +2,19 @@
 
 `simulate` runs the selected strategies on generated series, `backtest` on a
 price file with date-windowed normalization, `compare` merges the summary
-tables of finished runs. Every emitted number is a pure function of the
-configuration and seed: replicate and strategy seeds derive from the base
-seed through numpy SeedSequence, tasks are written in a fixed order, and
-floats are formatted with a fixed spec, so reruns are byte-identical.
+tables of finished runs.
+
+The parent process builds every replicate's normalized series once,
+before the output directory is touched. A task is one grid cell with all
+its replicates: it runs the cell on those series and returns one
+`CellSummary`, which holds the cell's means and each replicate's run (or
+the reason it failed). The parent writes every artifact from these
+summaries, in cell order.
+
+Every emitted number is a pure function of the configuration and seed:
+replicate and strategy seeds derive from the base seed through numpy
+SeedSequence, artifacts are written in a fixed order, and floats are
+formatted with a fixed spec, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -33,12 +42,12 @@ from .data import (
     write_movements,
 )
 from .errors import ConfigError, SeqbetError, UsageError
-from .game import MovementSeries, checkpoint_rounds
+from .game import MovementSeries, StrategyRunResult, checkpoint_rounds
 from .markov import MarkovOrder, run_mkv
 from .network import AnnealingSchedule, NetworkConfig
 # Tasks call the replicate-stack entry points. The one-replicate `run_sosnn`
 # and `train` stay importable here because perfbench patches these names.
-from .nnbp import NnbpConfig, run_nnbp, train, train_replicates  # noqa: F401
+from .nnbp import NnbpConfig, TrainingDiagnostics, run_nnbp, train, train_replicates  # noqa: F401
 from .sosnn import SosnnConfig, run_sosnn, run_sosnn_replicates  # noqa: F401
 
 STRATEGY_NAMES = ("sosnn", "nnbp", "mkv0", "mkv1", "mkv2")
@@ -358,135 +367,30 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
 @dataclass
 class TaskSpec:
-    """Everything one worker needs to run one cell over all its replicates.
-
-    `configs` and `series` hold one entry per replicate. A series is either
-    a normalized array (backtest) or the recipe (generator, length, seed)
-    the worker generates it from (simulate).
-    """
+    """Everything one worker needs to run one cell over all its replicates:
+    per replicate, its strategy config and its normalized series."""
 
     label: str
     warmup: int
     configs: list[SosnnConfig | NnbpConfig | MarkovOrder]
-    series: list[np.ndarray | tuple[str, int, int]]
-    training: list[np.ndarray | tuple[str, int, int]] | None = None  # nnbp only
+    series: list[MovementSeries]
+    training: list[MovementSeries] | None  # nnbp only
 
 
-@dataclass
-class TaskResult:
-    """One (cell, replicate) outcome; `seconds` is the replicate's equal
-    share of its cell task's wall time."""
-
-    label: str
-    replicate: int
-    ok: bool
-    reason: str = ""
-    ratios: np.ndarray | None = None
-    log_capital_path: np.ndarray | None = None
-    checkpoints: dict[int, float] | None = None
-    mean_iterations: float | None = None
-    converged_fraction: float | None = None
-    training_error: float | None = None
-    error_per_epoch: list[float] | None = None
-    per_day_error: np.ndarray | None = None
-    seconds: float = 0.0
-
-
-def _series(series, label: str) -> MovementSeries:
-    if isinstance(series, np.ndarray):
-        return MovementSeries(series, label=label)
-    generator, length, seed = series
-    gen = gen_ar1 if generator == "ar1" else gen_arma21
-    return normalize(gen(length, NoiseSpec(seed=seed)), label=f"{generator} {label}")
-
-
-def _run_cell(spec: TaskSpec) -> list:
-    """Per replicate, its run and the extra TaskResult fields, or the
-    `SeqbetError` that failed it."""
-    movements = [_series(s, f"rep{r}") for r, s in enumerate(spec.series)]
-    config = spec.configs[0]
-    if isinstance(config, SosnnConfig):
-        outcomes = []
-        for run in run_sosnn_replicates(movements, spec.configs):
-            if isinstance(run, SeqbetError):
-                outcomes.append(run)
-                continue
-            iters = [d.iterations for d in run.diagnostics]
-            conv = [d.converged for d in run.diagnostics]
-            outcomes.append((run, dict(
-                mean_iterations=float(np.mean(iters)) if iters else 0.0,
-                converged_fraction=float(np.mean(conv)) if conv else 1.0,
-            )))
-        return outcomes
-    if isinstance(config, NnbpConfig):
-        training = [_series(s, f"training rep{r}") for r, s in enumerate(spec.training)]
-        fits = train_replicates(training, spec.configs)
-
-        def play(r):
-            weights, diag = fits[r]
-            return run_nnbp(weights, movements[r], spec.warmup), dict(
-                training_error=diag.final_error,
-                error_per_epoch=diag.error_per_epoch,
-                per_day_error=diag.per_day_error,
-            )
-    else:
-
-        def play(r):
-            return run_mkv(movements[r], config, spec.warmup), {}
-
-    outcomes = []
-    for r in range(len(movements)):
-        try:
-            outcomes.append(play(r))
-        except SeqbetError as exc:
-            outcomes.append(exc)
-    return outcomes
-
-
-def _run_task(spec: TaskSpec) -> list[TaskResult]:
-    """Run one cell over all its replicates; one TaskResult per replicate.
-
-    A failure that hits the whole cell (bad data, an invalid config) fails
-    every replicate with the same reason; one inside a replicate's own run,
-    such as a SOSNN refit that turns non-finite, fails only that replicate.
-    """
-    start = time.monotonic()
-    try:
-        outcomes = _run_cell(spec)
-    except SeqbetError as exc:
-        outcomes = [exc] * len(spec.configs)
-    results = []
-    for r, outcome in enumerate(outcomes):
-        if isinstance(outcome, SeqbetError):
-            results.append(TaskResult(spec.label, r, False, reason=str(outcome)))
-            continue
-        run, extra = outcome
-        results.append(TaskResult(
-            spec.label, r, True,
-            ratios=run.ratios, log_capital_path=run.log_capital_path,
-            checkpoints=run.checkpoints, **extra,
-        ))
-    share = (time.monotonic() - start) / len(results)
-    for result in results:
-        result.seconds = share
-    return results
-
-
-def _execute(specs: list[TaskSpec], jobs: int) -> list[TaskResult]:
-    if jobs <= 1 or len(specs) <= 1:
-        cells = [_run_task(spec) for spec in specs]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_task, specs, chunksize=1))
-    return [result for cell in cells for result in cell]
-
-
-# ---------------------------------------------------------------------------
-# Artifact writing
+# Per replicate: its run with its NNBP training diagnostics (None for the
+# other strategies), or the reason it failed.
+Replicate = tuple[StrategyRunResult, TrainingDiagnostics | None] | str
 
 
 @dataclass
 class CellSummary:
+    """One cell over all its replicates, as its task returns it.
+
+    The cell is ok when every replicate is, else it carries the first
+    replicate's failure. Its means are taken per replicate first, then over
+    the replicates in order; `seconds` is the task's wall time.
+    """
+
     label: str
     ok: bool
     reason: str
@@ -495,6 +399,77 @@ class CellSummary:
     converged_fraction: float | None
     training_error: float | None
     seconds: float
+    replicates: list[Replicate] = field(repr=False)
+
+
+def _run_cell(spec: TaskSpec) -> list[Replicate]:
+    """Run the cell's strategy on every replicate."""
+    config = spec.configs[0]
+    if isinstance(config, SosnnConfig):
+        runs = run_sosnn_replicates(spec.series, spec.configs)
+        return [str(run) if isinstance(run, SeqbetError) else (run, None) for run in runs]
+    if isinstance(config, NnbpConfig):
+        fits = train_replicates(spec.training, spec.configs)
+
+        def play(r):
+            weights, diag = fits[r]
+            return run_nnbp(weights, spec.series[r], spec.warmup), diag
+    else:
+
+        def play(r):
+            return run_mkv(spec.series[r], config, spec.warmup), None
+
+    outcomes = []
+    for r in range(len(spec.series)):
+        try:
+            outcomes.append(play(r))
+        except SeqbetError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def _mean(values: list[float]) -> float | None:
+    return float(np.mean(values)) if values else None
+
+
+def _run_task(spec: TaskSpec) -> CellSummary:
+    """Run one cell over all its replicates and summarize it.
+
+    A failure that hits the whole cell (bad data, an invalid config) fails
+    every replicate with the same reason; one inside a replicate's own run,
+    such as a SOSNN refit that turns non-finite, fails only that replicate.
+    """
+    start = time.monotonic()
+    try:
+        replicates = _run_cell(spec)
+    except SeqbetError as exc:
+        replicates = [str(exc)] * len(spec.configs)
+    failed = [r for r in replicates if isinstance(r, str)]
+    if failed:
+        seconds = time.monotonic() - start
+        return CellSummary(spec.label, False, failed[0], {}, None, None, None, seconds, replicates)
+    runs = [run for run, _ in replicates]
+    refits = [run.diagnostics for run in runs if run.diagnostics is not None]
+    return CellSummary(
+        spec.label, True, "",
+        {c: _mean([run.checkpoints[c] for run in runs]) for c in runs[0].checkpoints},
+        _mean([_mean([d.iterations for d in ds]) if ds else 0.0 for ds in refits]),
+        _mean([_mean([d.converged for d in ds]) if ds else 1.0 for ds in refits]),
+        _mean([diag.final_error for _, diag in replicates if diag is not None]),
+        time.monotonic() - start,
+        replicates,
+    )
+
+
+def _execute(specs: list[TaskSpec], jobs: int) -> list[CellSummary]:
+    if jobs <= 1 or len(specs) <= 1:
+        return [_run_task(spec) for spec in specs]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_run_task, specs, chunksize=1))
+
+
+# ---------------------------------------------------------------------------
+# Artifact writing
 
 
 @dataclass
@@ -522,84 +497,47 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_series(out_dir: Path, result: TaskResult) -> None:
+def _write_series(out_dir: Path, stem: str, run: StrategyRunResult) -> None:
     series_dir = out_dir / "series"
     series_dir.mkdir(parents=True, exist_ok=True)
-    path = series_dir / f"{result.label}__rep{result.replicate}.csv"
     lines = ["round,alpha,log_capital"]
-    for i, (alpha, logk) in enumerate(zip(result.ratios, result.log_capital_path), start=1):
+    for i, (alpha, logk) in enumerate(zip(run.ratios, run.log_capital_path), start=1):
         lines.append(f"{i},{_fmt(alpha)},{_fmt(logk)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (series_dir / f"{stem}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_nnbp_diagnostics(out_dir: Path, result: TaskResult) -> None:
+def _write_nnbp_diagnostics(out_dir: Path, stem: str, diag: TrainingDiagnostics) -> None:
     diag_dir = out_dir / "diagnostics"
     diag_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{result.label}__rep{result.replicate}"
     lines = ["epoch,training_error"]
-    lines += [f"{i},{_fmt(e)}" for i, e in enumerate(result.error_per_epoch, start=1)]
+    lines += [f"{i},{_fmt(e)}" for i, e in enumerate(diag.error_per_epoch, start=1)]
     (diag_dir / f"{stem}__epochs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     lines = ["day,error"]
-    lines += [f"{i},{_fmt(e)}" for i, e in enumerate(result.per_day_error, start=1)]
+    lines += [f"{i},{_fmt(e)}" for i, e in enumerate(diag.per_day_error, start=1)]
     (diag_dir / f"{stem}__days.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _summarize_cells(
-    cells: tuple[Cell, ...],
-    results: dict[tuple[str, int], TaskResult],
-    replicates: int,
-    checkpoints: list[int],
-) -> list[CellSummary]:
-    summaries = []
-    for label, _ in cells:
-        cell_results = [results[(label, r)] for r in range(replicates)]
-        seconds = sum(r.seconds for r in cell_results)
-        failed = [r for r in cell_results if not r.ok]
-        if failed:
-            reason = failed[0].reason
-            summaries.append(CellSummary(label, False, reason, {}, None, None, None, seconds))
-            continue
-        means = {
-            c: float(np.mean([r.checkpoints[c] for r in cell_results])) for c in checkpoints
-        }
-        iters = [r.mean_iterations for r in cell_results if r.mean_iterations is not None]
-        convs = [r.converged_fraction for r in cell_results if r.converged_fraction is not None]
-        errs = [r.training_error for r in cell_results if r.training_error is not None]
-        summaries.append(
-            CellSummary(
-                label, True, "",
-                means,
-                float(np.mean(iters)) if iters else None,
-                float(np.mean(convs)) if convs else None,
-                float(np.mean(errs)) if errs else None,
-                seconds,
-            )
-        )
-    return summaries
-
-
-def _write_tables(
-    out_dir: Path,
-    summaries: list[CellSummary],
-    results: dict[tuple[str, int], TaskResult],
-    replicates: int,
-    checkpoints: list[int],
-) -> None:
-    # Per-replicate checkpoint values, exactly as in the series files.
+def _write_cells(out_dir: Path, cells: list[CellSummary], checkpoints: list[int]) -> None:
+    """Each finished replicate's series (and NNBP diagnostics), then the
+    tables: per-replicate checkpoint values, exactly as in the series files,
+    and the cell summaries."""
     lines = ["cell,replicate,checkpoint,log_capital"]
-    for summary in summaries:
-        for r in range(replicates):
-            result = results[(summary.label, r)]
-            if result.ok:
-                for c in checkpoints:
-                    lines.append(f"{summary.label},{r},{c},{_fmt(result.checkpoints[c])}")
+    for cell in cells:
+        for r, replicate in enumerate(cell.replicates):
+            if isinstance(replicate, str):
+                continue
+            run, diag = replicate
+            _write_series(out_dir, f"{cell.label}__rep{r}", run)
+            if diag is not None:
+                _write_nnbp_diagnostics(out_dir, f"{cell.label}__rep{r}", diag)
+            lines += [f"{cell.label},{r},{c},{_fmt(run.checkpoints[c])}" for c in checkpoints]
     (out_dir / "replicates.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     header = ["cell", "status", "reason"]
     header += [f"logK_{c}" for c in checkpoints]
     header += ["mean_iterations", "converged_fraction", "training_error"]
     lines = [",".join(header)]
-    for s in summaries:
+    for s in cells:
         row = [s.label, "ok" if s.ok else "failed", s.reason.replace(",", ";")]
         row += [_fmt(s.means[c]) if s.ok else "" for c in checkpoints]
         row.append(_fmt(s.mean_iterations) if s.mean_iterations is not None else "")
@@ -608,9 +546,7 @@ def _write_tables(
         lines.append(",".join(row))
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    (out_dir / "summary.txt").write_text(
-        render_table(summaries, checkpoints), encoding="utf-8"
-    )
+    (out_dir / "summary.txt").write_text(render_table(cells, checkpoints), encoding="utf-8")
 
 
 def _rank_flags(values: list[tuple[int, float]]) -> dict[int, str]:
@@ -693,15 +629,32 @@ def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
     """Generate data per replicate, run every selected strategy, emit artifacts."""
     if config.mode != "simulate":
         raise UsageError(f"run_simulate got a {config.mode!r} config")
-    out_dir = Path(out_dir)
-    _clear_artifacts(out_dir)
-    checkpoints = checkpoint_rounds(config.rounds)
-    results = _execute(_task_specs(config), jobs)
-    return _finish_run(config, out_dir, checkpoints, results)
+    return _run(config, Path(out_dir), jobs, *_generated_series(config))
+
+
+def _generated_series(config: ExperimentConfig):
+    """Per replicate, the normalized series it bets on and, for nnbp, the
+    one it trains on, each generated once from its derived data seed.
+
+    A series `normalize` rejects (all zero) raises DataError for the run.
+    """
+    gen = gen_ar1 if config.data.generator == "ar1" else gen_arma21
+
+    def generated(length, role):
+        return [
+            normalize(gen(length, NoiseSpec(seed=derive_seed(config.seed, r, role))))
+            for r in range(config.replicates)
+        ]
+
+    training = None
+    if "nnbp" in config.strategies:
+        training = generated(config.training_rounds, _ROLE_NNBP_DATA)
+    return generated(config.warmup + config.rounds, _ROLE_DATA), training
 
 
 def _backtest_series(config: ExperimentConfig):
-    """Normalized warmup+investing series, training series, and movement dates."""
+    """The normalized warmup+investing series, its movement dates, and the
+    normalized training series (nnbp only)."""
     spec = config.data
     prices = load_prices(spec.price_file)
     raw = movements_from_prices(prices)
@@ -724,67 +677,61 @@ def _backtest_series(config: ExperimentConfig):
         )
     # A flat normalization window (constant prices) raises DataError.
     reference = raw[n_lo:n_hi]
-    invest = normalize(raw[i_lo - config.warmup : i_hi], rule_source=reference).values
+    invest = normalize(raw[i_lo - config.warmup : i_hi], rule_source=reference)
     invest_dates = dates[i_lo - config.warmup : i_hi]
     training = None
     if "nnbp" in config.strategies:
         t_lo, t_hi = window(spec.training)
         if t_lo >= t_hi:
             raise ConfigError("training range selects no movements")
-        training = normalize(raw[t_lo:t_hi], rule_source=reference).values
-    betting_rounds = i_hi - i_lo
-    return invest, invest_dates, training, betting_rounds
+        training = normalize(raw[t_lo:t_hi], rule_source=reference)
+    return invest, invest_dates, training
 
 
 def run_backtest(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
     """Normalize price movements by the reference window, then run strategies."""
     if config.mode != "backtest":
         raise UsageError(f"run_backtest got a {config.mode!r} config")
-    invest, invest_dates, training, betting_rounds = _backtest_series(config)
-    out_dir = Path(out_dir)
-    _clear_artifacts(out_dir)
-    checkpoints = checkpoint_rounds(betting_rounds)
-    results = _execute(_task_specs(config, invest, training), jobs)
-    write_movements(out_dir / "movements.csv", invest_dates, invest)
-    return _finish_run(config, out_dir, checkpoints, results)
+    invest, invest_dates, training = _backtest_series(config)
+    if training is not None:
+        training = [training] * config.replicates
+    report = _run(config, Path(out_dir), jobs, [invest] * config.replicates, training)
+    write_movements(report.out_dir / "movements.csv", invest_dates, invest.values)
+    return report
 
 
-def _task_specs(config, movements=None, training=None) -> list[TaskSpec]:
-    """One TaskSpec per cell, holding every replicate, seeded from the base
-    seed and listed in submission order.
+def _task_specs(config, series, training) -> list[TaskSpec]:
+    """One TaskSpec per cell, holding every replicate's series and its
+    config seeded from the base seed, listed in submission order.
 
-    A backtest passes its shared normalized `movements` and, for nnbp, the
-    `training` movements; without them every replicate's series is
-    generated from its derived data seed. Cells are submitted longest first,
-    so the pool does not end on one long task: NNBP (the most steps per
-    cell), then SOSNN from the largest network down, then MKV. The order
-    never reaches the artifacts, which are written by (cell, replicate).
+    `training` holds the series each nnbp replicate trains on. Cells are
+    submitted longest first, so the pool does not end on one long task:
+    NNBP (the most steps per cell), then SOSNN from the largest network
+    down, then MKV. The order never reaches the artifacts, which are
+    written in cell order.
     """
-    specs = []
-    for label, strategy in config.cells:
-        configs, series, training_series = [], [], None
-        for r in range(config.replicates):
-            if movements is None:
-                length = config.warmup + config.rounds
-                series.append((config.data.generator, length, derive_seed(config.seed, r, _ROLE_DATA)))
-            else:
-                series.append(movements)
-            if isinstance(strategy, SosnnConfig):
-                net = strategy.net
-                seed = derive_seed(config.seed, r, _ROLE_SOSNN, net.input_count, net.hidden_count)
-                configs.append(replace(strategy, seed=seed))
-            elif isinstance(strategy, NnbpConfig):
-                configs.append(replace(strategy, seed=derive_seed(config.seed, r, _ROLE_NNBP_INIT)))
-                training_series = training_series or []
-                if movements is None:
-                    seed = derive_seed(config.seed, r, _ROLE_NNBP_DATA)
-                    training_series.append((config.data.generator, config.training_rounds, seed))
-                else:
-                    training_series.append(training)
-            else:
-                configs.append(strategy)
-        specs.append(TaskSpec(label, config.warmup, configs, series, training_series))
+    specs = [
+        TaskSpec(
+            label,
+            config.warmup,
+            [_replicate_config(config, strategy, r) for r in range(config.replicates)],
+            series,
+            training if isinstance(strategy, NnbpConfig) else None,
+        )
+        for label, strategy in config.cells
+    ]
     return sorted(specs, key=_submission_rank)
+
+
+def _replicate_config(config, strategy, r):
+    """`strategy` with replicate r's seed, derived from the base seed."""
+    if isinstance(strategy, SosnnConfig):
+        net = strategy.net
+        seed = derive_seed(config.seed, r, _ROLE_SOSNN, net.input_count, net.hidden_count)
+        return replace(strategy, seed=seed)
+    if isinstance(strategy, NnbpConfig):
+        return replace(strategy, seed=derive_seed(config.seed, r, _ROLE_NNBP_INIT))
+    return strategy
 
 
 def _submission_rank(spec: TaskSpec) -> tuple[int, int]:
@@ -796,19 +743,16 @@ def _submission_rank(spec: TaskSpec) -> tuple[int, int]:
     return (2, 0)
 
 
-def _finish_run(config, out_dir, checkpoints, results) -> RunReport:
-    results = {(res.label, res.replicate): res for res in results}
-    for label, _ in config.cells:
-        for r in range(config.replicates):
-            result = results[(label, r)]
-            if result.ok:
-                _write_series(out_dir, result)
-                if result.error_per_epoch is not None:
-                    _write_nnbp_diagnostics(out_dir, result)
-    summaries = _summarize_cells(config.cells, results, config.replicates, checkpoints)
-    _write_tables(out_dir, summaries, results, config.replicates, checkpoints)
+def _run(config: ExperimentConfig, out_dir: Path, jobs: int, series, training) -> RunReport:
+    """Run every cell on the per-replicate `series` (and the nnbp replicates'
+    `training` series) and write the artifacts in cell order."""
+    _clear_artifacts(out_dir)
+    checkpoints = checkpoint_rounds(len(series[0]) - config.warmup)
+    done = {cell.label: cell for cell in _execute(_task_specs(config, series, training), jobs)}
+    cells = [done[label] for label, _ in config.cells]
+    _write_cells(out_dir, cells, checkpoints)
     _write_manifest(out_dir, config, checkpoints)
-    return RunReport(out_dir=out_dir, checkpoints=list(checkpoints), cells=summaries)
+    return RunReport(out_dir=out_dir, checkpoints=list(checkpoints), cells=cells)
 
 
 # ---------------------------------------------------------------------------

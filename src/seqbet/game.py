@@ -38,7 +38,6 @@ class MovementSeries:
     """Normalized per-round price movements x_n in [-1, 1], the Market's moves."""
 
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)

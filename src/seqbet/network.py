@@ -124,8 +124,11 @@ class AnnealingSchedule:
             step += 1
 
 
-def _shared_config(configs: Sequence, kind: str):
-    """The config of a replicate stack, whose members may differ only in seed."""
+def _shared_config(configs: Sequence, series: Sequence, kind: str):
+    """The config of a replicate stack, whose members may differ only in
+    seed; one config per replicate series."""
+    if len(configs) != len(series):
+        raise UsageError(f"{len(series)} {kind} replicate series got {len(configs)} configs")
     if not configs:
         raise UsageError(f"a stack of {kind} replicates needs at least one config")
     first = configs[0]

@@ -130,7 +130,7 @@ def train_replicates(
     whose epoch error drops below the threshold stops there, with a shorter
     error record, and leaves the stack.
     """
-    config = _shared_config(configs, "nnbp")
+    config = _shared_config(configs, training, "nnbp")
     if inits is None:
         inits = [
             NetworkWeights.uniform(config.net, config.init_scale, np.random.default_rng(c.seed))
@@ -138,6 +138,8 @@ def train_replicates(
         ]
     else:
         inits = [init.copy() for init in inits]
+    if len(inits) != len(configs):
+        raise UsageError(f"{len(configs)} nnbp replicates got {len(inits)} init weights")
     for init in inits:
         if init.config != config.net:
             raise UsageError(f"init weights are {init.config}, config wants {config.net}")

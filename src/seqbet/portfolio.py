@@ -101,9 +101,7 @@ def _optimize_portfolio(windows, moves, config: SosnnConfig, init: PortfolioWeig
     return PortfolioWeights(w_hidden[0], w_out[0]), report
 
 
-def run_sosnn_portfolio(
-    movements: np.ndarray, config: SosnnConfig, label: str = ""
-) -> StrategyRunResult:
+def run_sosnn_portfolio(movements: np.ndarray, config: SosnnConfig) -> StrategyRunResult:
     """Sequentially optimized betting over a (rounds x assets) movement panel.
 
     Mirrors the single-asset run round for round: shared input windows are

@@ -279,7 +279,7 @@ def run_sosnn_replicates(
     where that would raise `NumericError`, the list holds the error instead
     and the other replicates play on.
     """
-    config = _shared_config(configs, "sosnn")
+    config = _shared_config(configs, movements, "sosnn")
     length = config.net.input_count
     warmup = config.warmup
     if warmup < length:

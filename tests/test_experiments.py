@@ -2,6 +2,7 @@
 
 import datetime
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from seqbet.cli import main
 from seqbet.errors import ConfigError, DataError, UsageError
 from seqbet.experiments import (
+    _generated_series,
     _run_task,
-    _series,
     _task_specs,
     derive_seed,
     parse_config,
@@ -269,6 +270,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(write_config(tmp_path, text))
         assert str(info.value) == f"[nnbp] {rule}"
+
+
+class TestBundledConfigs:
+    @pytest.mark.parametrize(
+        "name, cells",
+        [("ar1.ini", 28), ("arma21.ini", 28), ("backtest_demo.ini", 8)],
+    )
+    def test_parses_with_its_cell_count(self, name, cells):
+        # 3 x 8 SOSNN shapes (2 x 2 in the demo), one NNBP cell and MKV0-2.
+        config = parse_config(Path(__file__).parent.parent / "configs" / name)
+        assert len(config.cells) == cells
 
 
 class TestDeriveSeed:
@@ -612,6 +624,41 @@ class TestFailureMarking:
         assert flagged and all(r.ok for r in flagged)
 
 
+class TestGeneratedSeries:
+    def test_each_series_generated_once(self, tmp_path, monkeypatch):
+        # One call per replicate's betting series and one per NNBP training
+        # series, however many cells bet on them.
+        import seqbet.experiments as exp
+
+        lengths = []
+        gen_ar1 = exp.gen_ar1
+
+        def counted(n, noise):
+            lengths.append(n)
+            return gen_ar1(n, noise)
+
+        monkeypatch.setattr(exp, "gen_ar1", counted)
+        text = TINY_SIM.replace("mkv1, sosnn", "mkv1, sosnn, nnbp")
+        text += "[nnbp]\ninput_count = 2\nhidden_count = 2\ntraining_rounds = 40\n"
+        config = parse_config(write_config(tmp_path, text))
+        report = run_simulate(config, tmp_path / "out")
+        assert len(report.cells) == 4 and all(c.ok for c in report.cells)
+        assert sorted(lengths) == [40, 40, 55, 55]
+
+    def test_rejected_series_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        # An all-zero series has no normalization rule: a data error for the
+        # whole run, raised before the output directory exists.
+        import seqbet.experiments as exp
+
+        monkeypatch.setattr(exp, "gen_ar1", lambda n, noise: np.zeros(n))
+        path = write_config(tmp_path, TINY_SIM)
+        with pytest.raises(DataError, match="no nonzero movement"):
+            run_simulate(parse_config(path), tmp_path / "out")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "no nonzero movement" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestCellTasks:
     """A task is one cell with all its replicates."""
 
@@ -619,17 +666,18 @@ class TestCellTasks:
         config = parse_config(
             write_config(tmp_path, TINY_SIM.replace("replicates = 2", "replicates = 3"))
         )
-        spec = next(s for s in _task_specs(config) if s.label == "sosnn_1x2")
-        results = _run_task(spec)
-        assert [(r.label, r.replicate, r.ok) for r in results] == [
-            ("sosnn_1x2", r, True) for r in range(3)
-        ]
-        for r, result in enumerate(results):
-            alone = run_sosnn(_series(spec.series[r], f"rep{r}"), spec.configs[r])
-            np.testing.assert_array_equal(result.ratios, alone.ratios)
-            np.testing.assert_array_equal(result.log_capital_path, alone.log_capital_path)
-            iters = [d.iterations for d in alone.diagnostics]
-            assert result.mean_iterations == float(np.mean(iters))
+        specs = _task_specs(config, *_generated_series(config))
+        spec = next(s for s in specs if s.label == "sosnn_1x2")
+        cell = _run_task(spec)
+        assert (cell.label, cell.ok, len(cell.replicates)) == ("sosnn_1x2", True, 3)
+        per_replicate = []
+        for r, (run, diag) in enumerate(cell.replicates):
+            alone = run_sosnn(spec.series[r], spec.configs[r])
+            np.testing.assert_array_equal(run.ratios, alone.ratios)
+            np.testing.assert_array_equal(run.log_capital_path, alone.log_capital_path)
+            assert diag is None
+            per_replicate.append(float(np.mean([d.iterations for d in alone.diagnostics])))
+        assert cell.mean_iterations == float(np.mean(per_replicate))
 
     def test_failing_replicate_fails_only_itself(self, tmp_path, monkeypatch):
         # Poison the objective of replicate 1's refit at its 7th history
@@ -641,8 +689,9 @@ class TestCellTasks:
         config = parse_config(
             write_config(tmp_path, TINY_SIM.replace("replicates = 2", "replicates = 3"))
         )
-        spec = next(s for s in _task_specs(config) if s.label == "sosnn_1x2")
-        marker = _series(spec.series[1], "rep1").values[config.warmup]
+        specs = _task_specs(config, *_generated_series(config))
+        spec = next(s for s in specs if s.label == "sosnn_1x2")
+        marker = spec.series[1].values[config.warmup]
         evaluate = sosnn._evaluate
 
         def poisoned(windows, moves, *args):
@@ -651,17 +700,15 @@ class TestCellTasks:
             return values, state
 
         monkeypatch.setattr(sosnn, "_evaluate", poisoned)
-        results = _run_task(spec)
+        cell = _run_task(spec)
         reason = "round 13: non-finite objective or gradient at ascent step 0"
-        assert [(r.replicate, r.ok, r.reason) for r in results] == [
-            (0, True, ""), (1, False, reason), (2, True, "")
-        ]
+        assert (cell.ok, cell.reason, cell.replicates[1]) == (False, reason, reason)
         with pytest.raises(NumericError) as info:
-            run_sosnn(_series(spec.series[1], "rep1"), spec.configs[1])
+            run_sosnn(spec.series[1], spec.configs[1])
         assert str(info.value) == reason
         for r in (0, 2):
-            alone = run_sosnn(_series(spec.series[r], f"rep{r}"), spec.configs[r])
-            np.testing.assert_array_equal(results[r].ratios, alone.ratios)
+            alone = run_sosnn(spec.series[r], spec.configs[r])
+            np.testing.assert_array_equal(cell.replicates[r][0].ratios, alone.ratios)
 
         report = run_simulate(config, tmp_path / "out")
         assert not report.cell("sosnn_1x2").ok
@@ -680,7 +727,7 @@ class TestCellTasks:
         assert [label for label, _ in config.cells] == [
             "mkv0", "sosnn_1x2", "sosnn_1x3", "sosnn_2x2", "sosnn_2x3", "nnbp_2x3"
         ]
-        specs = _task_specs(config)
+        specs = _task_specs(config, *_generated_series(config))
         assert [s.label for s in specs] == [
             "nnbp_2x3", "sosnn_2x3", "sosnn_1x3", "sosnn_2x2", "sosnn_1x2", "mkv0"
         ]

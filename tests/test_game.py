@@ -33,9 +33,8 @@ class TestMovementSeries:
         with pytest.raises(DomainError):
             MovementSeries(np.array([0.0, np.nan]))
 
-    def test_len_and_label(self):
-        ms = MovementSeries([0.1, -0.2], label="src")
-        assert len(ms) == 2 and ms.label == "src"
+    def test_len(self):
+        assert len(MovementSeries([0.1, -0.2])) == 2
 
 
 class TestRunGame:

@@ -254,3 +254,15 @@ class TestTrainReplicates:
             train_replicates([series, series], [toy_config(), toy_config(learning_rate=0.2)])
         with pytest.raises(UsageError, match="one length"):
             train_replicates([series, alternating_series(31)], [toy_config(seed=1), toy_config()])
+
+    def test_one_config_and_init_per_series(self):
+        series = alternating_series(30)
+        for training, configs in (
+            ([series, series], [toy_config(seed=1)]),
+            ([series], [toy_config(seed=1), toy_config(seed=2)]),
+        ):
+            with pytest.raises(UsageError, match="replicate series got"):
+                train_replicates(training, configs)
+        init = NetworkWeights.uniform(toy_config().net, 0.1, np.random.default_rng(1))
+        with pytest.raises(UsageError, match="2 nnbp replicates got 1 init weights"):
+            train_replicates([series, series], [toy_config(seed=1), toy_config(seed=2)], [init])

@@ -313,3 +313,14 @@ class TestReplicateStack:
                 [series[0], normalize(gen_ar1(31, NoiseSpec(seed=3)))],
                 [small_config(seed=1), small_config(seed=2)],
             )
+
+    def test_one_config_per_series(self):
+        # Either way round, a count mismatch is a usage error, never a
+        # silently dropped series or an error from inside numpy.
+        series = [normalize(gen_ar1(30, NoiseSpec(seed=s))) for s in (1, 2)]
+        for movements, configs in (
+            (series, [small_config(seed=1)]),
+            (series[:1], [small_config(seed=1), small_config(seed=2)]),
+        ):
+            with pytest.raises(UsageError, match="replicate series got"):
+                run_sosnn_replicates(movements, configs)
