@@ -1,6 +1,8 @@
 """Command-line entry point: simulate, backtest, compare.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
+An internal error (a bug, or a pool worker that died) also exits 2, after
+printing its traceback to stderr.
 """
 
 from __future__ import annotations
@@ -8,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .errors import ConfigError, DataError, SeqbetError, UsageError
@@ -78,6 +81,9 @@ def main(argv=None) -> int:
         return 1
     except (SeqbetError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return 2
+    except Exception:
+        traceback.print_exc()
         return 2
 
 

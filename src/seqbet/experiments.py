@@ -24,7 +24,6 @@ import datetime
 import json
 import shutil
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -130,6 +129,8 @@ def _comma_list(convert, kind):
             raise ValueError(f"must be a comma list of {kind}") from None
         if not items:
             raise ValueError("must not be empty")
+        if len(set(items)) != len(items):
+            raise ValueError(f"must not repeat a value, got {value!r}")
         return items
 
     return parse
@@ -235,8 +236,6 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
             raise ConfigError(
                 f"unknown strategy {name!r}; choose from {', '.join(STRATEGY_NAMES)}"
             )
-    if len(set(strategies)) != len(strategies):
-        raise ConfigError("strategies must not repeat")
     grid: dict[str, list[Cell]] = {}
     for name in strategies:
         if name.startswith("mkv"):
@@ -464,6 +463,9 @@ def _run_task(spec: TaskSpec) -> CellSummary:
 def _execute(specs: list[TaskSpec], jobs: int) -> list[CellSummary]:
     if jobs <= 1 or len(specs) <= 1:
         return [_run_task(spec) for spec in specs]
+    # Imported here so that a --jobs 1 run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_task, specs, chunksize=1))
 

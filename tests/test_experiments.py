@@ -2,11 +2,15 @@
 
 import datetime
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqbet import experiments
 from seqbet.cli import main
 from seqbet.errors import ConfigError, DataError, UsageError
 from seqbet.experiments import (
@@ -204,6 +208,12 @@ class TestParseConfig:
             ("input_counts = 1", "input_counts = ,", "[sosnn] input_counts must not be empty"),
             ("strategies = mkv0, mkv1, sosnn", "strategies = ,",
              "[experiment] strategies must not be empty"),
+            ("input_counts = 1", "input_counts = 1, 1",
+             "[sosnn] input_counts must not repeat a value, got '1, 1'"),
+            ("hidden_counts = 2", "hidden_counts = 2, 3, 02",
+             "[sosnn] hidden_counts must not repeat a value, got '2, 3, 02'"),
+            ("strategies = mkv0, mkv1, sosnn", "strategies = mkv0, sosnn, MKV0",
+             "[experiment] strategies must not repeat a value, got 'mkv0, sosnn, MKV0'"),
             ("hidden_counts = 2", "hidden_counts = 2\ninitial_rate = fast",
              "[sosnn] initial_rate must be a number, got 'fast'"),
             ("hidden_counts = 2", "hidden_counts = 2\nwarm_start = maybe",
@@ -734,6 +744,23 @@ class TestCellTasks:
         assert all(len(s.configs) == len(s.series) == 2 for s in specs)
 
 
+class TestImports:
+    def test_no_pool_machinery_until_a_pool_runs(self):
+        # A fresh interpreter, because this one may already hold the pool
+        # modules from a --jobs 2 test.
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, seqbet, seqbet.experiments, seqbet.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
+
 class TestCli:
     def test_simulate_roundtrip_exit_codes(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_SIM)
@@ -785,6 +812,18 @@ class TestCli:
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["simulate", "--out", "x"]) == 1
+
+    def test_internal_error_exits_2_with_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(spec):
+            raise RuntimeError("bug inside a cell")
+
+        monkeypatch.setattr(experiments, "_run_cell", broken)
+        path = write_config(tmp_path, TINY_SIM)
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", str(path), "--out", out, "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.rstrip().endswith("RuntimeError: bug inside a cell")
 
     def test_out_is_a_file_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_SIM)
