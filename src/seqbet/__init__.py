@@ -21,7 +21,7 @@ from .game import (
     RATIO_CAP,
     RATIO_MARGIN,
     MovementSeries,
-    RoundDiagnostics,
+    OptimizeReport,
     StrategyRunResult,
     clamp_ratio,
     run_game,
@@ -45,7 +45,7 @@ from .data import (
     normalize,
 )
 from .markov import MarkovOrder, bucket_index, optimize_bucket, run_mkv
-from .sosnn import OptimizeReport, SosnnConfig, optimize_weights, run_sosnn, run_sosnn_replicates
+from .sosnn import SosnnConfig, optimize_weights, run_sosnn, run_sosnn_replicates
 from .nnbp import (
     NnbpConfig,
     TrainingDiagnostics,

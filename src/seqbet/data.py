@@ -125,13 +125,22 @@ def movements_from_prices(prices: PriceSeries) -> np.ndarray:
     return np.diff(prices.closes)
 
 
-def _parse_rows(path, n_values: int):
-    """Yield (lineno, date, values) rows from a `date,v1,..` CSV, header tolerated."""
+def _parse_rows(path, n_values: int | None = None):
+    """Yield (lineno, date, values) rows from a `date,v1,..` CSV.
+
+    Blank lines are skipped, and the first other line may be a header.
+    Without `n_values`, that line fixes the number of value columns.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        first = True
+        for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
+            header_allowed, first = first, False
+            if n_values is None:
+                n_values = len(row) - 1
+                if n_values < 1:
+                    raise DataError(f"{path}: records need at least one value column")
             if len(row) != 1 + n_values:
                 raise DataError(
                     f"{path}:{lineno}: expected {1 + n_values} fields, got {len(row)}"
@@ -139,7 +148,7 @@ def _parse_rows(path, n_values: int):
             try:
                 values = [float(v) for v in row[1:]]
             except ValueError:
-                if lineno == 1:  # header line: non-numeric value field
+                if header_allowed:  # header line: non-numeric value field
                     continue
                 raise DataError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
             try:
@@ -172,19 +181,11 @@ def load_movement_matrix(path) -> tuple[list[datetime.date], np.ndarray]:
     """Read a multi-asset `date,value_1,...,value_P` movement CSV.
 
     All values must already lie in [-1, 1]; the column count is fixed by the
-    first record.
+    first non-blank line.
     """
     dates: list[datetime.date] = []
     rows: list[list[float]] = []
-    n_values = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise DataError(f"{path}: no movement records found")
-        n_values = len(first.split(",")) - 1
-    if n_values < 1:
-        raise DataError(f"{path}: records need at least one value column")
-    for lineno, day, values in _parse_rows(path, n_values):
+    for lineno, day, values in _parse_rows(path):
         if not all(abs(v) <= 1.0 for v in values):  # also rejects NaN
             raise DataError(f"{path}:{lineno}: movements must lie in [-1, 1]")
         if dates and day <= dates[-1]:

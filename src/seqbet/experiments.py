@@ -466,7 +466,8 @@ def _execute(specs: list[TaskSpec], jobs: int) -> list[CellSummary]:
     # Imported here so that a --jobs 1 run never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool forks all its workers at the first submit; one per cell is enough.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
         return list(pool.map(_run_task, specs, chunksize=1))
 
 
@@ -784,8 +785,12 @@ def run_compare(run_dirs, out_path=None) -> list[CompareRow]:
         summary_path = d / "summary.csv"
         if not manifest_path.is_file() or not summary_path.is_file():
             raise UsageError(f"{d} does not contain a finished run")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        marks = list(manifest["checkpoints"])
+        try:
+            marks = list(json.loads(manifest_path.read_text(encoding="utf-8"))["checkpoints"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"{manifest_path} is not a finished run's manifest: {exc!r}") from None
+        if not marks:
+            raise UsageError(f"{manifest_path} lists no checkpoints")
         if checkpoints is None:
             checkpoints = marks
         elif marks != checkpoints:
@@ -794,11 +799,14 @@ def run_compare(run_dirs, out_path=None) -> list[CompareRow]:
             )
         header, *records = summary_path.read_text(encoding="utf-8").strip().split("\n")
         names = header.split(",")
-        for record in records:
-            fields = dict(zip(names, record.split(",")))
-            ok = fields["status"] == "ok"
-            values = {c: float(fields[f"logK_{c}"]) for c in checkpoints} if ok else {}
-            rows.append(CompareRow(run=d.name, cell=fields["cell"], ok=ok, values=values))
+        try:
+            for record in records:
+                fields = dict(zip(names, record.split(",")))
+                ok = fields["status"] == "ok"
+                values = {c: float(fields[f"logK_{c}"]) for c in checkpoints} if ok else {}
+                rows.append(CompareRow(run=d.name, cell=fields["cell"], ok=ok, values=values))
+        except (ValueError, KeyError) as exc:
+            raise UsageError(f"{summary_path} is not a finished run's summary: {exc!r}") from None
     final = checkpoints[-1]
     ranked = [(i, row.values[final]) for i, row in enumerate(rows) if row.ok]
     flags = _rank_flags(ranked)

@@ -11,7 +11,7 @@ rejects a movement outside [-1, 1], so every update is finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,12 +57,15 @@ class MovementSeries:
 
 
 @dataclass
-class RoundDiagnostics:
-    """Optimizer effort behind one betting round."""
+class OptimizeReport:
+    """How one refit ended: its ascent iterations, whether it met the weight
+    tolerance before the iteration cap, max|g| at its last step, and the
+    best log-wealth objective it reached."""
 
-    round: int
     iterations: int
     converged: bool
+    final_gradient_norm: float
+    objective: float
 
 
 @dataclass
@@ -70,15 +73,15 @@ class StrategyRunResult:
     """Per-round betting ratios and the resulting log capital path.
 
     `ratios[i]` and `log_capital_path[i]` describe round i+1; warmup rounds
-    bet 0 so indices stay aligned with the data. `checkpoints` maps betting
-    rounds (warmup excluded) to log capital.
+    bet 0 so indices stay aligned with the data. A strategy that refits
+    before every betting round lists each round's `OptimizeReport` in
+    `diagnostics`, in round order.
     """
 
     ratios: np.ndarray
     log_capital_path: np.ndarray
     warmup: int
-    checkpoints: dict[int, float] = field(default_factory=dict)
-    diagnostics: list[RoundDiagnostics] | None = None
+    diagnostics: list[OptimizeReport] | None = None
 
     @property
     def betting_rounds(self) -> int:
@@ -88,6 +91,13 @@ class StrategyRunResult:
     def final_log_capital(self) -> float:
         return float(self.log_capital_path[-1])
 
+    @property
+    def checkpoints(self) -> dict[int, float]:
+        """Log capital at each of `checkpoint_rounds`, keyed by betting round
+        (warmup excluded)."""
+        path, warmup = self.log_capital_path, self.warmup
+        return {r: float(path[warmup + r - 1]) for r in checkpoint_rounds(self.betting_rounds)}
+
 
 def checkpoint_rounds(betting_rounds: int) -> list[int]:
     """Standard checkpoint marks that fit, plus the final betting round."""
@@ -95,10 +105,6 @@ def checkpoint_rounds(betting_rounds: int) -> list[int]:
     if betting_rounds >= 1 and betting_rounds not in marks:
         marks.append(betting_rounds)
     return marks
-
-
-def _checkpoints(path: np.ndarray, warmup: int) -> dict[int, float]:
-    return {r: float(path[warmup + r - 1]) for r in checkpoint_rounds(len(path) - warmup)}
 
 
 def run_game(
@@ -135,9 +141,4 @@ def run_game(
         log_k += math.log1p(alpha * xs[i])
         ratios[i] = alpha
         path[i] = log_k
-    return StrategyRunResult(
-        ratios=ratios,
-        log_capital_path=path,
-        warmup=warmup,
-        checkpoints=_checkpoints(path, warmup),
-    )
+    return StrategyRunResult(ratios=ratios, log_capital_path=path, warmup=warmup)

@@ -29,9 +29,6 @@ import numpy as np
 from .errors import UsageError
 from .game import RATIO_CAP, MovementSeries, StrategyRunResult, run_game
 
-BUCKET_LABELS = {0: ("all",), 1: ("+", "-"), 2: ("++", "+-", "-+", "--")}
-
-
 @dataclass(frozen=True)
 class MarkovOrder:
     """How many preceding movement signs condition the bet (0, 1, or 2)."""

@@ -56,20 +56,28 @@ class NetworkConfig:
 
 @dataclass
 class NetworkWeights:
-    """The strategy parameter vector: hidden (M x L) and output (M) weight arrays."""
+    """The strategy parameter vector: hidden (M x L) and output (M) weight arrays.
+
+    `OUTPUT_RANK` is the rank of the output weights: 1 here, and 2 (P x M,
+    one row per asset) in `seqbet.portfolio.PortfolioWeights`.
+    """
 
     hidden_weights: np.ndarray
     output_weights: np.ndarray
 
+    OUTPUT_RANK = 1
+
     def __post_init__(self) -> None:
         self.hidden_weights = np.asarray(self.hidden_weights, dtype=float)
         self.output_weights = np.asarray(self.output_weights, dtype=float)
-        if self.hidden_weights.ndim != 2 or self.output_weights.ndim != 1:
-            raise UsageError("weights must be one M x L matrix and one length-M vector")
-        if self.hidden_weights.shape[0] != self.output_weights.shape[0]:
+        if self.hidden_weights.ndim != 2 or self.output_weights.ndim != self.OUTPUT_RANK:
+            raise UsageError(
+                f"weights must be one M x L matrix and one rank-{self.OUTPUT_RANK} output array"
+            )
+        if self.hidden_weights.shape[0] != self.output_weights.shape[-1]:
             raise UsageError(
                 f"hidden rows ({self.hidden_weights.shape[0]}) must match "
-                f"output length ({self.output_weights.shape[0]})"
+                f"output length ({self.output_weights.shape[-1]})"
             )
         if not (np.isfinite(self.hidden_weights).all() and np.isfinite(self.output_weights).all()):
             raise UsageError("weights must be finite")
@@ -94,8 +102,8 @@ class NetworkWeights:
             rng.uniform(-scale, scale, config.hidden_count),
         )
 
-    def copy(self) -> "NetworkWeights":
-        return NetworkWeights(self.hidden_weights.copy(), self.output_weights.copy())
+    def copy(self):
+        return type(self)(self.hidden_weights.copy(), self.output_weights.copy())
 
 
 @dataclass(frozen=True)
@@ -150,14 +158,19 @@ def window_matrix(values: np.ndarray, length: int, k_first: int, k_last: int) ->
     return xs[rounds[:, None] - 2 - np.arange(length)[None, :]]
 
 
-def forward(window: Sequence[float], weights: NetworkWeights) -> float:
-    """The network's capped output, its betting ratio, on one input window."""
+def _hidden_layer(window: Sequence[float], weights: NetworkWeights) -> np.ndarray:
+    """The hidden layer's outputs on one input window, checked against the
+    network's input width; every output neuron shares them."""
     u = np.asarray(window, dtype=float)
     m, l = weights.hidden_weights.shape
     if u.shape != (l,):
         raise UsageError(f"window of shape {u.shape} fed to a {m}x{l} network")
-    hidden_out = np.tanh(weights.hidden_weights @ u)
-    out_in = float(weights.output_weights @ hidden_out)
+    return np.tanh(weights.hidden_weights @ u)
+
+
+def forward(window: Sequence[float], weights: NetworkWeights) -> float:
+    """The network's capped output, its betting ratio, on one input window."""
+    out_in = float(weights.output_weights @ _hidden_layer(window, weights))
     return min(max(float(np.tanh(out_in)), -_OUTPUT_CAP), _OUTPUT_CAP)
 
 

@@ -7,52 +7,32 @@ exposure, so ratio vectors are rescaled whenever the sum of their magnitudes
 would reach 1. The multi-output log-wealth gradient is validated against
 finite differences in the test suite.
 
-The objective and its gradient are `seqbet.network.log_wealth` and
-`log_wealth_gradient`, which take `PortfolioWeights` as they take
-`NetworkWeights`, and the refit is the ascent loop of `seqbet.sosnn`; the
-single-asset strategy is the P = 1 case. Only for P > 1 can a ratio vector
-bankrupt a recorded round, so only then does the refit search for solvent
-weights and steps. Capital updates by `log1p(ratios @ x)` each round, as in
+`PortfolioWeights` is the network's weights record with one output row per
+asset. The objective and its gradient are `seqbet.network.log_wealth` and
+`log_wealth_gradient`, and the refit and the round checks are those of
+`seqbet.sosnn`; the single-asset strategy is the P = 1 case. Only for
+P > 1 can a ratio vector bankrupt a recorded round, so only then does the
+refit search for solvent weights and steps. Capital updates by `log1p(ratios @ x)` each round, as in
 the game loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, UsageError
-from .game import RATIO_CAP, StrategyRunResult, _checkpoints
-from .network import NetworkConfig, _OUTPUT_CAP, window_matrix
-from .sosnn import SosnnConfig, _ascend
+from .errors import UsageError
+from .game import RATIO_CAP, StrategyRunResult
+from .network import NetworkConfig, NetworkWeights, _OUTPUT_CAP, _hidden_layer
+from .sosnn import SosnnConfig, _refit, _round_windows
 
 
-@dataclass
-class PortfolioWeights:
+class PortfolioWeights(NetworkWeights):
     """Shared hidden layer (M x L) and one output row (M) per asset (P x M)."""
 
-    hidden_weights: np.ndarray
-    output_weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.hidden_weights = np.asarray(self.hidden_weights, dtype=float)
-        self.output_weights = np.asarray(self.output_weights, dtype=float)
-        if self.hidden_weights.ndim != 2 or self.output_weights.ndim != 2:
-            raise UsageError("portfolio weights must be M x L and P x M matrices")
-        if self.hidden_weights.shape[0] != self.output_weights.shape[1]:
-            raise UsageError(
-                f"hidden rows ({self.hidden_weights.shape[0]}) must match output "
-                f"columns ({self.output_weights.shape[1]})"
-            )
-        if not (np.isfinite(self.hidden_weights).all() and np.isfinite(self.output_weights).all()):
-            raise UsageError("weights must be finite")
-
-    @property
-    def asset_count(self) -> int:
-        return int(self.output_weights.shape[0])
+    OUTPUT_RANK = 2
 
     @classmethod
     def uniform(
@@ -65,19 +45,11 @@ class PortfolioWeights:
             rng.uniform(-scale, scale, (asset_count, config.hidden_count)),
         )
 
-    def copy(self) -> "PortfolioWeights":
-        return PortfolioWeights(self.hidden_weights.copy(), self.output_weights.copy())
-
 
 def forward_portfolio(window: Sequence[float], weights: PortfolioWeights) -> np.ndarray:
     """Ratio vector for one input window: the hidden layer is evaluated once
     and shared by every output neuron."""
-    u = np.asarray(window, dtype=float)
-    m, l = weights.hidden_weights.shape
-    if u.shape != (l,):
-        raise UsageError(f"window of shape {u.shape} fed to a {m}x{l} network")
-    hidden_out = np.tanh(weights.hidden_weights @ u)
-    out_in = weights.output_weights @ hidden_out
+    out_in = weights.output_weights @ _hidden_layer(window, weights)
     return np.clip(np.tanh(out_in), -_OUTPUT_CAP, _OUTPUT_CAP)
 
 
@@ -91,14 +63,9 @@ def rescale_exposure(ratios: Sequence[float]) -> np.ndarray:
     return ratios.copy()
 
 
-def _optimize_portfolio(windows, moves, config: SosnnConfig, init: PortfolioWeights):
-    """One refit: the one-replicate case of `_ascend`."""
-    w_hidden, w_out, (report,) = _ascend(
-        windows[None], moves[None], config, init.hidden_weights[None], init.output_weights[None]
-    )
-    if isinstance(report, NumericError):
-        raise report
-    return PortfolioWeights(w_hidden[0], w_out[0]), report
+# One refit, `(windows, moves, config, init) -> (weights, report)`. The round
+# loop looks it up here at each call, so a wrapper set here sees every refit.
+_optimize_portfolio = _refit
 
 
 def run_sosnn_portfolio(movements: np.ndarray, config: SosnnConfig) -> StrategyRunResult:
@@ -116,17 +83,10 @@ def run_sosnn_portfolio(movements: np.ndarray, config: SosnnConfig) -> StrategyR
     if not (np.abs(moves) <= 1.0).all():
         raise UsageError("movements must be finite and lie in [-1, 1]")
     n_rounds, n_assets = moves.shape
-    length = config.net.input_count
     warmup = config.warmup
-    if warmup < length:
-        raise UsageError(f"warmup of {warmup} cannot fill an input window of {length}")
-    if n_rounds < warmup + 2:
-        raise UsageError(
-            f"panel of {n_rounds} rounds is shorter than warmup + 2 = {warmup + 2}"
-        )
+    windows = _round_windows(moves[:, 0], config)
     rng = np.random.default_rng(config.seed)
     weights = PortfolioWeights.uniform(config.net, n_assets, config.init_scale, rng)
-    windows = window_matrix(moves[:, 0], length, warmup + 1, n_rounds)
 
     ratios = np.zeros((n_rounds, n_assets))
     path = np.empty(n_rounds)
@@ -149,4 +109,4 @@ def run_sosnn_portfolio(movements: np.ndarray, config: SosnnConfig) -> StrategyR
             # math.log1p, as in the game loop, keeps one asset identical to run_sosnn.
             log_k += math.log1p(float(bet @ moves[i]))
         path[i] = log_k
-    return StrategyRunResult(ratios, path, warmup, _checkpoints(path, warmup))
+    return StrategyRunResult(ratios, path, warmup)

@@ -12,9 +12,10 @@ Refits carry a leading replicate axis R. The replicates of one grid cell
 play the same rounds, so at every round their refits share the history
 length K and run as one stacked ascent (`run_sosnn_replicates`). Each
 replicate keeps its own stop rule, best iterate, warm start and random
-stream, and leaves the stack when it stops. `optimize_weights`, `run_sosnn`
-and the multi-asset refit are the R = 1 case of the same loop, and every
-replicate's numbers are bit-identical to its run alone.
+stream, and leaves the stack when it stops. `run_sosnn` is the R = 1 case
+of the stack, and `_refit`, the one refit behind `optimize_weights` and the
+multi-asset strategy, the R = 1 case of the loop. Every replicate's numbers
+are bit-identical to its run alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .game import MovementSeries, RoundDiagnostics, StrategyRunResult, clamp_ratio, run_game
+from .game import MovementSeries, OptimizeReport, StrategyRunResult, clamp_ratio, run_game
 from .network import (
     AnnealingSchedule,
     NetworkConfig,
@@ -65,14 +66,6 @@ class SosnnConfig:
             raise UsageError("init_scale must be positive")
 
 
-@dataclass
-class OptimizeReport:
-    iterations: int
-    converged: bool
-    final_gradient_norm: float
-    objective: float
-
-
 def optimize_weights(
     history: Iterable, config: SosnnConfig, init: NetworkWeights
 ) -> tuple[NetworkWeights, OptimizeReport]:
@@ -92,17 +85,28 @@ def optimize_weights(
     except (TypeError, ValueError):
         raise UsageError("history must hold (window, movement) pairs") from None
     windows, moves = _check_history(windows, moves, config.net.input_count)
+    if init.output_weights.ndim != 1:
+        raise UsageError(
+            f"optimize_weights refits one asset; init has {init.output_weights.shape[0]} output rows"
+        )
     if init.config != config.net:
         raise UsageError(
             f"init weights are {init.config}, config wants {config.net}"
         )
+    return _refit(windows, moves, config, init)
+
+
+def _refit(windows, moves, config, init):
+    """One refit from `init` over K x L windows and K x P movements: the
+    one-replicate case of `_ascend`. Returns the best weights, of `init`'s
+    own type, and the report, or raises the refit's `NumericError`."""
     w_hidden, w_out, (outcome,) = _ascend(
         windows[None], moves[None], config,
-        init.hidden_weights[None], init.output_weights[None, None],
+        init.hidden_weights[None], np.atleast_2d(init.output_weights)[None],
     )
     if isinstance(outcome, NumericError):
         raise outcome
-    return NetworkWeights(w_hidden[0], w_out[0, 0]), outcome
+    return type(init)(w_hidden[0], w_out[0].reshape(init.output_weights.shape)), outcome
 
 
 def _ascend(windows, moves, config, w_hidden, w_out):
@@ -265,6 +269,20 @@ def _ascend(windows, moves, config, w_hidden, w_out):
     return best_hidden, best_out, outcomes
 
 
+def _round_windows(values: np.ndarray, config: SosnnConfig) -> np.ndarray:
+    """The input windows of betting rounds warmup + 1 .. N of an N-round
+    series, one row per round, once the warmup fills a window and leaves
+    at least two rounds."""
+    length, warmup, n_rounds = config.net.input_count, config.warmup, len(values)
+    if warmup < length:
+        raise UsageError(f"warmup of {warmup} cannot fill an input window of {length}")
+    if n_rounds < warmup + 2:
+        raise UsageError(
+            f"series of length {n_rounds} is shorter than warmup + 2 = {warmup + 2}"
+        )
+    return window_matrix(values, length, warmup + 1, n_rounds)
+
+
 def run_sosnn_replicates(
     movements: Sequence[MovementSeries], configs: Sequence[SosnnConfig]
 ) -> list[StrategyRunResult | NumericError]:
@@ -280,28 +298,18 @@ def run_sosnn_replicates(
     and the other replicates play on.
     """
     config = _shared_config(configs, movements, "sosnn")
-    length = config.net.input_count
     warmup = config.warmup
-    if warmup < length:
-        raise UsageError(
-            f"warmup of {warmup} cannot fill an input window of {length}"
-        )
     lengths = {len(m) for m in movements}
     if len(lengths) > 1:
         raise UsageError(f"replicate series must have one length, got {sorted(lengths)}")
     n_rounds = lengths.pop()
-    if n_rounds < warmup + 2:
-        raise UsageError(
-            f"series of length {n_rounds} is shorter than warmup + 2 = {warmup + 2}"
-        )
+    windows = np.stack([_round_windows(m.values, config) for m in movements])
     count = len(configs)
     rngs = [np.random.default_rng(c.seed) for c in configs]
     weights = [NetworkWeights.uniform(config.net, config.init_scale, rng) for rng in rngs]
-    # Row i of windows[r] holds the input window of round warmup + 1 + i.
-    windows = np.stack([window_matrix(m.values, length, warmup + 1, n_rounds) for m in movements])
     moves = np.stack([m.values for m in movements])[:, :, None]
     ratios = np.zeros((count, n_rounds))
-    diagnostics: list[list[RoundDiagnostics]] = [[] for _ in range(count)]
+    diagnostics: list[list[OptimizeReport]] = [[] for _ in range(count)]
     outcomes: list = [None] * count
     alive = list(range(count))
     for n in range(warmup + 1, n_rounds + 1):
@@ -323,10 +331,12 @@ def run_sosnn_replicates(
                     alive.remove(r)
                     continue
                 weights[r] = NetworkWeights(best_hidden[i], best_out[i, 0])
-                diagnostics[r].append(RoundDiagnostics(n, report.iterations, report.converged))
+                diagnostics[r].append(report)
         else:
+            # No completed round yet: the empty history's objective and
+            # gradient are exactly 0, and there is nothing to iterate.
             for r in alive:
-                diagnostics[r].append(RoundDiagnostics(n, 0, True))
+                diagnostics[r].append(OptimizeReport(0, True, 0.0, 0.0))
         for r in alive:
             ratios[r, n - 1] = clamp_ratio(forward(windows[r, n - warmup - 1], weights[r]))
     for r in alive:

@@ -179,6 +179,17 @@ class TestMovementMatrix:
         assert dates == days
         np.testing.assert_allclose(loaded, values, atol=1e-11)
 
+    def test_leading_blank_line_and_header(self, tmp_path):
+        # The first non-blank line fixes the column count and may be a header.
+        path = tmp_path / "m.csv"
+        path.write_text("\n2020-01-01,0.1,-0.2\n2020-01-02,0.3,0.4\n")
+        dates, values = load_movement_matrix(path)
+        assert len(dates) == 2
+        np.testing.assert_array_equal(values, [[0.1, -0.2], [0.3, 0.4]])
+        path.write_text("\n\ndate,a,b\n2020-01-01,0.1,-0.2\n")
+        dates, values = load_movement_matrix(path)
+        np.testing.assert_array_equal(values, [[0.1, -0.2]])
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("2020-01-01,0.1,0.2\n2020-01-02,0.3\n")

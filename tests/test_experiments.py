@@ -605,6 +605,26 @@ class TestCompare:
         with pytest.raises(UsageError, match="finished run"):
             run_compare([tmp_path / "nope"])
 
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("manifest.json", None, "{not json"),
+            ("manifest.json", '"checkpoints"', '"marks"'),
+            ("summary.csv", ",status,", ",state,"),
+            ("summary.csv", ",logK_50,", ",logK_x,"),
+            ("summary.csv", "mkv1,ok,,", "mkv1,ok,,abc"),
+        ],
+        ids=["manifest-not-json", "no-checkpoints", "no-status", "no-logK", "non-numeric"],
+    )
+    def test_malformed_run_exits_1(self, tmp_path, capsys, name, old, new):
+        path = write_config(tmp_path, TINY_SIM)
+        run_simulate(parse_config(path), tmp_path / "run")
+        target = tmp_path / "run" / name
+        text = target.read_text()
+        target.write_text(new if old is None else text.replace(old, new, 1))
+        assert main(["compare", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {target}")
+
 
 class TestFailureMarking:
     def test_failed_cell_recorded_not_raised(self, tmp_path, monkeypatch):
@@ -742,6 +762,37 @@ class TestCellTasks:
             "nnbp_2x3", "sosnn_2x3", "sosnn_1x3", "sosnn_2x2", "sosnn_1x2", "mkv0"
         ]
         assert all(len(s.configs) == len(s.series) == 2 for s in specs)
+
+
+class TestPool:
+    def test_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
+        # A stand-in pool that records its size and maps in this process,
+        # so no worker is ever started.
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        config = parse_config(write_config(tmp_path, TINY_SIM))
+        specs = _task_specs(config, *_generated_series(config))
+        assert len(specs) == 3
+        cells = experiments._execute(specs, 16)
+        assert [cell.label for cell in cells] == [spec.label for spec in specs]
+        experiments._execute(specs, 2)
+        assert sizes == [3, 2]
 
 
 class TestImports:

@@ -53,6 +53,31 @@ class TestForwardPortfolio:
             forward_portfolio([0.1, 0.2, 0.3], w)
 
 
+class TestPortfolioWeights:
+    def test_rejects_malformed_weights(self):
+        bad = (
+            (np.zeros((3, 2)), np.zeros(3)),  # one output vector, not P rows
+            (np.zeros((3, 2)), np.zeros((2, 4))),  # rows of 4 against 3 hidden
+            (np.zeros((3, 2)), np.full((2, 3), np.inf)),
+        )
+        for hidden, output in bad:
+            with pytest.raises(UsageError):
+                PortfolioWeights(hidden, output)
+
+    def test_copy_keeps_the_type(self, rng):
+        w = PortfolioWeights.uniform(NetworkConfig(2, 3), 2, 0.5, rng)
+        copied = w.copy()
+        assert type(copied) is PortfolioWeights
+        for mine, theirs in ((copied.hidden_weights, w.hidden_weights),
+                             (copied.output_weights, w.output_weights)):
+            np.testing.assert_array_equal(mine, theirs)
+            assert not np.shares_memory(mine, theirs)
+
+    def test_single_asset_record_rejects_output_rows(self):
+        with pytest.raises(UsageError):
+            NetworkWeights(np.zeros((3, 2)), np.zeros((1, 3)))
+
+
 class TestSolvency:
     @given(
         st.integers(1, 5),
@@ -164,6 +189,10 @@ class TestRunPortfolio:
             run_sosnn_portfolio(np.full((30, 2), 1.5), config)
         with pytest.raises(UsageError, match="finite"):
             run_sosnn_portfolio(np.full((30, 2), np.nan), config)
+        with pytest.raises(UsageError, match="cannot fill an input window"):
+            run_sosnn_portfolio(np.zeros((30, 2)), SosnnConfig(net=NetworkConfig(3, 2), warmup=2))
+        with pytest.raises(UsageError, match="shorter than warmup"):
+            run_sosnn_portfolio(np.zeros((6, 2)), config)
 
     def test_correlated_assets_cross_bankrupt_region(self):
         # Two strongly correlated assets drive the refit into territory where

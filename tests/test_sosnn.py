@@ -12,7 +12,9 @@ from seqbet.network import (
     NetworkWeights,
     log_wealth,
     log_wealth_gradient,
+    window_matrix,
 )
+from seqbet.portfolio import PortfolioWeights
 from seqbet.sosnn import (
     OptimizeReport,
     SosnnConfig,
@@ -60,6 +62,13 @@ class TestOptimizeWeights:
         assert not weights.hidden_weights.any()
         assert not weights.output_weights.any()
         assert report.iterations == 1 and report.converged
+
+    def test_portfolio_init_rejected(self, rng):
+        config = small_config(2, 2)
+        init = PortfolioWeights.uniform(config.net, 1, 0.1, rng)
+        history = [(rng.uniform(-1, 1, 2), 0.1) for _ in range(3)]
+        with pytest.raises(UsageError, match="one asset"):
+            optimize_weights(history, config, init)
 
     def test_empty_history_rejected(self, rng):
         config = small_config()
@@ -230,6 +239,24 @@ class TestRunSosnn:
         assert res.diagnostics[0].iterations == 0  # nothing to fit yet
         assert all(d.iterations <= 10_000 for d in res.diagnostics)
 
+    def test_diagnostics_are_each_rounds_refit_report(self):
+        # Replay the run's refits through the public entry point, each from
+        # the previous round's weights over that round's completed pairs: the
+        # run must list the very reports, max|g| and objective included.
+        config = small_config(2, 3, seed=4, warmup=10, max_iterations=80, weight_tolerance=1e-3)
+        values = normalize(gen_ar1(40, NoiseSpec(seed=12))).values
+        res = run_sosnn(MovementSeries(values), config)
+        windows = window_matrix(values, 2, config.warmup + 1, values.size)
+        weights = NetworkWeights.uniform(config.net, config.init_scale, np.random.default_rng(4))
+        replay = [OptimizeReport(0, True, 0.0, 0.0)]
+        for completed in range(1, values.size - config.warmup):
+            pairs = zip(windows[:completed], values[config.warmup : config.warmup + completed])
+            weights, report = optimize_weights(pairs, config, weights)
+            replay.append(report)
+        assert res.diagnostics == replay
+        # Some refits hit the cap and some met the tolerance.
+        assert {r.converged for r in replay[1:]} == {True, False}
+
     def test_warmup_must_cover_window(self):
         with pytest.raises(UsageError, match="warmup"):
             run_sosnn(MovementSeries(np.zeros(30)), small_config(3, 1, warmup=2))
@@ -271,9 +298,7 @@ class TestReplicateStack:
             np.testing.assert_array_equal(result.ratios, alone.ratios)
             np.testing.assert_array_equal(result.log_capital_path, alone.log_capital_path)
             assert result.checkpoints == alone.checkpoints
-            assert [(d.round, d.iterations, d.converged) for d in result.diagnostics] == [
-                (d.round, d.iterations, d.converged) for d in alone.diagnostics
-            ]
+            assert result.diagnostics == alone.diagnostics
             iterations.append([d.iterations for d in result.diagnostics])
         # In some rounds the replicates stopped at different steps, some at
         # the cap and some by tolerance, so the stack shrank mid-refit.
