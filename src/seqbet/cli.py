@@ -8,20 +8,11 @@ printing its traceback to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
-from pathlib import Path
 
 from .errors import ConfigError, DataError, SeqbetError, UsageError
-from .experiments import (
-    parse_config,
-    render_compare,
-    render_table,
-    run_backtest,
-    run_compare,
-    run_simulate,
-)
+from .experiments import parse_config, run_backtest, run_compare, run_simulate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,14 +52,12 @@ def _run(args) -> int:
             )
         runner = run_simulate if args.command == "simulate" else run_backtest
         report = runner(config, args.out, jobs=args.jobs)
-        sys.stdout.write(render_table(report.cells, report.checkpoints))
+        sys.stdout.write(report.table.render())
         sys.stdout.write(
             f"# wrote {report.out_dir}  ({report.total_seconds:.1f}s strategy time)\n"
         )
         return 0
-    rows = run_compare(args.dirs, out_path=args.out)
-    manifest = json.loads((Path(args.dirs[0]) / "manifest.json").read_text(encoding="utf-8"))
-    sys.stdout.write(render_compare(rows, list(manifest["checkpoints"])))
+    sys.stdout.write(run_compare(args.dirs, out_path=args.out).render())
     return 0
 
 

@@ -24,6 +24,7 @@ import datetime
 import json
 import shutil
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -41,8 +42,8 @@ from .data import (
     write_movements,
 )
 from .errors import ConfigError, SeqbetError, UsageError
-from .game import MovementSeries, StrategyRunResult, checkpoint_rounds
-from .markov import MarkovOrder, run_mkv
+from .game import RATIO_CAP, MovementSeries, StrategyRunResult, checkpoint_rounds
+from .markov import _TOL, MarkovOrder, run_mkv
 from .network import AnnealingSchedule, NetworkConfig
 # Tasks call the replicate-stack entry points. The one-replicate `run_sosnn`
 # and `train` stay importable here because perfbench patches these names.
@@ -476,6 +477,57 @@ def _execute(specs: list[TaskSpec], jobs: int) -> list[CellSummary]:
 
 
 @dataclass
+class TableRow:
+    """One row of a ranked table: its label columns, whether it finished, and
+    its log capital at each checkpoint (none when it failed), flag and note."""
+
+    labels: tuple[str, ...]
+    ok: bool
+    values: dict[int, float]
+    flag: str = ""
+    note: str = ""
+
+
+@dataclass
+class RankedTable:
+    """Rows of log capital at each checkpoint, ranked at the final one; a
+    failed row shows FAILURE_MARK for every value."""
+
+    label_headers: tuple[str, ...]
+    checkpoints: list[int]
+    rows: list[TableRow]
+
+    def _lines(self, value_header: str, fmt) -> list[list[str]]:
+        """The header and one line per row, every value formatted by `fmt`."""
+        marks = self.checkpoints
+        lines = [[*self.label_headers, *(f"{value_header}{c}" for c in marks), "flag", "note"]]
+        for row in self.rows:
+            values = (fmt(row.values[c]) if row.ok else FAILURE_MARK for c in marks)
+            lines.append([*row.labels, *values, row.flag, row.note])
+        return lines
+
+    def render(self) -> str:
+        """Left-aligned text columns two spaces apart, trailing blanks
+        stripped, values to three decimals."""
+        lines = self._lines("logK@", "{:.3f}".format)
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
+
+    def csv(self) -> str:
+        """Comma-separated, values as in every other artifact."""
+        return "".join(",".join(line) + "\n" for line in self._lines("logK_", _fmt))
+
+
+def _ranked(label_headers, checkpoints, rows: list[TableRow]) -> RankedTable:
+    """The table of `rows` with the best ('*') and second best ('**') ok row
+    flagged by value at the final checkpoint; ties go to the earlier row."""
+    finals = sorted((-row.values[checkpoints[-1]], i) for i, row in enumerate(rows) if row.ok)
+    for (_, i), flag in zip(finals, ("*", "**")):
+        rows[i].flag = flag
+    return RankedTable(label_headers, checkpoints, rows)
+
+
+@dataclass
 class RunReport:
     """In-memory view of a finished run; timings never reach the artifacts."""
 
@@ -486,6 +538,16 @@ class RunReport:
     @property
     def total_seconds(self) -> float:
         return sum(c.seconds for c in self.cells)
+
+    @property
+    def table(self) -> RankedTable:
+        """The cells ranked, with a failed cell's reason as its note, as
+        `summary.txt` shows them."""
+        rows = [
+            TableRow((c.label,), c.ok, c.means, note="" if c.ok else f"failed: {c.reason}")
+            for c in self.cells
+        ]
+        return _ranked(("cell",), self.checkpoints, rows)
 
     def cell(self, label: str) -> CellSummary:
         for c in self.cells:
@@ -520,10 +582,11 @@ def _write_nnbp_diagnostics(out_dir: Path, stem: str, diag: TrainingDiagnostics)
     (diag_dir / f"{stem}__days.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_cells(out_dir: Path, cells: list[CellSummary], checkpoints: list[int]) -> None:
+def _write_cells(report: RunReport) -> None:
     """Each finished replicate's series (and NNBP diagnostics), then the
     tables: per-replicate checkpoint values, exactly as in the series files,
     and the cell summaries."""
+    out_dir, cells, checkpoints = report.out_dir, report.cells, report.checkpoints
     lines = ["cell,replicate,checkpoint,log_capital"]
     for cell in cells:
         for r, replicate in enumerate(cell.replicates):
@@ -549,42 +612,7 @@ def _write_cells(out_dir: Path, cells: list[CellSummary], checkpoints: list[int]
         lines.append(",".join(row))
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    (out_dir / "summary.txt").write_text(render_table(cells, checkpoints), encoding="utf-8")
-
-
-def _rank_flags(values: list[tuple[int, float]]) -> dict[int, str]:
-    """Flags for the best ('*') and second best ('**') row index by value;
-    ties go to the earlier row."""
-    flags: dict[int, str] = {}
-    ordered = sorted(values, key=lambda pair: (-pair[1], pair[0]))
-    if ordered:
-        flags[ordered[0][0]] = "*"
-    if len(ordered) > 1:
-        flags[ordered[1][0]] = "**"
-    return flags
-
-
-def render_table(summaries: list[CellSummary], checkpoints: list[int]) -> str:
-    """Aligned text rendering with best / second-best marks at the final mark."""
-    final = checkpoints[-1] if checkpoints else None
-    ranked = [(i, s.means[final]) for i, s in enumerate(summaries) if s.ok]
-    flags = _rank_flags(ranked) if final is not None else {}
-    headers = ["cell"] + [f"logK@{c}" for c in checkpoints] + ["flag", "note"]
-    rows = []
-    for i, s in enumerate(summaries):
-        cells = [s.label]
-        cells += [f"{s.means[c]:.3f}" if s.ok else FAILURE_MARK for c in checkpoints]
-        cells.append(flags.get(i, ""))
-        cells.append("" if s.ok else f"failed: {s.reason}")
-        rows.append(cells)
-    return _render_columns(headers, rows)
-
-
-def _render_columns(headers: list[str], rows: list[list[str]]) -> str:
-    """Left-aligned text columns two spaces apart, trailing blanks stripped."""
-    widths = [max([len(h), *(len(r[j]) for r in rows)]) for j, h in enumerate(headers)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in [headers, *rows]]
-    return "\n".join(lines) + "\n"
+    (out_dir / "summary.txt").write_text(report.table.render(), encoding="utf-8")
 
 
 def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints) -> None:
@@ -605,7 +633,7 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints) -> Non
                 "warmup_betting": "warmup rounds bet 0",
             },
             "nnbp": {"learning_rate_schedule": "constant"},
-            "markov": {"optimizer": "slope bisection on [-0.999, 0.999], tol 1e-10"},
+            "markov": {"optimizer": f"slope bisection on [{-RATIO_CAP}, {RATIO_CAP}], tol {_TOL}"},
         },
     }
     (out_dir / "manifest.json").write_text(
@@ -752,34 +780,26 @@ def _run(config: ExperimentConfig, out_dir: Path, jobs: int, series, training) -
     _clear_artifacts(out_dir)
     checkpoints = checkpoint_rounds(len(series[0]) - config.warmup)
     done = {cell.label: cell for cell in _execute(_task_specs(config, series, training), jobs)}
-    cells = [done[label] for label, _ in config.cells]
-    _write_cells(out_dir, cells, checkpoints)
+    report = RunReport(out_dir, checkpoints, [done[label] for label, _ in config.cells])
+    _write_cells(report)
     _write_manifest(out_dir, config, checkpoints)
-    return RunReport(out_dir=out_dir, checkpoints=list(checkpoints), cells=cells)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # compare
 
 
-@dataclass
-class CompareRow:
-    run: str
-    cell: str
-    ok: bool
-    values: dict[int, float]
-    flag: str = ""
-    note: str = ""
-
-
-def run_compare(run_dirs, out_path=None) -> list[CompareRow]:
-    """Merge the summary tables of several runs; flag best and second best
-    at the final checkpoint (failed cells are shown but never ranked)."""
+def run_compare(run_dirs, out_path=None) -> RankedTable:
+    """Merge the summary tables of several runs, which must share their
+    checkpoints, into one table ranked at the final checkpoint (failed cells
+    are shown but never ranked), noting each ok row that ties another there;
+    written as CSV to `out_path` if given."""
     dirs = [Path(d) for d in run_dirs]
     if len(dirs) < 1:
         raise UsageError("compare needs at least one run directory")
     checkpoints = None
-    rows: list[CompareRow] = []
+    rows: list[TableRow] = []
     for d in dirs:
         manifest_path = d / "manifest.json"
         summary_path = d / "summary.csv"
@@ -804,39 +824,15 @@ def run_compare(run_dirs, out_path=None) -> list[CompareRow]:
                 fields = dict(zip(names, record.split(",")))
                 ok = fields["status"] == "ok"
                 values = {c: float(fields[f"logK_{c}"]) for c in checkpoints} if ok else {}
-                rows.append(CompareRow(run=d.name, cell=fields["cell"], ok=ok, values=values))
+                rows.append(TableRow((d.name, fields["cell"]), ok, values))
         except (ValueError, KeyError) as exc:
             raise UsageError(f"{summary_path} is not a finished run's summary: {exc!r}") from None
     final = checkpoints[-1]
-    ranked = [(i, row.values[final]) for i, row in enumerate(rows) if row.ok]
-    flags = _rank_flags(ranked)
-    for i, row in enumerate(rows):
-        row.flag = flags.get(i, "")
-    by_value: dict[float, list[int]] = {}
-    for i, value in ranked:
-        by_value.setdefault(value, []).append(i)
-    for indices in by_value.values():
-        if len(indices) > 1:
-            for i in indices:
-                rows[i].note = "tie"
-    if out_path is not None:
-        header = ["run", "cell"] + [f"logK_{c}" for c in checkpoints] + ["flag", "note"]
-        lines = [",".join(header)]
-        for row in rows:
-            record = [row.run, row.cell]
-            record += [_fmt(row.values[c]) if row.ok else FAILURE_MARK for c in checkpoints]
-            record += [row.flag, row.note]
-            lines.append(",".join(record))
-        Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return rows
-
-
-def render_compare(rows: list[CompareRow], checkpoints: list[int]) -> str:
-    headers = ["run", "cell"] + [f"logK@{c}" for c in checkpoints] + ["flag", "note"]
-    table = []
+    counts = Counter(row.values[final] for row in rows if row.ok)
     for row in rows:
-        cells = [row.run, row.cell]
-        cells += [f"{row.values[c]:.3f}" if row.ok else FAILURE_MARK for c in checkpoints]
-        cells += [row.flag, row.note]
-        table.append(cells)
-    return _render_columns(headers, table)
+        if row.ok and counts[row.values[final]] > 1:
+            row.note = "tie"
+    table = _ranked(("run", "cell"), checkpoints, rows)
+    if out_path is not None:
+        Path(out_path).write_text(table.csv(), encoding="utf-8")
+    return table

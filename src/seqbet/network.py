@@ -117,14 +117,9 @@ class AnnealingSchedule:
         if not (self.initial_rate > 0 and self.decay_steps > 0):
             raise UsageError("annealing parameters must be strictly positive")
 
-    def rate(self, step: int) -> float:
-        if step < 0:
-            raise UsageError(f"annealing step must be nonnegative, got {step}")
-        return self.initial_rate / (1.0 + step / self.decay_steps)
-
     def rates(self):
-        """rate(0), rate(1), ... as a stream, for a loop that steps through
-        them without a call and a check per step; the same numbers."""
+        """The rate of each ascent step s = 0, 1, 2, ..., as the endless
+        stream the ascent steps through."""
         initial, decay = self.initial_rate, self.decay_steps
         step = 0
         while True:
@@ -134,7 +129,7 @@ class AnnealingSchedule:
 
 def _shared_config(configs: Sequence, series: Sequence, kind: str):
     """The config of a replicate stack, whose members may differ only in
-    seed; one config per replicate series."""
+    seed; one config per replicate series, all series equally long."""
     if len(configs) != len(series):
         raise UsageError(f"{len(series)} {kind} replicate series got {len(configs)} configs")
     if not configs:
@@ -142,6 +137,9 @@ def _shared_config(configs: Sequence, series: Sequence, kind: str):
     first = configs[0]
     if any(replace(c, seed=first.seed) != first for c in configs[1:]):
         raise UsageError(f"{kind} replicates must share every setting but the seed")
+    lengths = {len(s) for s in series}
+    if len(lengths) > 1:
+        raise UsageError(f"{kind} replicate series must have one length, got {sorted(lengths)}")
     return first
 
 
@@ -156,6 +154,14 @@ def window_matrix(values: np.ndarray, length: int, k_first: int, k_last: int) ->
         return np.empty((0, length))
     rounds = np.arange(k_first, k_last + 1)
     return xs[rounds[:, None] - 2 - np.arange(length)[None, :]]
+
+
+def _betting_windows(values: np.ndarray, length: int, warmup: int) -> np.ndarray:
+    """The input windows of betting rounds warmup + 1 .. N of an N-round
+    series, one row per round, once the warmup fills a window of `length`."""
+    if warmup < length:
+        raise UsageError(f"warmup of {warmup} cannot fill an input window of {length}")
+    return window_matrix(values, length, warmup + 1, len(values))
 
 
 def _hidden_layer(window: Sequence[float], weights: NetworkWeights) -> np.ndarray:

@@ -26,6 +26,7 @@ from .network import (
     NetworkWeights,
     _OUTPUT_CAP,
     _batch_forward,
+    _betting_windows,
     _check_history,
     _shared_config,
     forward,
@@ -82,10 +83,24 @@ def training_error(weights: NetworkWeights, windows, targets) -> float:
     windows, targets = _check_history(windows, targets, weights.hidden_weights.shape[1])
     if not targets.size:
         raise UsageError("training set must not be empty")
-    _, out = _batch_forward(
-        windows[None], weights.hidden_weights[None].mT, weights.output_weights[None, None].mT
+    errors, _ = _training_errors(
+        windows[None], weights.hidden_weights[None], weights.output_weights[None, None], targets.T
     )
-    return float(0.5 * np.mean((targets[:, 0] - out[0, :, 0]) ** 2))
+    return float(errors[0])
+
+
+def _training_errors(windows, w_hidden, w_out, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Per replicate, its training error and the halved squared error
+    (T - y)^2 / 2 of each of its m samples, from R x m x L windows, R x M x L
+    hidden and R x 1 x M output weights, and R x m targets."""
+    # One replicate at a time: a stacked pass would hold R x m x M hidden
+    # outputs at once, for no gain in an evaluation made once per epoch.
+    out = np.concatenate([
+        _batch_forward(windows[i : i + 1], w_hidden[i : i + 1].mT, w_out[i : i + 1].mT)[1]
+        for i in range(len(windows))
+    ])[..., 0]
+    residuals = targets - out
+    return 0.5 * np.mean(residuals**2, axis=-1), 0.5 * residuals**2
 
 
 def _training_pairs(xs: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +140,7 @@ def train_replicates(
     """Train R networks at once: replicate r fits `training[r]` with
     `configs[r]`, as `train` would on its own, and gets the same bits.
 
-    The series must have one length and the configs may differ only in
+    The series must be equally long and the configs may differ only in
     seed. All replicates take the same per-sample steps in lockstep; one
     whose epoch error drops below the threshold stops there, with a shorter
     error record, and leaves the stack.
@@ -143,8 +158,6 @@ def train_replicates(
     for init in inits:
         if init.config != config.net:
             raise UsageError(f"init weights are {init.config}, config wants {config.net}")
-    if len({len(m) for m in training}) > 1:
-        raise UsageError("replicate training series must have one length")
     windows, targets = map(
         np.stack, zip(*(_training_pairs(m.values, config.net.input_count) for m in training))
     )
@@ -197,16 +210,10 @@ def train_replicates(
             grad *= rate
             theta -= grad
         steps += m
-        # One replicate at a time: a stacked pass would hold R x m x M hidden
-        # outputs at once, for no gain in an evaluation made once per epoch.
-        out = np.concatenate([
-            _batch_forward(windows[i : i + 1], w_hidden[i : i + 1].mT, w_out[i : i + 1].mT)[1]
-            for i in range(len(rows))
-        ])[..., 0]
-        epoch_errors = (0.5 * np.mean((targets - out) ** 2, axis=-1)).tolist()
+        epoch_errors, day_errors = _training_errors(windows, w_hidden, w_out, targets)
         capped = steps + m > config.max_steps
         stopped = []
-        for i, error in enumerate(epoch_errors):
+        for i, error in enumerate(epoch_errors.tolist()):
             r = rows[i]
             errors[r].append(error)
             converged = error < config.error_threshold
@@ -217,7 +224,7 @@ def train_replicates(
                 fits[r] = (weights, TrainingDiagnostics(
                     error_per_epoch=errors[r],
                     final_error=error,
-                    per_day_error=0.5 * (targets[i] - out[i]) ** 2,
+                    per_day_error=day_errors[i],
                     steps_used=steps,
                     converged=converged,
                 ))
@@ -239,14 +246,9 @@ def run_nnbp(
     The weights are copied up front and never updated; rounds 1..warmup only
     provide window history.
     """
-    length = weights.hidden_weights.shape[1]
-    if warmup < length:
-        raise UsageError(
-            f"warmup of {warmup} cannot fill an input window of {length}"
-        )
-    frozen = weights.copy()
     # Row i holds the input window of round warmup + 1 + i.
-    windows = window_matrix(movements.values, length, warmup + 1, len(movements))
+    windows = _betting_windows(movements.values, weights.hidden_weights.shape[1], warmup)
+    frozen = weights.copy()
 
     def bet(n: int, past: np.ndarray) -> float:
         return clamp_ratio(forward(windows[n - warmup - 1], frozen))

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
-from .game import RATIO_CAP, StrategyRunResult
+from .game import RATIO_CAP, OptimizeReport, StrategyRunResult
 from .network import NetworkConfig, NetworkWeights, _OUTPUT_CAP, _hidden_layer
 from .sosnn import SosnnConfig, _refit, _round_windows
 
@@ -33,6 +33,13 @@ class PortfolioWeights(NetworkWeights):
     """Shared hidden layer (M x L) and one output row (M) per asset (P x M)."""
 
     OUTPUT_RANK = 2
+
+    @classmethod
+    def zeros(cls, config: NetworkConfig, asset_count: int) -> "PortfolioWeights":
+        return cls(
+            np.zeros((config.hidden_count, config.input_count)),
+            np.zeros((asset_count, config.hidden_count)),
+        )
 
     @classmethod
     def uniform(
@@ -75,7 +82,8 @@ def run_sosnn_portfolio(movements: np.ndarray, config: SosnnConfig) -> StrategyR
     built from the first asset's movements, refits start from the previous
     optimum (or fresh draws), and the ratio vector is exposure-rescaled
     before betting. The result's `ratios` is a (rounds x assets) matrix with
-    zero rows through the warmup.
+    zero rows through the warmup, and its `diagnostics` list each betting
+    round's `OptimizeReport`, as a single-asset run's do.
     """
     moves = np.asarray(movements, dtype=float)
     if moves.ndim != 2 or moves.shape[1] < 1:
@@ -89,6 +97,7 @@ def run_sosnn_portfolio(movements: np.ndarray, config: SosnnConfig) -> StrategyR
     weights = PortfolioWeights.uniform(config.net, n_assets, config.init_scale, rng)
 
     ratios = np.zeros((n_rounds, n_assets))
+    diagnostics = []
     path = np.empty(n_rounds)
     log_k = 0.0
     for i in range(n_rounds):
@@ -101,12 +110,15 @@ def run_sosnn_portfolio(movements: np.ndarray, config: SosnnConfig) -> StrategyR
                     if config.warm_start
                     else PortfolioWeights.uniform(config.net, n_assets, config.init_scale, rng)
                 )
-                weights, _ = _optimize_portfolio(
+                weights, report = _optimize_portfolio(
                     windows[:completed], moves[warmup : n - 1], config, init
                 )
+            else:  # nothing to fit yet, as in `run_sosnn_replicates`
+                report = OptimizeReport(0, True, 0.0, 0.0)
+            diagnostics.append(report)
             bet = rescale_exposure(forward_portfolio(windows[n - warmup - 1], weights))
             ratios[i] = bet
             # math.log1p, as in the game loop, keeps one asset identical to run_sosnn.
             log_k += math.log1p(float(bet @ moves[i]))
         path[i] = log_k
-    return StrategyRunResult(ratios, path, warmup)
+    return StrategyRunResult(ratios, path, warmup, diagnostics)

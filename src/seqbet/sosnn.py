@@ -32,12 +32,12 @@ from .network import (
     AnnealingSchedule,
     NetworkConfig,
     NetworkWeights,
+    _betting_windows,
     _check_history,
     _evaluate,
     _gradient,
     _shared_config,
     forward,
-    window_matrix,
 )
 
 
@@ -273,14 +273,12 @@ def _round_windows(values: np.ndarray, config: SosnnConfig) -> np.ndarray:
     """The input windows of betting rounds warmup + 1 .. N of an N-round
     series, one row per round, once the warmup fills a window and leaves
     at least two rounds."""
-    length, warmup, n_rounds = config.net.input_count, config.warmup, len(values)
-    if warmup < length:
-        raise UsageError(f"warmup of {warmup} cannot fill an input window of {length}")
-    if n_rounds < warmup + 2:
+    windows = _betting_windows(values, config.net.input_count, config.warmup)
+    if len(values) < config.warmup + 2:
         raise UsageError(
-            f"series of length {n_rounds} is shorter than warmup + 2 = {warmup + 2}"
+            f"series of length {len(values)} is shorter than warmup + 2 = {config.warmup + 2}"
         )
-    return window_matrix(values, length, warmup + 1, n_rounds)
+    return windows
 
 
 def run_sosnn_replicates(
@@ -289,7 +287,7 @@ def run_sosnn_replicates(
     """Run the sequentially optimized strategy on R replicates in lockstep.
 
     Replicate r bets on `movements[r]` with `configs[r]`; the series must
-    have one length and the configs may differ only in seed. At every round
+    be equally long and the configs may differ only in seed. At every round
     the refits of all replicates run as one stacked ascent. A bet never
     depends on capital, so the ratios of all rounds are found first and
     each replicate then plays them through `run_game`. The result of
@@ -298,11 +296,7 @@ def run_sosnn_replicates(
     and the other replicates play on.
     """
     config = _shared_config(configs, movements, "sosnn")
-    warmup = config.warmup
-    lengths = {len(m) for m in movements}
-    if len(lengths) > 1:
-        raise UsageError(f"replicate series must have one length, got {sorted(lengths)}")
-    n_rounds = lengths.pop()
+    warmup, n_rounds = config.warmup, len(movements[0])
     windows = np.stack([_round_windows(m.values, config) for m in movements])
     count = len(configs)
     rngs = [np.random.default_rng(c.seed) for c in configs]

@@ -577,9 +577,9 @@ class TestCompare:
 
     def test_merge_and_flags(self, tmp_path):
         a, b = self.make_two_runs(tmp_path)
-        rows = run_compare([a, b], out_path=tmp_path / "merged.csv")
+        rows = run_compare([a, b], out_path=tmp_path / "merged.csv").rows
         assert len(rows) == 6
-        flags = {(r.run, r.cell): r.flag for r in rows}
+        flags = {r.labels: r.flag for r in rows}
         assert sorted(f for f in flags.values() if f) == ["*", "**"]
         merged = (tmp_path / "merged.csv").read_text().strip().split("\n")
         assert merged[0] == "run,cell,logK_50,flag,note"
@@ -588,9 +588,9 @@ class TestCompare:
         path = write_config(tmp_path, TINY_SIM)
         run_simulate(parse_config(path), tmp_path / "runA")
         run_simulate(parse_config(path), tmp_path / "runB")
-        rows = run_compare([tmp_path / "runA", tmp_path / "runB"])
+        rows = run_compare([tmp_path / "runA", tmp_path / "runB"]).rows
         starred = [r for r in rows if r.flag == "*"]
-        assert len(starred) == 1 and starred[0].run == "runA"
+        assert len(starred) == 1 and starred[0].labels[0] == "runA"
         assert starred[0].note == "tie"
 
     def test_incompatible_checkpoints_rejected(self, tmp_path):
@@ -647,11 +647,79 @@ class TestFailureMarking:
         assert "---" in text_table and "failed" in text_table
         summary_csv = (tmp_path / "out" / "summary.csv").read_text()
         assert "failed" in summary_csv
-        rows = run_compare([tmp_path / "out"])
+        rows = run_compare([tmp_path / "out"]).rows
         failed = [r for r in rows if not r.ok]
         assert failed and all(r.flag == "" for r in failed)
         flagged = [r for r in rows if r.flag]
         assert flagged and all(r.ok for r in flagged)
+
+
+# MKV cells only reach the tables below: the sosnn cell fails before it runs.
+TABLE_SIM = TINY_SIM.replace("rounds = 50", "rounds = 120").replace(
+    "mkv0, mkv1, sosnn", "mkv0, mkv1, mkv2, sosnn"
+)
+
+RUN_TABLE = """\
+cell       logK@100  logK@120  flag  note
+mkv0       -1.327    -1.240
+mkv1       9.475     11.825    *
+mkv2       7.943     10.220    **
+sosnn_1x2  ---       ---             failed: round 7: non-finite objective, step 3
+"""
+
+COMPARE_TABLE = """\
+run   cell       logK@100  logK@120  flag  note
+runA  mkv0       -1.327    -1.240          tie
+runA  mkv1       9.475     11.825    *     tie
+runA  mkv2       7.943     10.220          tie
+runA  sosnn_1x2  ---       ---
+runB  mkv0       -1.327    -1.240          tie
+runB  mkv1       9.475     11.825    **    tie
+runB  mkv2       7.943     10.220          tie
+runB  sosnn_1x2  ---       ---
+"""
+
+COMPARE_CSV = """\
+run,cell,logK_100,logK_120,flag,note
+runA,mkv0,-1.327212189843148,-1.2401689816704482,,tie
+runA,mkv1,9.474858210834599,11.82477183008134,*,tie
+runA,mkv2,7.943128379471899,10.219817422894266,,tie
+runA,sosnn_1x2,---,---,,
+runB,mkv0,-1.327212189843148,-1.2401689816704482,,tie
+runB,mkv1,9.474858210834599,11.82477183008134,**,tie
+runB,mkv2,7.943128379471899,10.219817422894266,,tie
+runB,sosnn_1x2,---,---,,
+"""
+
+
+class TestTableBytes:
+    """The ranked tables byte for byte: the run table with a failed cell, and
+    the compare table and CSV of two runs whose every ok cell ties."""
+
+    @pytest.fixture
+    def runs(self, tmp_path, monkeypatch):
+        from seqbet.errors import NumericError
+
+        def explode(*args, **kwargs):
+            raise NumericError("round 7: non-finite objective, step 3")
+
+        monkeypatch.setattr(experiments, "run_sosnn_replicates", explode)
+        path = write_config(tmp_path, TABLE_SIM)
+        for name in ("runA", "runB"):
+            run_simulate(parse_config(path), tmp_path / name)
+        return tmp_path / "runA", tmp_path / "runB"
+
+    def test_run_table_with_a_failed_cell(self, runs, capsys, tmp_path):
+        assert runs[0].joinpath("summary.txt").read_text() == RUN_TABLE
+        path = write_config(tmp_path, TABLE_SIM)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "runC")]) == 0
+        assert capsys.readouterr().out.startswith(RUN_TABLE + "# wrote ")
+
+    def test_compare_of_two_tied_runs(self, runs, capsys, tmp_path):
+        merged = tmp_path / "merged.csv"
+        assert main(["compare", *map(str, runs), "--out", str(merged)]) == 0
+        assert capsys.readouterr().out == COMPARE_TABLE
+        assert merged.read_text() == COMPARE_CSV
 
 
 class TestGeneratedSeries:

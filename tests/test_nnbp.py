@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import input_window, squared_error_gradient
 from seqbet.errors import UsageError
 from seqbet.game import MovementSeries, clamp_ratio
-from seqbet.network import NetworkConfig, NetworkWeights, forward
+from seqbet.network import NetworkConfig, NetworkWeights, forward, window_matrix
 from seqbet.data import NoiseSpec, gen_ar1, normalize
 from seqbet.nnbp import (
     NnbpConfig,
@@ -235,6 +235,26 @@ class TestTrainReplicates:
         assert epochs[1] < epochs[2] < epochs[0]
         assert [diag.converged for _, diag in fits] == [False, True, True]
         assert fits[0][1].steps_used == (2000 // 29) * 29
+
+    def test_final_error_is_training_error_of_the_fit(self):
+        # The trainer's last epoch error is `training_error` of the weights it
+        # returns, bit for bit, alone and in a stack whose replicates stop at
+        # different epochs.
+        alternating = np.resize([-0.5, 0.5], 30)
+        noisy = normalize(gen_ar1(30, NoiseSpec(seed=3))).values
+        damped = alternating * np.random.default_rng(1).uniform(0.2, 1.0, 30)
+        series = [MovementSeries(x) for x in (noisy, alternating, damped)]
+        configs = [
+            toy_config(net=NetworkConfig(2, 3), learning_rate=0.3, error_threshold=0.02,
+                       max_steps=2000, seed=s)
+            for s in (1, 2, 3)
+        ]
+        fits = [train(series[0], configs[0]), *train_replicates(series, configs)]
+        for movements, (weights, diag) in zip([series[0], *series], fits):
+            xs = movements.values
+            windows = window_matrix(xs, 2, 3, len(xs))
+            targets = [sign_target(x) for x in xs[2:]]
+            assert diag.final_error == training_error(weights, windows, targets)
 
     def test_paper_sized_network_and_given_inits(self):
         series = [normalize(gen_ar1(300, NoiseSpec(seed=s))) for s in (4, 5, 6)]

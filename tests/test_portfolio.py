@@ -73,6 +73,13 @@ class TestPortfolioWeights:
             np.testing.assert_array_equal(mine, theirs)
             assert not np.shares_memory(mine, theirs)
 
+    def test_zeros_has_one_output_row_per_asset(self):
+        w = PortfolioWeights.zeros(NetworkConfig(2, 3), 4)
+        assert type(w) is PortfolioWeights
+        assert w.hidden_weights.shape == (3, 2) and w.output_weights.shape == (4, 3)
+        assert not w.hidden_weights.any() and not w.output_weights.any()
+        np.testing.assert_array_equal(forward_portfolio([0.5, -0.5], w), np.zeros(4))
+
     def test_single_asset_record_rejects_output_rows(self):
         with pytest.raises(UsageError):
             NetworkWeights(np.zeros((3, 2)), np.zeros((1, 3)))
@@ -151,6 +158,7 @@ class TestRunPortfolio:
         np.testing.assert_array_equal(panel.ratios[:, 0], single.ratios)
         np.testing.assert_array_equal(panel.log_capital_path, single.log_capital_path)
         assert panel.checkpoints == single.checkpoints
+        assert panel.diagnostics == single.diagnostics
 
     def test_two_assets_run_and_solvency(self, rng):
         panel = np.column_stack(
@@ -326,7 +334,7 @@ def _reference_ascent(windows, moves, config, init):
         weights = PortfolioWeights(hidden, out)
         grad_hidden, grad_out = log_wealth_gradient(weights, windows, moves)
         norm = float(max(np.abs(grad_hidden).max(), np.abs(grad_out).max()))
-        rate = config.schedule.rate(step)
+        rate = config.schedule.initial_rate / (1.0 + step / config.schedule.decay_steps)
         step_hidden, step_out = rate * grad_hidden, rate * grad_out
         for _ in range(64):
             points += 1

@@ -137,7 +137,7 @@ def reference_ascent(history, config, init):
         grad_hidden, grad_out = log_wealth_gradient(weights, windows, moves)
         if value > best_value:
             best_value, best = value, (w_hidden.copy(), w_out.copy())
-        rate = config.schedule.rate(step)
+        rate = config.schedule.initial_rate / (1.0 + step / config.schedule.decay_steps)
         inc_hidden = rate * grad_hidden
         inc_out = rate * grad_out
         w_hidden = w_hidden + inc_hidden
