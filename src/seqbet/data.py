@@ -126,13 +126,15 @@ def movements_from_prices(prices: PriceSeries) -> np.ndarray:
 
 
 def _parse_rows(path, n_values: int | None = None):
-    """Yield (lineno, date, values) rows from a `date,v1,..` CSV.
+    """Yield (lineno, date, values) rows from a `date,v1,..` CSV, whose
+    dates must be strictly increasing.
 
     Blank lines are skipped, and the first other line may be a header.
     Without `n_values`, that line fixes the number of value columns.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         first = True
+        last = None
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -155,6 +157,11 @@ def _parse_rows(path, n_values: int | None = None):
                 day = datetime.date.fromisoformat(row[0].strip())
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad ISO date {row[0]!r}") from None
+            if last is not None and day <= last:
+                raise DataError(
+                    f"{path}:{lineno}: dates must be strictly increasing, got {day} after {last}"
+                )
+            last = day
             yield lineno, day, values
 
 
@@ -166,10 +173,6 @@ def load_prices(path) -> PriceSeries:
         close = values[0]
         if not (close > 0 and np.isfinite(close)):
             raise DataError(f"{path}:{lineno}: close must be positive, got {close!r}")
-        if dates and day <= dates[-1]:
-            raise DataError(
-                f"{path}:{lineno}: dates must be strictly increasing, got {day} after {dates[-1]}"
-            )
         dates.append(day)
         closes.append(close)
     if not dates:
@@ -188,10 +191,6 @@ def load_movement_matrix(path) -> tuple[list[datetime.date], np.ndarray]:
     for lineno, day, values in _parse_rows(path):
         if not all(abs(v) <= 1.0 for v in values):  # also rejects NaN
             raise DataError(f"{path}:{lineno}: movements must lie in [-1, 1]")
-        if dates and day <= dates[-1]:
-            raise DataError(
-                f"{path}:{lineno}: dates must be strictly increasing, got {day} after {dates[-1]}"
-            )
         dates.append(day)
         rows.append(values)
     if not dates:

@@ -776,10 +776,12 @@ def _submission_rank(spec: TaskSpec) -> tuple[int, int]:
 
 def _run(config: ExperimentConfig, out_dir: Path, jobs: int, series, training) -> RunReport:
     """Run every cell on the per-replicate `series` (and the nnbp replicates'
-    `training` series) and write the artifacts in cell order."""
-    _clear_artifacts(out_dir)
+    `training` series) and write the artifacts in cell order. `out_dir` is
+    touched only after every cell has run, so an error that stops the run
+    leaves it as it was."""
     checkpoints = checkpoint_rounds(len(series[0]) - config.warmup)
     done = {cell.label: cell for cell in _execute(_task_specs(config, series, training), jobs)}
+    _clear_artifacts(out_dir)
     report = RunReport(out_dir, checkpoints, [done[label] for label, _ in config.cells])
     _write_cells(report)
     _write_manifest(out_dir, config, checkpoints)

@@ -1,15 +1,17 @@
-"""Bounded forecasting game: capital accounting and the strategy-agnostic game loop.
+"""Bounded forecasting game: its three rules and the strategy-agnostic game loop.
 
 Each round Investor bets a fraction alpha_n of current capital, Market reveals a
-move x_n in [-1, 1], and capital multiplies by (1 + alpha_n * x_n). Keeping
-|alpha_n| < 1 rules out bankruptcy. Capital is tracked in log space only:
-`run_game` adds log1p(alpha_n * x_n) per round, which is the one capital
-update. `run_game` rejects a ratio outside (-1, 1), and `MovementSeries`
-rejects a movement outside [-1, 1], so every update is finite.
+move x_n in [-1, 1], and capital multiplies by (1 + alpha_n . x_n), with vectors
+for P assets. Each rule is written once, here: a movement is finite and lies
+in [-1, 1] (`_check_movements`); a round's total exposure sum|alpha_n| is below
+1, which rules out bankruptcy; log capital adds log1p(alpha_n . x_n) per round,
+summed left to right from 0.0. `_play` checks and plays a whole table of bets,
+for `run_game`'s single-asset callbacks and the multi-asset strategy alike.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -33,6 +35,16 @@ def clamp_ratio(alpha: float) -> float:
     return min(max(float(alpha), -RATIO_CAP), RATIO_CAP)
 
 
+def _check_movements(values: np.ndarray) -> float:
+    """The peak |x| of a float array of movements, each of which must be
+    finite and lie in [-1, 1]; 0.0 for an empty array."""
+    peak = np.maximum.reduce(np.abs(values), axis=None, initial=0.0)
+    if not peak <= 1.0:  # NaN propagates through the maximum and fails here too
+        worst = values.flat[np.flatnonzero(~(np.abs(values) <= 1.0))[0]]
+        raise DomainError(f"market movement must be finite and lie in [-1, 1], got {float(worst)!r}")
+    return peak
+
+
 @dataclass
 class MovementSeries:
     """Normalized per-round price movements x_n in [-1, 1], the Market's moves."""
@@ -43,14 +55,7 @@ class MovementSeries:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1:
             raise UsageError("movement series must be one-dimensional")
-        if self.values.size:
-            if not np.isfinite(self.values).all():
-                raise DomainError("movement series contains non-finite values")
-            worst = self.values[np.argmax(np.abs(self.values))]
-            if abs(worst) > 1.0:
-                raise DomainError(
-                    f"market movement must lie in [-1, 1], got {worst!r}"
-                )
+        _check_movements(self.values)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -112,11 +117,12 @@ def run_game(
     movements: MovementSeries,
     warmup: int = 0,
 ) -> StrategyRunResult:
-    """Play the bounded forecasting game round by round.
+    """Play the bounded forecasting game on one asset.
 
     `strategy(n, past)` is called for each round n > warmup with the 1-based
     round index and a read-only view of the movements before round n (all x_k
     with k < n); it returns the betting ratio alpha_n. Rounds 1..warmup bet 0.
+    A bet never depends on capital, so `_play` plays the collected bets.
     """
     if warmup < 0:
         raise UsageError(f"warmup must be nonnegative, got {warmup}")
@@ -126,19 +132,22 @@ def run_game(
         raise UsageError(
             f"series of length {n_rounds} leaves no rounds after a warmup of {warmup}"
         )
-    ratios = np.zeros(n_rounds)
-    path = np.empty(n_rounds)
-    log_k = 0.0
-    for i in range(n_rounds):
-        n = i + 1
-        alpha = 0.0
-        if n > warmup:
-            alpha = float(strategy(n, xs[: n - 1]))
-            if not -1.0 < alpha < 1.0:
-                raise StrategyViolationError(
-                    f"strategy returned ratio {alpha!r} outside (-1, 1) at round {n}"
-                )
-        log_k += math.log1p(alpha * xs[i])
-        ratios[i] = alpha
-        path[i] = log_k
-    return StrategyRunResult(ratios=ratios, log_capital_path=path, warmup=warmup)
+    bets = [0.0] * warmup
+    bets += [float(strategy(n, xs[: n - 1])) for n in range(warmup + 1, n_rounds + 1)]
+    return _play(np.array(bets), xs, warmup)
+
+
+def _play(ratios: np.ndarray, moves: np.ndarray, warmup: int) -> StrategyRunResult:
+    """The run of a table of bets, length N or N x P like its movements;
+    `StrategyViolationError` names the first round whose exposure is not below 1.
+    The sum starts from 0.0, so the -0.0 gain of a warmup round over a
+    negative movement still starts the path at +0.0."""
+    exposure = np.abs(ratios) if ratios.ndim == 1 else np.add.reduce(np.abs(ratios), axis=1)
+    bad = np.flatnonzero(~(exposure < 1.0))  # also catches NaN
+    if bad.size:
+        n, bet = int(bad[0]) + 1, ratios[bad[0]].tolist()
+        what = f"ratio {bet!r} outside (-1, 1)" if ratios.ndim == 1 else f"ratios {bet} of total exposure >= 1"
+        raise StrategyViolationError(f"strategy returned {what} at round {n}")
+    gains = np.vecdot(ratios.reshape(len(moves), -1), moves.reshape(len(moves), -1))
+    path = list(itertools.accumulate(map(math.log1p, gains.tolist()), initial=0.0))
+    return StrategyRunResult(ratios=ratios, log_capital_path=np.array(path[1:]), warmup=warmup)

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
-from .game import RATIO_CAP, MovementSeries, StrategyRunResult, run_game
+from .game import RATIO_CAP, MovementSeries, StrategyRunResult, _check_movements, run_game
 
 @dataclass(frozen=True)
 class MarkovOrder:
@@ -79,10 +79,7 @@ def optimize_bucket(movements_in_bucket: Sequence[float], start: float = 0.0) ->
     moves = np.asarray(movements_in_bucket, dtype=float)
     if moves.ndim != 1:
         raise UsageError(f"bucket movements must be one-dimensional, got shape {moves.shape}")
-    peak = np.maximum.reduce(np.abs(moves), initial=0.0)
-    if not peak <= 1.0:  # also rejects NaN
-        raise UsageError("bucket movements must lie in [-1, 1]")
-    if peak == 0.0:
+    if _check_movements(moves) == 0.0:
         return 0.0
     return _maximize_log_wealth(moves, start)
 
@@ -212,10 +209,6 @@ def run_mkv(movements: MovementSeries, order, warmup: int) -> StrategyRunResult:
             f"warmup of {warmup} cannot provide an order-{order.order} sign context"
         )
     xs = movements.values
-    if len(xs) <= warmup:
-        raise UsageError(
-            f"series of length {len(xs)} leaves no rounds after a warmup of {warmup}"
-        )
     index = _bucket_indices(xs, order.order)
     # Rounds order+1..N-1 get filed, each into a bucket preallocated to its
     # final size; a refit reads the filled prefix without copying it.

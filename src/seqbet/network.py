@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
+from .game import _check_movements
 
 # Double-precision tanh rounds to exactly +/-1.0 once |I3| exceeds ~19, which
 # would let a log-wealth term against a unit movement reach -inf. Nudging the
@@ -204,8 +205,7 @@ def _check_history(windows, moves, input_count: int, asset_count: int = 1):
         )
     if not np.isfinite(windows).all():
         raise UsageError("history windows must be finite")
-    if not (np.abs(moves) <= 1.0).all():
-        raise UsageError("history movements must be finite and lie in [-1, 1]")
+    _check_movements(moves)
     return windows, moves
 
 

@@ -161,8 +161,6 @@ def train_replicates(
     windows, targets = map(
         np.stack, zip(*(_training_pairs(m.values, config.net.input_count) for m in training))
     )
-    if not np.isin(targets, (-1.0, 0.0, 1.0)).all():
-        raise UsageError("training targets must be -1, 0 or 1")
     count, m = targets.shape
     hidden_count, input_count = config.net.hidden_count, config.net.input_count
     split = hidden_count * input_count

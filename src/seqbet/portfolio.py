@@ -12,19 +12,20 @@ asset. The objective and its gradient are `seqbet.network.log_wealth` and
 `log_wealth_gradient`, and the refit and the round checks are those of
 `seqbet.sosnn`; the single-asset strategy is the P = 1 case. Only for
 P > 1 can a ratio vector bankrupt a recorded round, so only then does the
-refit search for solvent weights and steps. Capital updates by `log1p(ratios @ x)` each round, as in
-the game loop.
+refit search for solvent weights and steps. The game's rules are those of
+`seqbet.game`: the panel passes the one movement check, and the table of
+bets is played by the one bet check and capital update that serve every
+single-asset strategy.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import UsageError
-from .game import RATIO_CAP, OptimizeReport, StrategyRunResult
+from .game import RATIO_CAP, OptimizeReport, StrategyRunResult, _check_movements, _play
 from .network import NetworkConfig, NetworkWeights, _OUTPUT_CAP, _hidden_layer
 from .sosnn import SosnnConfig, _refit, _round_windows
 
@@ -81,15 +82,16 @@ def run_sosnn_portfolio(movements: np.ndarray, config: SosnnConfig) -> StrategyR
     Mirrors the single-asset run round for round: shared input windows are
     built from the first asset's movements, refits start from the previous
     optimum (or fresh draws), and the ratio vector is exposure-rescaled
-    before betting. The result's `ratios` is a (rounds x assets) matrix with
-    zero rows through the warmup, and its `diagnostics` list each betting
-    round's `OptimizeReport`, as a single-asset run's do.
+    before betting. A bet never depends on capital, so the bets of all
+    rounds are found first and then played by the game's `_play`. The
+    result's `ratios` is a (rounds x assets) matrix with zero rows through
+    the warmup, and its `diagnostics` list each betting round's
+    `OptimizeReport`, as a single-asset run's do.
     """
     moves = np.asarray(movements, dtype=float)
     if moves.ndim != 2 or moves.shape[1] < 1:
         raise UsageError("movement panel must be a (rounds x assets) matrix")
-    if not (np.abs(moves) <= 1.0).all():
-        raise UsageError("movements must be finite and lie in [-1, 1]")
+    _check_movements(moves)
     n_rounds, n_assets = moves.shape
     warmup = config.warmup
     windows = _round_windows(moves[:, 0], config)
@@ -98,27 +100,21 @@ def run_sosnn_portfolio(movements: np.ndarray, config: SosnnConfig) -> StrategyR
 
     ratios = np.zeros((n_rounds, n_assets))
     diagnostics = []
-    path = np.empty(n_rounds)
-    log_k = 0.0
-    for i in range(n_rounds):
-        n = i + 1
-        if n > warmup:
-            completed = n - 1 - warmup
-            if completed > 0:
-                init = (
-                    weights
-                    if config.warm_start
-                    else PortfolioWeights.uniform(config.net, n_assets, config.init_scale, rng)
-                )
-                weights, report = _optimize_portfolio(
-                    windows[:completed], moves[warmup : n - 1], config, init
-                )
-            else:  # nothing to fit yet, as in `run_sosnn_replicates`
-                report = OptimizeReport(0, True, 0.0, 0.0)
-            diagnostics.append(report)
-            bet = rescale_exposure(forward_portfolio(windows[n - warmup - 1], weights))
-            ratios[i] = bet
-            # math.log1p, as in the game loop, keeps one asset identical to run_sosnn.
-            log_k += math.log1p(float(bet @ moves[i]))
-        path[i] = log_k
-    return StrategyRunResult(ratios, path, warmup, diagnostics)
+    for n in range(warmup + 1, n_rounds + 1):
+        completed = n - 1 - warmup
+        if completed > 0:
+            init = (
+                weights
+                if config.warm_start
+                else PortfolioWeights.uniform(config.net, n_assets, config.init_scale, rng)
+            )
+            weights, report = _optimize_portfolio(
+                windows[:completed], moves[warmup : n - 1], config, init
+            )
+        else:  # nothing to fit yet, as in `run_sosnn_replicates`
+            report = OptimizeReport(0, True, 0.0, 0.0)
+        diagnostics.append(report)
+        ratios[n - 1] = rescale_exposure(forward_portfolio(windows[n - warmup - 1], weights))
+    result = _play(ratios, moves, warmup)
+    result.diagnostics = diagnostics
+    return result

@@ -933,16 +933,25 @@ class TestCli:
         assert main(["simulate", "--out", "x"]) == 1
 
     def test_internal_error_exits_2_with_traceback(self, tmp_path, capsys, monkeypatch):
+        # The error stops the run before it touches --out: a previous run's
+        # directory keeps every byte, and a fresh run creates no directory.
+        path = write_config(tmp_path, TINY_SIM)
+        previous, fresh = tmp_path / "previous", tmp_path / "fresh"
+        assert main(["simulate", "--config", str(path), "--out", str(previous)]) == 0
+        before = tree_bytes(previous)
+
         def broken(spec):
             raise RuntimeError("bug inside a cell")
 
         monkeypatch.setattr(experiments, "_run_cell", broken)
-        path = write_config(tmp_path, TINY_SIM)
-        out = str(tmp_path / "o")
-        assert main(["simulate", "--config", str(path), "--out", out, "--jobs", "1"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("Traceback (most recent call last):")
-        assert err.rstrip().endswith("RuntimeError: bug inside a cell")
+        for out in (previous, fresh):
+            capsys.readouterr()
+            assert main(["simulate", "--config", str(path), "--out", str(out), "--jobs", "1"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("Traceback (most recent call last):")
+            assert err.rstrip().endswith("RuntimeError: bug inside a cell")
+        assert tree_bytes(previous) == before
+        assert not fresh.exists()
 
     def test_out_is_a_file_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_SIM)

@@ -1,4 +1,5 @@
-"""Game protocol: the run loop and its log1p capital update, warmup, and causality."""
+"""Game protocol: the movement rule, the bet check and the log1p capital update
+for one asset and for many, warmup, and causality."""
 
 import math
 
@@ -10,10 +11,15 @@ from hypothesis import strategies as st
 from seqbet.errors import DomainError, StrategyViolationError, UsageError
 from seqbet.game import (
     MovementSeries,
+    _play,
     checkpoint_rounds,
     clamp_ratio,
     run_game,
 )
+from seqbet.markov import optimize_bucket
+from seqbet.network import NetworkConfig, NetworkWeights, log_wealth
+from seqbet.portfolio import run_sosnn_portfolio
+from seqbet.sosnn import SosnnConfig
 
 ratios_st = st.floats(-0.99, 0.99, allow_nan=False)
 moves_st = st.floats(-1.0, 1.0, allow_nan=False)
@@ -24,10 +30,23 @@ class TestMovementSeries:
         with pytest.raises(DomainError):
             MovementSeries(np.array([0.0, 1.2]))
 
-    @pytest.mark.parametrize("x", [1.0001, -2.0, float("nan")])
+    @pytest.mark.parametrize("x", [1.0001, -2.0, float("nan"), float("inf"), 1.0 + 1e-12])
     def test_rejects_bad_movement(self, x):
-        with pytest.raises(DomainError, match="movement"):
-            MovementSeries(np.array([0.1, x]))
+        # One movement rule behind the series, the network's objective, the
+        # MKV refit and the multi-asset panel; DomainError is a UsageError.
+        assert issubclass(DomainError, UsageError)
+        weights = NetworkWeights.zeros(NetworkConfig(1, 2))
+        panel = np.zeros((30, 2))
+        panel[10, 1] = x
+        config = SosnnConfig(net=NetworkConfig(1, 2), warmup=5)
+        for entry in (
+            lambda: MovementSeries(np.array([0.1, x])),
+            lambda: log_wealth(weights, [[0.1], [0.2]], [0.1, x]),
+            lambda: optimize_bucket([0.5, x]),
+            lambda: run_sosnn_portfolio(panel, config),
+        ):
+            with pytest.raises(DomainError, match="movement"):
+                entry()
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
@@ -71,6 +90,22 @@ class TestRunGame:
         ms = MovementSeries(np.array([0.1, 0.1, 0.1]))
         with pytest.raises(StrategyViolationError, match="round 2"):
             run_game(lambda n, past: alpha if n == 2 else 0.0, ms, warmup=0)
+
+    def test_path_is_a_left_to_right_log1p_sum(self, rng):
+        # Byte for byte: a running math.log1p sum from 0.0. The warmup round
+        # over a negative movement gains 0.0 * -0.5 = -0.0, and 0.0 + -0.0
+        # starts the path at +0.0.
+        xs = rng.uniform(-1, 1, 60)
+        xs[0] = -0.5
+        bets = rng.uniform(-0.99, 0.99, 60)
+        res = run_game(lambda n, past: bets[n - 1], MovementSeries(xs), warmup=1)
+        log_k, expected = 0.0, []
+        for n, x in enumerate(xs, start=1):
+            alpha = float(bets[n - 1]) if n > 1 else 0.0
+            log_k += math.log1p(alpha * x)
+            expected.append(log_k)
+        assert res.log_capital_path.tobytes() == np.array(expected).tobytes()
+        assert math.copysign(1.0, res.log_capital_path[0]) == 1.0
 
     def test_series_not_longer_than_warmup(self):
         with pytest.raises(UsageError):
@@ -118,6 +153,30 @@ class TestRunGame:
         assert np.all(np.isfinite(res.log_capital_path))
         product = math.prod(1.0 + a * x for a, x in pairs)
         assert res.final_log_capital == pytest.approx(math.log(product), abs=1e-10)
+
+
+class TestPlayManyAssets:
+    def test_path_matches_the_row_product_loop(self, rng):
+        # Byte for byte against a running log1p(float(bet @ x)) sum from 0.0.
+        moves = rng.uniform(-1, 1, (300, 2))
+        ratios = rng.uniform(-0.49, 0.49, (300, 2))
+        ratios[:4] = 0.0
+        res = _play(ratios, moves, 4)
+        log_k, expected = 0.0, []
+        for bet, x in zip(ratios, moves):
+            log_k += math.log1p(float(bet @ x))
+            expected.append(log_k)
+        assert res.log_capital_path.tobytes() == np.array(expected).tobytes()
+        assert res.ratios is ratios and res.warmup == 4
+
+    @pytest.mark.parametrize("row", [[0.5, 0.5], [0.25, -0.75], [-1.0, 0.0], [np.nan, 0.0]])
+    def test_exposure_of_one_names_round(self, row):
+        ratios = np.zeros((6, 2))
+        ratios[1] = [0.4, -0.59]
+        ratios[3] = row
+        ratios[4] = [2.0, 0.0]
+        with pytest.raises(StrategyViolationError, match=r"total exposure >= 1 at round 4$"):
+            _play(ratios, np.full((6, 2), 0.1), 0)
 
 
 class TestCheckpoints:

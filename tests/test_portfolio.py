@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import fd_gradient, relative_error
 from seqbet.data import NoiseSpec, gen_ar1, normalize
-from seqbet.errors import UsageError
+from seqbet import portfolio
+from seqbet.errors import StrategyViolationError, UsageError
 from seqbet.network import (
     NetworkConfig,
     NetworkWeights,
@@ -188,6 +189,14 @@ class TestRunPortfolio:
         a = run_sosnn_portfolio(panel, config)
         b = run_sosnn_portfolio(panel, config)
         np.testing.assert_array_equal(a.ratios, b.ratios)
+
+    def test_bets_pass_the_game_exposure_check(self, monkeypatch):
+        # Without the rescale, a bet of total exposure 1.2 reaches the bet
+        # check every strategy's table goes through, which names its round.
+        monkeypatch.setattr(portfolio, "rescale_exposure", lambda ratios: np.array([0.6, 0.6]))
+        config = SosnnConfig(net=NetworkConfig(1, 2), warmup=5, seed=8)
+        with pytest.raises(StrategyViolationError, match=r"ratios \[0.6, 0.6\] of total exposure >= 1 at round 6$"):
+            run_sosnn_portfolio(np.zeros((12, 2)), config)
 
     def test_panel_validation(self):
         config = SosnnConfig(net=NetworkConfig(1, 2), warmup=5, seed=8)
