@@ -80,7 +80,7 @@ class BacktestData:
     price_file: Path
     investing: tuple[datetime.date, datetime.date]
     normalization: tuple[datetime.date, datetime.date]
-    training: tuple[datetime.date, datetime.date] | None = None
+    training: tuple[datetime.date, datetime.date] | None
 
 
 # One grid cell: its label and the strategy config every replicate runs.
@@ -95,10 +95,10 @@ class ExperimentConfig:
     replicates: int
     strategies: tuple[str, ...]
     data: GeneratorData | BacktestData
-    rounds: int | None = None
-    cells: tuple[Cell, ...] = ()
-    training_rounds: int | None = None  # simulate: length of each NNBP training series
-    raw: dict = field(default_factory=dict, hash=False, compare=False)
+    rounds: int | None  # simulate only
+    cells: tuple[Cell, ...]
+    training_rounds: int | None  # simulate: length of each NNBP training series
+    raw: dict = field(hash=False, compare=False)
 
 
 def _typed(convert, kind):
@@ -185,6 +185,20 @@ def _section_rules(section: str):
         raise ConfigError(f"[{section}] {exc}") from None
 
 
+def _date_range(section: _SectionReader, name: str, required: bool):
+    """The (start, end) dates of `<name>_start` and `<name>_end`, in order,
+    or None for an optional range that sets neither."""
+    start = section.get(f"{name}_start", _DATE, required=required)
+    end = section.get(f"{name}_end", _DATE, required=required)
+    if start is None and end is None:
+        return None
+    if start is None or end is None:
+        raise ConfigError(f"{name}_start and {name}_end must be given together")
+    if end < start:
+        raise ConfigError(f"{name} range ends before it starts")
+    return start, end
+
+
 def _strategy_section(parser, strategies, name) -> _SectionReader | None:
     if name not in strategies:
         if name in parser:
@@ -258,30 +272,12 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         data_spec: GeneratorData | BacktestData = GeneratorData(generator)
     else:
         price_file = data.get("price_file", required=True)
-        resolved = (path.parent / price_file).resolve()
-        investing = (
-            data.get("investing_start", _DATE, required=True),
-            data.get("investing_end", _DATE, required=True),
+        data_spec = BacktestData(
+            (path.parent / price_file).resolve(),
+            _date_range(data, "investing", required=True),
+            _date_range(data, "normalization", required=True),
+            _date_range(data, "training", required=False),
         )
-        normalization = (
-            data.get("normalization_start", _DATE, required=True),
-            data.get("normalization_end", _DATE, required=True),
-        )
-        training = None
-        t_start = data.get("training_start", _DATE)
-        t_end = data.get("training_end", _DATE)
-        if (t_start is None) != (t_end is None):
-            raise ConfigError("training_start and training_end must be given together")
-        if t_start is not None:
-            training = (t_start, t_end)
-        for label, (start, end) in (
-            ("investing", investing),
-            ("normalization", normalization),
-            *((("training", training),) if training else ()),
-        ):
-            if end < start:
-                raise ConfigError(f"{label} range ends before it starts")
-        data_spec = BacktestData(resolved, investing, normalization, training)
     exp.reject_unknown()
     data.reject_unknown()
 
@@ -562,24 +558,17 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_series(out_dir: Path, stem: str, run: StrategyRunResult) -> None:
-    series_dir = out_dir / "series"
-    series_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["round,alpha,log_capital"]
-    for i, (alpha, logk) in enumerate(zip(run.ratios, run.log_capital_path), start=1):
-        lines.append(f"{i},{_fmt(alpha)},{_fmt(logk)}")
-    (series_dir / f"{stem}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """`lines` as a UTF-8 file, each ended by a newline; creates its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def _write_nnbp_diagnostics(out_dir: Path, stem: str, diag: TrainingDiagnostics) -> None:
-    diag_dir = out_dir / "diagnostics"
-    diag_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["epoch,training_error"]
-    lines += [f"{i},{_fmt(e)}" for i, e in enumerate(diag.error_per_epoch, start=1)]
-    (diag_dir / f"{stem}__epochs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    lines = ["day,error"]
-    lines += [f"{i},{_fmt(e)}" for i, e in enumerate(diag.per_day_error, start=1)]
-    (diag_dir / f"{stem}__days.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _numbered(header: str, *columns) -> list[str]:
+    """`header`, then one `i,value,...` row per entry of the equally long
+    `columns`, numbered from 1."""
+    rows = (",".join([str(i), *map(_fmt, values)]) for i, values in enumerate(zip(*columns), 1))
+    return [header, *rows]
 
 
 def _write_cells(report: RunReport) -> None:
@@ -593,11 +582,15 @@ def _write_cells(report: RunReport) -> None:
             if isinstance(replicate, str):
                 continue
             run, diag = replicate
-            _write_series(out_dir, f"{cell.label}__rep{r}", run)
+            stem = f"{cell.label}__rep{r}"
+            series = _numbered("round,alpha,log_capital", run.ratios, run.log_capital_path)
+            _write_lines(out_dir / "series" / f"{stem}.csv", series)
             if diag is not None:
-                _write_nnbp_diagnostics(out_dir, f"{cell.label}__rep{r}", diag)
+                diags = out_dir / "diagnostics"
+                _write_lines(diags / f"{stem}__epochs.csv", _numbered("epoch,training_error", diag.error_per_epoch))
+                _write_lines(diags / f"{stem}__days.csv", _numbered("day,error", diag.per_day_error))
             lines += [f"{cell.label},{r},{c},{_fmt(run.checkpoints[c])}" for c in checkpoints]
-    (out_dir / "replicates.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(out_dir / "replicates.csv", lines)
 
     header = ["cell", "status", "reason"]
     header += [f"logK_{c}" for c in checkpoints]
@@ -610,7 +603,7 @@ def _write_cells(report: RunReport) -> None:
         row.append(_fmt(s.converged_fraction) if s.converged_fraction is not None else "")
         row.append(_fmt(s.training_error) if s.training_error is not None else "")
         lines.append(",".join(row))
-    (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(out_dir / "summary.csv", lines)
 
     (out_dir / "summary.txt").write_text(report.table.render(), encoding="utf-8")
 
@@ -636,9 +629,7 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints) -> Non
             "markov": {"optimizer": f"slope bisection on [{-RATIO_CAP}, {RATIO_CAP}], tol {_TOL}"},
         },
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_lines(out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 # ---------------------------------------------------------------------------

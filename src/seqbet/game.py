@@ -132,8 +132,10 @@ def run_game(
         raise UsageError(
             f"series of length {n_rounds} leaves no rounds after a warmup of {warmup}"
         )
+    past = xs.view()
+    past.flags.writeable = False
     bets = [0.0] * warmup
-    bets += [float(strategy(n, xs[: n - 1])) for n in range(warmup + 1, n_rounds + 1)]
+    bets += [float(strategy(n, past[: n - 1])) for n in range(warmup + 1, n_rounds + 1)]
     return _play(np.array(bets), xs, warmup)
 
 

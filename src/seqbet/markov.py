@@ -199,9 +199,11 @@ def run_mkv(movements: MovementSeries, order, warmup: int) -> StrategyRunResult:
 
     At round n every past round k <= n-1 whose sign context exists (k > order)
     lands in one bucket; round n bets the freshly optimized ratio of its own
-    context's bucket. Each refit starts its search at the bucket's last
-    ratio (0 before the first), which changes the work, not the ratio.
-    Fully deterministic.
+    context's bucket. The movements are split by bucket once; round n fits
+    on the prefix of its bucket that precedes it, and only when that prefix
+    has grown since the bucket's last refit. Each refit starts its search at
+    the bucket's last ratio (0 before the first), which changes the work,
+    not the ratio. Fully deterministic.
     """
     order = _as_order(order)
     if warmup < order.order:
@@ -210,28 +212,22 @@ def run_mkv(movements: MovementSeries, order, warmup: int) -> StrategyRunResult:
         )
     xs = movements.values
     index = _bucket_indices(xs, order.order)
-    # Rounds order+1..N-1 get filed, each into a bucket preallocated to its
-    # final size; a refit reads the filled prefix without copying it.
-    sizes = np.bincount(index[order.order + 1 : len(xs)], minlength=order.bucket_count)
-    buckets = [np.empty(size) for size in sizes]
+    # filed[b, k]: round k (0..N) is in bucket b and a later round fits on
+    # it, that is order < k < N; round k's movement is xs[k - 1].
+    rounds = np.arange(len(index))
+    filed = (index == np.arange(order.bucket_count)[:, None]) & (rounds > order.order) & (rounds < len(xs))
+    buckets = [xs[row[1:]] for row in filed]
+    # earlier[n]: how many filed rounds of round n's bucket precede round n.
+    earlier = (np.cumsum(filed, axis=1) - filed)[index, rounds].tolist()
     bucket_of = index.tolist()
-    filled = [0] * order.bucket_count
     ratios = [0.0] * order.bucket_count
-    stale = [False] * order.bucket_count
-    next_k = order.order + 1  # earliest round with a full sign context
+    fitted = [0] * order.bucket_count  # the bucket prefix each ratio was fit on
 
     def bet(n: int, past: np.ndarray) -> float:
-        nonlocal next_k
-        while next_k <= n - 1:
-            b = bucket_of[next_k]
-            buckets[b][filled[b]] = xs[next_k - 1]
-            filled[b] += 1
-            stale[b] = True
-            next_k += 1
-        b = bucket_of[n]
-        if stale[b]:
-            ratios[b] = optimize_bucket(buckets[b][: filled[b]], start=ratios[b])
-            stale[b] = False
+        b, size = bucket_of[n], earlier[n]
+        if size > fitted[b]:
+            ratios[b] = optimize_bucket(buckets[b][:size], start=ratios[b])
+            fitted[b] = size
         return ratios[b]
 
     return run_game(bet, movements, warmup)

@@ -62,10 +62,14 @@ class TrainingDiagnostics:
     """Fit record: errors per cycle, the final per-day errors, and effort."""
 
     error_per_epoch: list[float]
-    final_error: float
     per_day_error: np.ndarray
     steps_used: int
     converged: bool
+
+    @property
+    def final_error(self) -> float:
+        """The training error after the last epoch."""
+        return self.error_per_epoch[-1]
 
 
 def sign_target(x: float) -> int:
@@ -79,7 +83,15 @@ def sign_target(x: float) -> int:
 
 def training_error(weights: NetworkWeights, windows, targets) -> float:
     """Mean halved squared error of the outputs on m x L `windows` against
-    the m `targets`: sum((T-y)^2) / 2m."""
+    the m `targets`: sum((T-y)^2) / 2m. Each target is -1, 0 or 1, as
+    `sign_target` gives them."""
+    try:
+        targets = np.asarray(targets, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"training targets must be numeric and of one shape: {exc}") from None
+    bad = targets[~np.isin(targets, (-1.0, 0.0, 1.0))]
+    if bad.size:
+        raise UsageError(f"training target must be -1, 0 or 1, got {bad.flat[0].item()!r}")
     windows, targets = _check_history(windows, targets, weights.hidden_weights.shape[1])
     if not targets.size:
         raise UsageError("training set must not be empty")
@@ -143,7 +155,8 @@ def train_replicates(
     The series must be equally long and the configs may differ only in
     seed. All replicates take the same per-sample steps in lockstep; one
     whose epoch error drops below the threshold stops there, with a shorter
-    error record, and leaves the stack.
+    error record, and leaves the stack. The loop binds its views once per
+    stack shape and returns once, when the last replicate has stopped.
     """
     config = _shared_config(configs, training, "nnbp")
     if inits is None:
@@ -171,69 +184,64 @@ def train_replicates(
     fits: list = [None] * count
     rows = list(range(count))
     steps = 0
-    rebind = True
-    while True:
-        if rebind:
-            # (Re)bind the views of the active replicates: both layers live in
-            # one R x D array theta, and each step's update in one R x D buffer.
-            active = len(rows)
-            grad = np.empty_like(theta)
-            w_hidden = theta[:, :split].reshape(active, hidden_count, input_count)
-            w_out = theta[:, split:].reshape(active, 1, hidden_count)
-            w_out_col = w_out.mT
-            grad_hidden = grad[:, :split].reshape(active, hidden_count, input_count)
-            grad_out = grad[:, split:].reshape(active, 1, hidden_count).mT
-            delta_flat = np.empty(active)
-            out_delta = delta_flat.reshape(active, 1, 1)
-            samples = [
-                (windows[:, j, :, None], windows[:, j, None, :], targets[:, j].tolist())
-                for j in range(m)
-            ]
-            rebind = False
-        # One descent step per sample along the gradient of (T - y)^2 / 2, in
-        # the operation order of the scalar reference `squared_error_gradient`
-        # in tests/conftest.py, so every replicate's weights match it bit for
-        # bit. The output and its delta are Python floats, as in that step.
-        for u_col, u_row, sample_targets in samples:
-            hidden_out = np.tanh(w_hidden @ u_col)
-            for i, (((out,),), target) in enumerate(
-                zip(np.tanh(w_out @ hidden_out).tolist(), sample_targets)
-            ):
-                out = floor if out < floor else cap if out > cap else out
-                delta_flat[i] = -(target - out) * (1.0 - out * out)
-            hidden_delta = out_delta * w_out_col
-            hidden_delta *= 1.0 - hidden_out * hidden_out
-            np.multiply(hidden_delta, u_row, grad_hidden)
-            np.multiply(out_delta, hidden_out, grad_out)
-            grad *= rate
-            theta -= grad
-        steps += m
-        epoch_errors, day_errors = _training_errors(windows, w_hidden, w_out, targets)
-        capped = steps + m > config.max_steps
+    # One pass per stack shape: bind the views of the active replicates (both
+    # layers live in one R x D array theta, each step's update in one R x D
+    # buffer), run epochs until some stop, and drop those from the stack.
+    while rows:
+        active = len(rows)
+        grad = np.empty_like(theta)
+        w_hidden = theta[:, :split].reshape(active, hidden_count, input_count)
+        w_out = theta[:, split:].reshape(active, 1, hidden_count)
+        w_out_col = w_out.mT
+        grad_hidden = grad[:, :split].reshape(active, hidden_count, input_count)
+        grad_out = grad[:, split:].reshape(active, 1, hidden_count).mT
+        delta_flat = np.empty(active)
+        out_delta = delta_flat.reshape(active, 1, 1)
+        samples = [
+            (windows[:, j, :, None], windows[:, j, None, :], targets[:, j].tolist())
+            for j in range(m)
+        ]
         stopped = []
-        for i, error in enumerate(epoch_errors.tolist()):
-            r = rows[i]
-            errors[r].append(error)
-            converged = error < config.error_threshold
-            if converged or capped:
-                weights = inits[r]
-                weights.hidden_weights[...] = w_hidden[i]
-                weights.output_weights[...] = w_out[i, 0]
-                fits[r] = (weights, TrainingDiagnostics(
-                    error_per_epoch=errors[r],
-                    final_error=error,
-                    per_day_error=day_errors[i],
-                    steps_used=steps,
-                    converged=converged,
-                ))
-                stopped.append(i)
-        if len(stopped) == len(rows):
-            return fits
-        if stopped:
-            kept = [i for i in range(len(rows)) if i not in stopped]
-            rows = [rows[i] for i in kept]
-            theta, windows, targets = theta[kept], windows[kept], targets[kept]
-            rebind = True
+        while not stopped:
+            # One descent step per sample along the gradient of (T - y)^2 / 2, in
+            # the operation order of the scalar reference `squared_error_gradient`
+            # in tests/conftest.py, so every replicate's weights match it bit for
+            # bit. The output and its delta are Python floats, as in that step.
+            for u_col, u_row, sample_targets in samples:
+                hidden_out = np.tanh(w_hidden @ u_col)
+                for i, (((out,),), target) in enumerate(
+                    zip(np.tanh(w_out @ hidden_out).tolist(), sample_targets)
+                ):
+                    out = floor if out < floor else cap if out > cap else out
+                    delta_flat[i] = -(target - out) * (1.0 - out * out)
+                hidden_delta = out_delta * w_out_col
+                hidden_delta *= 1.0 - hidden_out * hidden_out
+                np.multiply(hidden_delta, u_row, grad_hidden)
+                np.multiply(out_delta, hidden_out, grad_out)
+                grad *= rate
+                theta -= grad
+            steps += m
+            epoch_errors, day_errors = _training_errors(windows, w_hidden, w_out, targets)
+            capped = steps + m > config.max_steps
+            for i, error in enumerate(epoch_errors.tolist()):
+                r = rows[i]
+                errors[r].append(error)
+                converged = error < config.error_threshold
+                if converged or capped:
+                    weights = inits[r]
+                    weights.hidden_weights[...] = w_hidden[i]
+                    weights.output_weights[...] = w_out[i, 0]
+                    fits[r] = (weights, TrainingDiagnostics(
+                        error_per_epoch=errors[r],
+                        per_day_error=day_errors[i],
+                        steps_used=steps,
+                        converged=converged,
+                    ))
+                    stopped.append(i)
+        kept = [i for i in range(active) if i not in stopped]
+        rows = [rows[i] for i in kept]
+        theta, windows, targets = theta[kept], windows[kept], targets[kept]
+    return fits
 
 
 def run_nnbp(

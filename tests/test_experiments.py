@@ -1,6 +1,7 @@
 """Config validation, artifact layout, determinism, compare, CLI exit codes."""
 
 import datetime
+import hashlib
 import json
 import os
 import subprocess
@@ -234,6 +235,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(write_config(tmp_path, text))
         assert str(info.value) == "[data] investing_end must be an ISO date, got '2020-04-31'"
+
+    def test_reversed_date_range_rejected(self, tmp_path):
+        make_prices(tmp_path)
+        text = BT_TEMPLATE.format(strategies="mkv0", extra="").replace(
+            "normalization_end = 2020-02-10", "normalization_end = 2020-01-01"
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, text))
+        assert str(info.value) == "normalization range ends before it starts"
+
+    def test_training_range_needs_both_ends(self, tmp_path):
+        make_prices(tmp_path)
+        text = BT_TEMPLATE.format(strategies="mkv0", extra="").replace(
+            "training_end = 2020-02-10\n", ""
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, text))
+        assert str(info.value) == "training_start and training_end must be given together"
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -720,6 +739,56 @@ class TestTableBytes:
         assert main(["compare", *map(str, runs), "--out", str(merged)]) == 0
         assert capsys.readouterr().out == COMPARE_TABLE
         assert merged.read_text() == COMPARE_CSV
+
+
+ARTIFACT_SIM = """
+[experiment]
+mode = simulate
+seed = 11
+rounds = 30
+warmup = 5
+replicates = 3
+strategies = mkv0, nnbp
+
+[data]
+generator = ar1
+
+[nnbp]
+input_count = 2
+hidden_count = 3
+max_steps = 4000
+error_threshold = 0.3
+training_rounds = 40
+"""
+
+# SHA-256 of each file; replicate 0 meets the threshold after 10 epochs and
+# leaves the stack, replicates 1 and 2 run to the step cap (105 epochs).
+ARTIFACT_SHA256 = {
+    "diagnostics/nnbp_2x3__rep0__days.csv": "18ac11b6e9c0c7b068da256e886fadc4126c9d26f926a1d2c475c440091af59f",
+    "diagnostics/nnbp_2x3__rep0__epochs.csv": "aeadc58f064924c1e0ad669b1b311c4d1695315bb40efd3b19172232c2ada599",
+    "diagnostics/nnbp_2x3__rep1__days.csv": "1ec7fb66d2761035e4e162316fea2e969eb1b804242dc66f117f9788a12f85c7",
+    "diagnostics/nnbp_2x3__rep1__epochs.csv": "3a014a48fbf5bdce8241e321ca98358bac62ee2361960ae0054048603da0df21",
+    "diagnostics/nnbp_2x3__rep2__days.csv": "d288c413c9fddeccbe838093ab5d64648eaa0a11c6866bd142b05928aed87d29",
+    "diagnostics/nnbp_2x3__rep2__epochs.csv": "7fa376a970aa70d891762bbedeaaef7fc827fefcbc92f39c0a69d27f240f9314",
+    "manifest.json": "1a79264311b36ed419f71af0fbf2724a13b177e2dffe572ccff258f877215a63",
+}
+
+
+class TestArtifactBytes:
+    """The NNBP diagnostics files and the manifest of a small simulate run,
+    byte for byte; `tests/test_golden.py` hashes neither."""
+
+    def test_diagnostics_and_manifest_digests(self, tmp_path):
+        run_simulate(parse_config(write_config(tmp_path, ARTIFACT_SIM)), tmp_path / "out")
+        files = tree_bytes(tmp_path / "out")
+        digests = {
+            name: hashlib.sha256(blob).hexdigest()
+            for name, blob in files.items()
+            if name.startswith("diagnostics/") or name == "manifest.json"
+        }
+        assert digests == ARTIFACT_SHA256
+        epochs = files["diagnostics/nnbp_2x3__rep0__epochs.csv"].decode().splitlines()
+        assert epochs[0] == "epoch,training_error" and epochs[-1].startswith("10,")
 
 
 class TestGeneratedSeries:

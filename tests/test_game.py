@@ -124,6 +124,18 @@ class TestRunGame:
         np.testing.assert_array_equal(seen[2], [0.1])
         np.testing.assert_array_equal(seen[4], [0.1, -0.2, 0.3])
 
+    def test_callback_cannot_write_the_past(self):
+        ms = MovementSeries(np.array([0.1, -0.2, 0.3, -0.4]))
+
+        def tamper(n, past):
+            past[0] = 50.0
+            return 0.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            run_game(tamper, ms, warmup=1)
+        assert ms.values.tolist() == [0.1, -0.2, 0.3, -0.4]
+        assert ms.values.flags.writeable
+
     def test_truncated_replay_matches(self, rng):
         # Perturbing x_m for m >= n never changes alpha_n.
         values = rng.uniform(-1, 1, 30)

@@ -1,12 +1,14 @@
 """Bucketed proportional betting: indexing, the 1-D argmax, and full runs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqbet import markov
-from seqbet.data import NoiseSpec, gen_arma21, normalize
+from seqbet.data import NoiseSpec, gen_ar1, gen_arma21, normalize
 from seqbet.errors import UsageError
 from seqbet.game import RATIO_CAP, MovementSeries
 from seqbet.markov import MarkovOrder, bucket_index, optimize_bucket, run_mkv
@@ -351,3 +353,34 @@ class TestRunMkv:
         a = run_mkv(MovementSeries(values), 1, warmup=5)
         b = run_mkv(MovementSeries(perturbed), 1, warmup=5)
         np.testing.assert_array_equal(a.ratios[:30], b.ratios[:30])
+
+    # Per order, the bucket size of each refit in call order, and the SHA-256
+    # of the space-joined `float.hex` of each refit's start ratio.
+    REFITS = {
+        0: ([4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23],
+            "7d371f74ea03c991866789878cce34c319691d6881b5eaaedb1faf36295d9ebb"),
+        1: ([1, 2, 3, 4, 5, 6, 7, 8, 2, 3, 4, 9, 5, 10, 6, 7, 11, 12, 13, 14],
+            "0125fe8728290dd5fa5e1c3368a94b5e69127a0ae94b6b5459550e017662598c"),
+        2: ([1, 2, 3, 4, 5, 6, 1, 1, 2, 1, 2, 2, 3, 3, 3, 7, 8, 9],
+            "0fbf486b8e315125ad7945880339e131ae84159ea3ce7f4782a3226f3cf0cff2"),
+    }
+
+    @pytest.mark.parametrize("order", (0, 1, 2))
+    def test_refit_sizes_and_starts_are_pinned(self, order, monkeypatch):
+        # Which refits run, on how many movements, and from which start: a
+        # refit whose bucket gained no movement is skipped, and each start is
+        # the bucket's last ratio (0 before its first refit).
+        calls = []
+        optimize = markov.optimize_bucket
+
+        def recording(moves, start=0.0):
+            calls.append((len(moves), start))
+            return optimize(moves, start=start)
+
+        monkeypatch.setattr(markov, "optimize_bucket", recording)
+        run_mkv(normalize(gen_ar1(24, NoiseSpec(seed=4))), order, warmup=4)
+        sizes, digest = self.REFITS[order]
+        assert [size for size, _ in calls] == sizes
+        starts = " ".join(float(start).hex() for _, start in calls)
+        assert hashlib.sha256(starts.encode()).hexdigest() == digest
+        assert calls[0][1] == 0.0

@@ -58,6 +58,14 @@ class TestTrainingError:
         err = training_error(weights, [[1.0]], [1])
         assert err == pytest.approx(HALF_SQ_ERR_TANH10, abs=1e-12)
 
+    @pytest.mark.parametrize("target", [0.5, 2.0, -0.25, float("nan")])
+    def test_targets_must_be_signs(self, target):
+        # Targets are what `sign_target` returns; a movement-like 0.5 or an
+        # out-of-range 2.0 is a usage error that names the target.
+        weights = NetworkWeights.zeros(NetworkConfig(1, 2))
+        with pytest.raises(UsageError, match=f"training target must be -1, 0 or 1, got {target!r}"):
+            training_error(weights, [[0.1], [0.2]], [1, target])
+
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             training_error(NetworkWeights.zeros(NetworkConfig(1, 1)), np.empty((0, 1)), [])
