@@ -198,12 +198,24 @@ def load_movement_matrix(path) -> tuple[list[datetime.date], np.ndarray]:
     return dates, np.asarray(rows, dtype=float)
 
 
+def _fmt(value: float) -> str:
+    # Shortest decimal that round-trips the exact double, so values parsed
+    # back from any artifact equal the computed ones bit for bit.
+    return repr(float(value))
+
+
 def write_movements(path, dates: Sequence[datetime.date], values: np.ndarray) -> None:
-    """Write a movement series as `date,value_1,...` lines (the loaders' format)."""
+    """Write a movement series as `date,value_1,...` lines (the loaders' format).
+
+    One date per row of `values`; the loaders read the values back exactly.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
+    if len(dates) != len(values):
+        raise UsageError(
+            f"need one date per movement row, got {len(dates)} dates and {len(values)} rows"
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for day, row in zip(dates, values):
-            fields = ",".join(format(v, ".12g") for v in row)
-            fh.write(f"{day.isoformat()},{fields}\n")
+            fh.write(f"{day.isoformat()},{','.join(map(_fmt, row))}\n")

@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .data import (
     NoiseSpec,
+    _fmt,
     gen_ar1,
     gen_arma21,
     load_prices,
@@ -550,12 +551,6 @@ class RunReport:
             if c.label == label:
                 return c
         raise KeyError(label)
-
-
-def _fmt(value: float) -> str:
-    # Shortest decimal that round-trips the exact double, so values parsed
-    # back from any artifact equal the computed ones bit for bit.
-    return repr(float(value))
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:

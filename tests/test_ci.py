@@ -1,0 +1,193 @@
+"""scripts/ci.py: each guard passes its good input and fails each broken one.
+
+No perfbench job runs here: the guards are fed the text a step checks, and
+the step-level tests replace the child process with canned output.
+"""
+
+import importlib.util
+import json
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("ci", ROOT / "scripts" / "ci.py")
+ci = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ci)
+
+# Traced seed-2 counts: (markov.refits, game.rounds, portfolio.rounds).
+COUNTS = {
+    "ar1_grid": (900, 3000, 0),
+    "price_backtest": (138, 330, 0),
+    "arma21_long": (14999, 20160, 0),
+    "portfolio_p2": (0, 0, 240),
+}
+
+STABILITY_ROW = (
+    "portfolio_p2    portfolio_1x3__rep{k}    iterations     {a:>4d} ->     {b:>4d}  "
+    "log K  5.529575098751 ->  5.529575098751  stable"
+)
+
+COMPARE_TABLE = """\
+run         cell        logK@100  logK@200  logK@300  flag  note
+backtest-7  mkv0        1.057     1.335     0.086     *     tie
+backtest-7  mkv1        -4.481    -4.714    -6.371          tie
+backtest-8  mkv0        1.057     1.335     0.086     **    tie
+backtest-8  mkv1        -4.481    -4.714    -6.371          tie
+"""
+SECOND_BEST_ONLY = COMPARE_TABLE.replace("*     tie", "      tie")
+UNFLAGGED = SECOND_BEST_ONLY.replace("**    tie", "      tie")
+
+
+def smoke_line(workload, correct=True, **values):
+    refits, rounds, portfolio_rounds = COUNTS[workload]
+    counts = {"markov.refits": refits, "game.rounds": rounds, "portfolio.rounds": portfolio_rounds}
+    counts.update({name.replace("_", "."): value for name, value in values.items()})
+    metrics = {name: {"value": value, "unit": "count"} for name, value in counts.items()}
+    return json.dumps({"correct": correct, "attempted": 3, "failed": 0, "metrics": metrics})
+
+
+def stability_table(counts):
+    return "\n".join(STABILITY_ROW.format(k=k, a=a, b=b) for k, (a, b) in enumerate(counts)) + "\n"
+
+
+class TestSmokeGuards:
+    @pytest.mark.parametrize("workload", ci.SMOKE_WORKLOADS)
+    def test_good_line_passes(self, workload):
+        assert ci.smoke_failures(workload, smoke_line(workload)) == []
+
+    @pytest.mark.parametrize("workload", ci.SMOKE_WORKLOADS)
+    def test_incorrect_run_fails(self, workload):
+        (failure,) = ci.smoke_failures(workload, smoke_line(workload, correct=False))
+        assert "correctness gate" in failure
+
+    @pytest.mark.parametrize("workload, metric", [
+        ("arma21_long", "markov_refits"),
+        ("ar1_grid", "game_rounds"),
+        ("price_backtest", "game_rounds"),
+        ("arma21_long", "game_rounds"),
+        ("portfolio_p2", "portfolio_rounds"),
+    ])
+    def test_zero_count_fails(self, workload, metric):
+        (failure,) = ci.smoke_failures(workload, smoke_line(workload, **{metric: 0}))
+        assert f"{metric.replace('_', '.')} = 0" in failure
+
+    def test_missing_metric_or_json_fails(self):
+        line = json.loads(smoke_line("arma21_long"))
+        del line["metrics"]["markov.refits"]
+        assert ci.smoke_failures("arma21_long", json.dumps(line)) == [
+            "arma21_long: reports no markov.refits"
+        ]
+        assert ci.smoke_failures("ar1_grid", "failed_frac  0.0000") != []
+
+    def test_every_parent_guard_is_a_row(self):
+        rows = {(w, m) for w, m, _, _ in ci.SMOKE_GUARDS}
+        assert rows == {
+            *((w, "correct") for w in ci.SMOKE_WORKLOADS),
+            ("arma21_long", "markov.refits"),
+            ("ar1_grid", "game.rounds"),
+            ("price_backtest", "game.rounds"),
+            ("arma21_long", "game.rounds"),
+            ("portfolio_p2", "portfolio.rounds"),
+        }
+
+
+class TestStabilityGuard:
+    def test_eight_counted_rows_pass(self):
+        assert ci.stability_failures(stability_table([(5686, 5686)] * 8)) == []
+
+    def test_seven_rows_fail(self):
+        assert ci.stability_failures(stability_table([(5686, 5686)] * 7)) != []
+
+    @pytest.mark.parametrize("pair", [(0, 5686), (5686, 0)])
+    def test_zero_count_fails(self, pair):
+        counts = [(5686, 5686)] * 7 + [pair]
+        assert ci.stability_failures(stability_table(counts)) != []
+
+
+class TestCompareGuard:
+    def test_flagged_table_passes(self):
+        assert ci.compare_failures(COMPARE_TABLE) == []
+
+    def test_table_without_best_row_fails(self):
+        assert ci.compare_failures(UNFLAGGED) == ["the compare table has no '*' row"]
+
+    def test_second_best_alone_is_not_best(self):
+        assert ci.compare_failures(SECOND_BEST_ONLY) != []
+
+
+class TestLog1pGuard:
+    @pytest.fixture
+    def package(self, tmp_path):
+        return Path(shutil.copytree(ci.PACKAGE, tmp_path / "seqbet"))
+
+    def test_source_tree_passes(self, package):
+        assert ci.log1p_failures(package) == []
+
+    @pytest.mark.parametrize("line", ["x = math.log1p(y)", "from math import exp, log1p"])
+    def test_log1p_outside_game_fails(self, package, line):
+        with open(package / "network.py", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        (failure,) = ci.log1p_failures(package)
+        assert failure.startswith("seqbet/network.py:")
+
+    def test_log1p_in_game_passes(self, package):
+        with open(package / "game.py", "a", encoding="utf-8") as fh:
+            fh.write("x = math.log1p(0.5)\n")
+        assert ci.log1p_failures(package) == []
+
+
+class TestSteps:
+    """Each step exits 1 when its broken input is substituted."""
+
+    @pytest.fixture
+    def canned(self, monkeypatch):
+        """Replace the child processes by `outputs[i]`, one per call."""
+        outputs = []
+
+        def run(args, capture=False):
+            return subprocess.CompletedProcess(args, 0, stdout=outputs.pop(0) if capture else None)
+
+        monkeypatch.setattr(ci, "_run", run)
+        monkeypatch.setattr(ci.shutil, "which", lambda name: "seqbet")
+        return outputs
+
+    def test_smoke(self, canned):
+        canned += ["# header\n" + smoke_line(w) + "\n" for w in ci.SMOKE_WORKLOADS]
+        assert ci.main(["smoke"]) == 0
+        canned += [smoke_line(w, markov_refits=0) + "\n" for w in ci.SMOKE_WORKLOADS]
+        assert ci.main(["smoke"]) == 1
+
+    def test_stability(self, canned):
+        canned.append(stability_table([(5686, 5686)] * 8))
+        assert ci.main(["stability"]) == 0
+        canned.append(stability_table([(5686, 5686)] * 7))
+        assert ci.main(["stability"]) == 1
+
+    def test_cli(self, canned):
+        canned.append(COMPARE_TABLE)
+        assert ci.main(["cli"]) == 0
+        canned.append(UNFLAGGED)
+        assert ci.main(["cli"]) == 1
+
+    def test_failed_child_fails_its_step(self, monkeypatch):
+        monkeypatch.setattr(ci, "_run", lambda args, capture=False: subprocess.CompletedProcess(args, 2))
+        assert ci.main(["demo"]) == 1
+
+    def test_log1p(self, monkeypatch, tmp_path, capsys):
+        package = Path(shutil.copytree(ci.PACKAGE, tmp_path / "seqbet"))
+        monkeypatch.setattr(ci, "PACKAGE", package)
+        assert ci.main(["log1p"]) == 0
+        (package / "sosnn.py").write_text("import math\nmath.log1p(0.5)\n", encoding="utf-8")
+        assert ci.main(["log1p"]) == 1
+        assert "::error::seqbet/sosnn.py:2:" in capsys.readouterr().out
+
+    def test_all_stops_at_the_first_failure(self, monkeypatch):
+        ran = []
+        for name in ci.STEPS:
+            monkeypatch.setitem(ci.STEPS, name, lambda scratch, name=name: ran.append(name) or (
+                ["broken"] if name == "smoke" else []))
+        assert ci.main(["all"]) == 1
+        assert ran == ["log1p", "tier1", "smoke"]

@@ -177,7 +177,16 @@ class TestMovementMatrix:
         write_movements(path, days, values)
         dates, loaded = load_movement_matrix(path)
         assert dates == days
-        np.testing.assert_allclose(loaded, values, atol=1e-11)
+        np.testing.assert_array_equal(loaded, values)
+
+    def test_writer_needs_one_date_per_row(self, tmp_path):
+        import datetime
+
+        days = [datetime.date(2020, 1, 1) + datetime.timedelta(days=i) for i in range(3)]
+        path = tmp_path / "m.csv"
+        with pytest.raises(UsageError, match="3 dates and 5 rows"):
+            write_movements(path, days, np.zeros(5))
+        assert not path.exists()
 
     def test_leading_blank_line_and_header(self, tmp_path):
         # The first non-blank line fixes the column count and may be a header.

@@ -585,6 +585,10 @@ hidden_counts = 2
         assert values.shape[1] == 1
         assert np.abs(values).max() <= 1.0
         assert len(dates) == values.shape[0]
+        # The file holds the very series the backtest bets on, bit for bit.
+        invest, invest_dates, _ = experiments._backtest_series(config)
+        assert dates == invest_dates
+        assert values[:, 0].tobytes() == invest.values.tobytes()
 
 
 class TestCompare:

@@ -99,7 +99,7 @@ hidden_count = 4
 max_steps = 3000
 """
 
-BACKTEST_SHA256 = "5da1077d22471d096a7b074bb4c38e3b196d3db2245c6f1a03863f498236ab6a"
+BACKTEST_SHA256 = "06e8c88d480cc1d3d24cf956a7d97942ddac59343e0fb84c506f30bc252e41ad"
 
 PORTFOLIO_SHA256 = "b2be74258c633edbe76b9d12ffed99767b984ecd98340172883776782f0c5959"
 
