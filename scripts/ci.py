@@ -18,6 +18,7 @@ tests/test_ci.py can feed it good and broken inputs without running a job.
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import os
 import re
@@ -172,6 +173,22 @@ def step_demo(scratch: Path) -> list[str]:
     return _exited(done, "scripts/run_portfolio_demo.py")
 
 
+def cli_config(scratch: Path) -> Path:
+    """configs/backtest_demo.ini with its price file by absolute path and the
+    SOSNN and NNBP step caps cut, written to `scratch`: every strategy still
+    runs, in seconds rather than minutes."""
+    demo = ROOT / "configs" / "backtest_demo.ini"
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(demo, encoding="utf-8")
+    parser["data"]["price_file"] = str((demo.parent / parser["data"]["price_file"]).resolve())
+    parser["sosnn"]["max_iterations"] = "100"
+    parser["nnbp"]["max_steps"] = "2000"
+    path = scratch / "backtest_cli.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return path
+
+
 def step_cli(scratch: Path) -> list[str]:
     # The console script and `compare` run nowhere else: the tests call the
     # CLI in process.
@@ -179,8 +196,9 @@ def step_cli(scratch: Path) -> list[str]:
     if seqbet is None:
         print("no seqbet console script on PATH; running python -m seqbet.cli", flush=True)
     command = [seqbet] if seqbet else [sys.executable, "-m", "seqbet.cli"]
+    config = cli_config(scratch)
     for seed in (7, 8):
-        done = _run([*command, "backtest", "--config", "configs/backtest_demo.ini",
+        done = _run([*command, "backtest", "--config", config,
                      "--seed", seed, "--out", scratch / f"backtest-{seed}"])
         if done.returncode:
             return _exited(done, f"seqbet backtest --seed {seed}")

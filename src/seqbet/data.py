@@ -29,46 +29,36 @@ class NoiseSpec:
     seed: int = 0
 
     def draw(self, n: int) -> np.ndarray:
+        """The innovations eps_1..eps_n of an n-element series."""
+        if n < 1:
+            raise UsageError(f"series length must be >= 1, got {n}")
         return np.random.default_rng(self.seed).standard_normal(n)
 
 
-def _resolve_noise(n: int, noise: NoiseSpec, eps) -> np.ndarray:
-    if n < 1:
-        raise UsageError(f"series length must be >= 1, got {n}")
-    if eps is None:
-        return noise.draw(n)
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (n,):
-        raise UsageError(f"need {n} innovations, got shape {eps.shape}")
-    return eps
-
-
-def gen_ar1(n: int, noise: NoiseSpec, x0: float = 0.0, eps=None) -> np.ndarray:
+def gen_ar1(n: int, noise: NoiseSpec) -> np.ndarray:
     """First-order autoregression x_t = 0.6 x_{t-1} + eps_t, eps_t ~ N(0, 1).
 
-    Returns x_1..x_n starting from x_0 (zero by default). `eps` overrides the
-    seeded innovations, for tests.
+    Returns x_1..x_n starting from x_0 = 0, with eps_1..eps_n = `noise.draw(n)`.
     """
-    e = _resolve_noise(n, noise, eps)
+    e = noise.draw(n)
     out = np.empty(n)
-    prev = x0
+    prev = 0.0
     for i in range(n):
         prev = AR1_COEFF * prev + e[i]
         out[i] = prev
     return out
 
 
-def gen_arma21(
-    n: int, noise: NoiseSpec, x0: float = 0.0, x_prev: float = 0.0, eps=None
-) -> np.ndarray:
+def gen_arma21(n: int, noise: NoiseSpec) -> np.ndarray:
     """ARMA recursion x_t = 0.6 x_{t-1} + 0.3 x_{t-2} + eps_t - 0.5 eps_{t-1}.
 
-    Starts from x_0 = x_{-1} = 0 and eps_0 = 0 unless overridden.
+    Starts from x_0 = x_{-1} = 0 and eps_0 = 0, with eps_1..eps_n =
+    `noise.draw(n)`.
     """
-    e = _resolve_noise(n, noise, eps)
+    e = noise.draw(n)
     a1, a2 = ARMA_AR_COEFFS
     out = np.empty(n)
-    prev, prev2, e_prev = x0, x_prev, 0.0
+    prev = prev2 = e_prev = 0.0
     for i in range(n):
         x = a1 * prev + a2 * prev2 + e[i] + ARMA_MA_COEFF * e_prev
         out[i] = x

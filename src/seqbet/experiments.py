@@ -252,14 +252,9 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
             raise ConfigError(
                 f"unknown strategy {name!r}; choose from {', '.join(STRATEGY_NAMES)}"
             )
-    grid: dict[str, list[Cell]] = {}
-    for name in strategies:
-        if name.startswith("mkv"):
-            if int(name[-1]) > warmup:
-                raise ConfigError(
-                    f"{name} needs a warmup of at least {name[-1]}, got {warmup}"
-                )
-            grid[name] = [(name, MarkovOrder(int(name[-1])))]
+    grid: dict[str, list[Cell]] = {
+        name: [(name, MarkovOrder(int(name[-1])))] for name in strategies if name.startswith("mkv")
+    }
 
     rounds = None
     data = _SectionReader("data", parser["data"])
@@ -304,11 +299,6 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
                 for lin in input_counts
                 for hid in hidden_counts
             ]
-        if max(input_counts) > warmup:
-            raise ConfigError(
-                f"[sosnn] largest input window {max(input_counts)} "
-                f"exceeds the warmup of {warmup}"
-            )
 
     training_rounds = None
     sec = _strategy_section(parser, strategies, "nnbp")
@@ -329,10 +319,6 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         with _section_rules("nnbp"):
             nnbp = NnbpConfig(NetworkConfig(input_count, hidden_count), **settings)
         grid["nnbp"] = [(f"nnbp_{input_count}x{hidden_count}", nnbp)]
-        if input_count > warmup:
-            raise ConfigError(
-                f"[nnbp] input window {input_count} exceeds the warmup of {warmup}"
-            )
         if mode == "simulate" and training_rounds <= input_count:
             raise ConfigError("[nnbp] training_rounds must exceed input_count")
         if mode == "backtest":
@@ -343,6 +329,15 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
             if not (t1 < i0 or i1 < t0):
                 raise ConfigError("training and investing ranges must be disjoint")
 
+    cells = tuple(cell for name in strategies for cell in grid[name])
+    for label, cell in cells:
+        # Rounds of history a bet reads: the sign context or the input window.
+        look_back = cell.order if isinstance(cell, MarkovOrder) else cell.net.input_count
+        if look_back > warmup:
+            raise ConfigError(
+                f"{label} looks back {look_back} rounds, more than the warmup of {warmup}"
+            )
+
     raw = {name: dict(parser[name]) for name in parser.sections()}
     return ExperimentConfig(
         mode=mode,
@@ -352,7 +347,7 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         strategies=strategies,
         data=data_spec,
         rounds=rounds,
-        cells=tuple(cell for name in strategies for cell in grid[name]),
+        cells=cells,
         training_rounds=training_rounds,
         raw=raw,
     )

@@ -4,6 +4,7 @@ No perfbench job runs here: the guards are fed the text a step checks, and
 the step-level tests replace the child process with canned output.
 """
 
+import dataclasses
 import importlib.util
 import json
 import shutil
@@ -11,6 +12,8 @@ import subprocess
 from pathlib import Path
 
 import pytest
+
+from seqbet.experiments import STRATEGY_NAMES, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("ci", ROOT / "scripts" / "ci.py")
@@ -116,6 +119,18 @@ class TestCompareGuard:
 
     def test_second_best_alone_is_not_best(self):
         assert ci.compare_failures(SECOND_BEST_ONLY) != []
+
+
+class TestCliConfig:
+    def test_demo_grid_with_small_caps(self, tmp_path):
+        demo = parse_config(ROOT / "configs" / "backtest_demo.ini")
+        reduced = parse_config(ci.cli_config(tmp_path))
+        assert reduced.strategies == demo.strategies == STRATEGY_NAMES
+        assert reduced.data == demo.data
+        assert [label for label, _ in reduced.cells] == [label for label, _ in demo.cells]
+        caps = {"sosnn": {"max_iterations": 100}, "nnbp": {"max_steps": 2000}}
+        for (label, cell), (_, full) in zip(reduced.cells, demo.cells):
+            assert cell == dataclasses.replace(full, **caps.get(label.split("_")[0], {}))
 
 
 class TestLog1pGuard:

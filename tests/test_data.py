@@ -22,9 +22,13 @@ from seqbet.errors import DataError, UsageError
 
 
 class TestAr1:
-    def test_noise_free_recursion(self):
-        out = gen_ar1(3, NoiseSpec(0), x0=1.0, eps=np.zeros(3))
-        np.testing.assert_allclose(out, [0.6, 0.36, 0.216], atol=1e-12)
+    def test_recursion_on_seeded_noise(self):
+        eps = NoiseSpec(seed=4).draw(50)
+        expected, prev = [], 0.0
+        for e in eps:
+            prev = 0.6 * prev + e
+            expected.append(prev)
+        np.testing.assert_array_equal(gen_ar1(50, NoiseSpec(seed=4)), expected)
 
     def test_seed_reproducibility(self):
         a = gen_ar1(100, NoiseSpec(seed=9))
@@ -46,9 +50,14 @@ class TestAr1:
 
 
 class TestArma21:
-    def test_noise_free_recursion(self):
-        out = gen_arma21(3, NoiseSpec(0), x0=1.0, x_prev=0.0, eps=np.zeros(3))
-        np.testing.assert_allclose(out, [0.6, 0.66, 0.576], atol=1e-12)
+    def test_recursion_on_seeded_noise(self):
+        eps = NoiseSpec(seed=4).draw(50)
+        expected, prev, prev2, e_prev = [], 0.0, 0.0, 0.0
+        for e in eps:
+            x = 0.6 * prev + 0.3 * prev2 + e - 0.5 * e_prev
+            expected.append(x)
+            prev2, prev, e_prev = prev, x, e
+        np.testing.assert_array_equal(gen_arma21(50, NoiseSpec(seed=4)), expected)
 
     def test_seed_reproducibility(self):
         np.testing.assert_array_equal(

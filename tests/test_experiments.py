@@ -135,10 +135,27 @@ class TestParseConfig:
         config = parse_config(write_config(tmp_path, bad, "b.ini"), seed_override=4)
         assert config.seed == 4
 
-    def test_window_larger_than_warmup(self, tmp_path):
-        bad = TINY_SIM.replace("input_counts = 1", "input_counts = 9")
-        with pytest.raises(ConfigError, match="warmup"):
-            parse_config(write_config(tmp_path, bad))
+    @pytest.mark.parametrize(
+        "strategy, section, label, look_back",
+        [
+            ("mkv2", "", "mkv2", 2),
+            ("sosnn", "[sosnn]\ninput_counts = 1, 3\nhidden_counts = 2\n", "sosnn_3x2", 3),
+            ("nnbp", "[nnbp]\ninput_count = 3\nhidden_count = 2\n", "nnbp_3x2", 3),
+        ],
+        ids=["mkv", "sosnn", "nnbp"],
+    )
+    def test_look_back_beyond_warmup(self, tmp_path, strategy, section, label, look_back):
+        text = (
+            "[experiment]\nmode = simulate\nseed = 1\nwarmup = {}\n"
+            f"strategies = {strategy}\n\n[data]\ngenerator = ar1\n\n{section}"
+        )
+        short = write_config(tmp_path, text.format(look_back - 1))
+        with pytest.raises(ConfigError) as info:
+            parse_config(short)
+        assert str(info.value) == (
+            f"{label} looks back {look_back} rounds, more than the warmup of {look_back - 1}"
+        )
+        parse_config(write_config(tmp_path, text.format(look_back), "enough.ini"))
 
     def test_replicates_must_be_positive(self, tmp_path):
         bad = TINY_SIM.replace("replicates = 2", "replicates = 0")
@@ -810,7 +827,8 @@ class TestGeneratedSeries:
 
         monkeypatch.setattr(exp, "gen_ar1", counted)
         text = TINY_SIM.replace("mkv1, sosnn", "mkv1, sosnn, nnbp")
-        text += "[nnbp]\ninput_count = 2\nhidden_count = 2\ntraining_rounds = 40\n"
+        # The step cap only keeps the run short; training is not under test.
+        text += "[nnbp]\ninput_count = 2\nhidden_count = 2\ntraining_rounds = 40\nmax_steps = 2000\n"
         config = parse_config(write_config(tmp_path, text))
         report = run_simulate(config, tmp_path / "out")
         assert len(report.cells) == 4 and all(c.ok for c in report.cells)
