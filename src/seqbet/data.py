@@ -119,8 +119,9 @@ def _parse_rows(path, n_values: int | None = None):
     """Yield (lineno, date, values) rows from a `date,v1,..` CSV, whose
     dates must be strictly increasing.
 
-    Blank lines are skipped, and the first other line may be a header.
-    Without `n_values`, that line fixes the number of value columns.
+    Blank lines are skipped, and the first other line may be a header: a
+    line whose date field is not an ISO date and whose values are not all
+    numbers. Without `n_values`, that line fixes the number of value columns.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         first = True
@@ -138,15 +139,17 @@ def _parse_rows(path, n_values: int | None = None):
                     f"{path}:{lineno}: expected {1 + n_values} fields, got {len(row)}"
                 )
             try:
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                if header_allowed:  # header line: non-numeric value field
-                    continue
-                raise DataError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
-            try:
                 day = datetime.date.fromisoformat(row[0].strip())
             except ValueError:
-                raise DataError(f"{path}:{lineno}: bad ISO date {row[0]!r}") from None
+                day = None
+            try:
+                values = [float(v) for v in row[1:]]
+            except ValueError:
+                if header_allowed and day is None:  # header line: no date, non-numeric values
+                    continue
+                raise DataError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
+            if day is None:
+                raise DataError(f"{path}:{lineno}: bad ISO date {row[0]!r}")
             if last is not None and day <= last:
                 raise DataError(
                     f"{path}:{lineno}: dates must be strictly increasing, got {day} after {last}"

@@ -260,8 +260,8 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     data = _SectionReader("data", parser["data"])
     if mode == "simulate":
         rounds = exp.get("rounds", _INT, 300)
-        if rounds < 2:
-            raise ConfigError("rounds must be >= 2")
+        if rounds < 1:
+            raise ConfigError("rounds must be >= 1")
         generator = data.get("generator", required=True).lower()
         if generator not in ("ar1", "arma21"):
             raise ConfigError(f"generator must be 'ar1' or 'arma21', got {generator!r}")
@@ -339,6 +339,8 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
             )
 
     raw = {name: dict(parser[name]) for name in parser.sections()}
+    if seed_override is not None:  # the copy records the seed the run uses
+        raw["experiment"]["seed"] = str(seed)
     return ExperimentConfig(
         mode=mode,
         seed=seed,

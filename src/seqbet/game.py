@@ -1,12 +1,15 @@
-"""Bounded forecasting game: its three rules and the strategy-agnostic game loop.
+"""Bounded forecasting game: its rules and the strategy-agnostic game loop.
 
 Each round Investor bets a fraction alpha_n of current capital, Market reveals a
 move x_n in [-1, 1], and capital multiplies by (1 + alpha_n . x_n), with vectors
 for P assets. Each rule is written once, here: a movement is finite and lies
-in [-1, 1] (`_check_movements`); a round's total exposure sum|alpha_n| is below
-1, which rules out bankruptcy; log capital adds log1p(alpha_n . x_n) per round,
-summed left to right from 0.0. `_play` checks and plays a whole table of bets,
-for `run_game`'s single-asset callbacks and the multi-asset strategy alike.
+in [-1, 1] (`_check_movements`); after a warmup of W rounds, with 0 <= W < N,
+rounds W + 1..N of an N-round series bet (`_betting_rounds`), each reading only
+the movements before it (`betting_windows`); a round's total exposure
+sum|alpha_n| is below 1, which rules out bankruptcy; log capital adds
+log1p(alpha_n . x_n) per round, summed left to right from 0.0. `_play` checks
+and plays a whole table of bets, for `run_game`'s single-asset callbacks and
+the multi-asset strategy alike.
 """
 
 from __future__ import annotations
@@ -43,6 +46,29 @@ def _check_movements(values: np.ndarray) -> float:
         worst = values.flat[np.flatnonzero(~(np.abs(values) <= 1.0))[0]]
         raise DomainError(f"market movement must be finite and lie in [-1, 1], got {float(worst)!r}")
     return peak
+
+
+def _betting_rounds(n_rounds: int, warmup: int) -> range:
+    """Rounds warmup + 1..N of an N-round series, the rounds that bet; the
+    game's one length rule is 0 <= warmup < N."""
+    if warmup < 0:
+        raise UsageError(f"warmup must be nonnegative, got {warmup}")
+    if n_rounds <= warmup:
+        raise UsageError(
+            f"series of length {n_rounds} leaves no rounds after a warmup of {warmup}"
+        )
+    return range(warmup + 1, n_rounds + 1)
+
+
+def betting_windows(values, length: int, warmup: int) -> np.ndarray:
+    """The input windows of rounds warmup + 1..N of an N-round series, one
+    row per round: row i holds (x_{k-1}, ..., x_{k-length}) for round
+    k = warmup + 1 + i, newest first. Empty when N <= warmup."""
+    xs = np.asarray(values, dtype=float)
+    if warmup < length:
+        raise UsageError(f"warmup of {warmup} cannot fill an input window of {length}")
+    rounds = np.arange(warmup + 1, xs.size + 1)
+    return xs[rounds[:, None] - 2 - np.arange(length)]
 
 
 @dataclass
@@ -124,18 +150,12 @@ def run_game(
     with k < n); it returns the betting ratio alpha_n. Rounds 1..warmup bet 0.
     A bet never depends on capital, so `_play` plays the collected bets.
     """
-    if warmup < 0:
-        raise UsageError(f"warmup must be nonnegative, got {warmup}")
     xs = movements.values
-    n_rounds = len(xs)
-    if n_rounds <= warmup:
-        raise UsageError(
-            f"series of length {n_rounds} leaves no rounds after a warmup of {warmup}"
-        )
+    rounds = _betting_rounds(len(xs), warmup)
     past = xs.view()
     past.flags.writeable = False
     bets = [0.0] * warmup
-    bets += [float(strategy(n, past[: n - 1])) for n in range(warmup + 1, n_rounds + 1)]
+    bets += [float(strategy(n, past[: n - 1])) for n in rounds]
     return _play(np.array(bets), xs, warmup)
 
 

@@ -27,7 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
-from .game import RATIO_CAP, MovementSeries, StrategyRunResult, _check_movements, run_game
+from .game import (
+    RATIO_CAP, MovementSeries, StrategyRunResult, _check_movements, betting_windows, run_game,
+)
 
 @dataclass(frozen=True)
 class MarkovOrder:
@@ -234,13 +236,11 @@ def run_mkv(movements: MovementSeries, order, warmup: int) -> StrategyRunResult:
 
 
 def _bucket_indices(xs: np.ndarray, order: int) -> np.ndarray:
-    """`bucket_index` of every round k = order+1..N, at position k (1-based).
+    """`bucket_index` of every round k = order+1..N, at position k (1-based),
+    read from the round's newest-first window of `order` movements.
 
     Positions 0..order, which have no sign context, hold 0.
     """
-    negative = (xs < 0).astype(np.intp)
     index = np.zeros(len(xs) + 1, dtype=np.intp)
-    rounds = slice(order + 1, len(xs) + 1)
-    for j in range(order):
-        index[rounds] = 2 * index[rounds] + negative[j : len(xs) - order + j]
+    index[order + 1 :] = (betting_windows(xs, order, order) < 0) @ (1 << np.arange(order))
     return index

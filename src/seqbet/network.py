@@ -21,7 +21,7 @@ the caller provides, so the ascent loop in `seqbet.sosnn` evaluates each
 point it visits once.
 
 Input windows are most-recent-first: the window feeding round k holds
-(x_{k-1}, ..., x_{k-L}).
+(x_{k-1}, ..., x_{k-L}), as `seqbet.game.betting_windows` builds them.
 """
 
 from __future__ import annotations
@@ -142,27 +142,6 @@ def _shared_config(configs: Sequence, series: Sequence, kind: str):
     if len(lengths) > 1:
         raise UsageError(f"{kind} replicate series must have one length, got {sorted(lengths)}")
     return first
-
-
-def window_matrix(values: np.ndarray, length: int, k_first: int, k_last: int) -> np.ndarray:
-    """Stacked input windows for rounds k_first..k_last (one row per round)."""
-    xs = np.asarray(values, dtype=float)
-    if k_first < length + 1 or k_last - 1 > xs.size:
-        raise UsageError(
-            f"rounds {k_first}..{k_last} need movements outside the known range"
-        )
-    if k_last < k_first:
-        return np.empty((0, length))
-    rounds = np.arange(k_first, k_last + 1)
-    return xs[rounds[:, None] - 2 - np.arange(length)[None, :]]
-
-
-def _betting_windows(values: np.ndarray, length: int, warmup: int) -> np.ndarray:
-    """The input windows of betting rounds warmup + 1 .. N of an N-round
-    series, one row per round, once the warmup fills a window of `length`."""
-    if warmup < length:
-        raise UsageError(f"warmup of {warmup} cannot fill an input window of {length}")
-    return window_matrix(values, length, warmup + 1, len(values))
 
 
 def _hidden_layer(window: Sequence[float], weights: NetworkWeights) -> np.ndarray:

@@ -20,17 +20,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
-from .game import MovementSeries, StrategyRunResult, clamp_ratio, run_game
+from .game import MovementSeries, StrategyRunResult, betting_windows, clamp_ratio, run_game
 from .network import (
     NetworkConfig,
     NetworkWeights,
     _OUTPUT_CAP,
     _batch_forward,
-    _betting_windows,
     _check_history,
     _shared_config,
     forward,
-    window_matrix,
 )
 
 
@@ -120,7 +118,8 @@ def _training_pairs(xs: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray
         raise UsageError(
             f"training series of length {len(xs)} cannot fill a window of {length}"
         )
-    windows = window_matrix(xs, length, length + 1, len(xs))
+    # Day k's sample is the window before it and the sign of x_k, from k = L + 1.
+    windows = betting_windows(xs, length, length)
     targets = np.array([sign_target(x) for x in xs[length:]], dtype=float)
     return windows, targets
 
@@ -253,7 +252,7 @@ def run_nnbp(
     provide window history.
     """
     # Row i holds the input window of round warmup + 1 + i.
-    windows = _betting_windows(movements.values, weights.hidden_weights.shape[1], warmup)
+    windows = betting_windows(movements.values, weights.hidden_weights.shape[1], warmup)
     frozen = weights.copy()
 
     def bet(n: int, past: np.ndarray) -> float:

@@ -25,9 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
-from .game import RATIO_CAP, OptimizeReport, StrategyRunResult, _check_movements, _play
+from .game import (
+    RATIO_CAP, OptimizeReport, StrategyRunResult, _betting_rounds, _check_movements, _play,
+    betting_windows,
+)
 from .network import NetworkConfig, NetworkWeights, _OUTPUT_CAP, _hidden_layer
-from .sosnn import SosnnConfig, _refit, _round_windows
+from .sosnn import SosnnConfig, _refit
 
 
 class PortfolioWeights(NetworkWeights):
@@ -94,13 +97,13 @@ def run_sosnn_portfolio(movements: np.ndarray, config: SosnnConfig) -> StrategyR
     _check_movements(moves)
     n_rounds, n_assets = moves.shape
     warmup = config.warmup
-    windows = _round_windows(moves[:, 0], config)
+    windows = betting_windows(moves[:, 0], config.net.input_count, warmup)
     rng = np.random.default_rng(config.seed)
     weights = PortfolioWeights.uniform(config.net, n_assets, config.init_scale, rng)
 
     ratios = np.zeros((n_rounds, n_assets))
     diagnostics = []
-    for n in range(warmup + 1, n_rounds + 1):
+    for n in _betting_rounds(n_rounds, warmup):
         completed = n - 1 - warmup
         if completed > 0:
             init = (

@@ -27,12 +27,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .game import MovementSeries, OptimizeReport, StrategyRunResult, clamp_ratio, run_game
+from .game import (
+    MovementSeries, OptimizeReport, StrategyRunResult, betting_windows, clamp_ratio, run_game,
+)
 from .network import (
     AnnealingSchedule,
     NetworkConfig,
     NetworkWeights,
-    _betting_windows,
     _check_history,
     _evaluate,
     _gradient,
@@ -269,18 +270,6 @@ def _ascend(windows, moves, config, w_hidden, w_out):
     return best_hidden, best_out, outcomes
 
 
-def _round_windows(values: np.ndarray, config: SosnnConfig) -> np.ndarray:
-    """The input windows of betting rounds warmup + 1 .. N of an N-round
-    series, one row per round, once the warmup fills a window and leaves
-    at least two rounds."""
-    windows = _betting_windows(values, config.net.input_count, config.warmup)
-    if len(values) < config.warmup + 2:
-        raise UsageError(
-            f"series of length {len(values)} is shorter than warmup + 2 = {config.warmup + 2}"
-        )
-    return windows
-
-
 def run_sosnn_replicates(
     movements: Sequence[MovementSeries], configs: Sequence[SosnnConfig]
 ) -> list[StrategyRunResult | NumericError]:
@@ -297,7 +286,7 @@ def run_sosnn_replicates(
     """
     config = _shared_config(configs, movements, "sosnn")
     warmup, n_rounds = config.warmup, len(movements[0])
-    windows = np.stack([_round_windows(m.values, config) for m in movements])
+    windows = np.stack([betting_windows(m.values, config.net.input_count, warmup) for m in movements])
     count = len(configs)
     rngs = [np.random.default_rng(c.seed) for c in configs]
     weights = [NetworkWeights.uniform(config.net, config.init_scale, rng) for rng in rngs]

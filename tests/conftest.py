@@ -57,7 +57,7 @@ def input_window(values, k, length):
     """Window feeding round k: the `length` movements before it, newest first.
 
     Rounds are 1-based, so this needs k >= length + 1. The one-round
-    reference for `seqbet.network.window_matrix`.
+    reference for `seqbet.game.betting_windows`.
     """
     xs = np.asarray(values, dtype=float)
     if k < length + 1:

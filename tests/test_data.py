@@ -145,6 +145,20 @@ class TestLoadPrices:
         path.write_text("date,close\n2007-03-01,100.0\n")
         assert len(load_prices(path)) == 1
 
+    def test_dated_first_line_with_bad_close_is_not_a_header(self, tmp_path):
+        # Only a line without an ISO date can be the header; a dated record
+        # with a bad value is reported, not dropped.
+        path = tmp_path / "p.csv"
+        path.write_text("2006-01-02,abc\n2006-01-03,101\n2006-01-04,102\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:1: non-numeric value"):
+            load_prices(path)
+
+    def test_undated_first_line_with_a_close_is_a_bad_date(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("date,100.0\n2007-03-01,101.0\n")
+        with pytest.raises(DataError, match=":1: bad ISO date 'date'"):
+            load_prices(path)
+
     def test_negative_close_names_line(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("2007-03-01,100.0\n2007-03-02,-5\n")
@@ -207,6 +221,9 @@ class TestMovementMatrix:
         path.write_text("\n\ndate,a,b\n2020-01-01,0.1,-0.2\n")
         dates, values = load_movement_matrix(path)
         np.testing.assert_array_equal(values, [[0.1, -0.2]])
+        path.write_text("\n2020-01-01,0.1,x\n2020-01-02,0.3,0.4\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:2: non-numeric value"):
+            load_movement_matrix(path)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -135,6 +135,18 @@ class TestParseConfig:
         config = parse_config(write_config(tmp_path, bad, "b.ini"), seed_override=4)
         assert config.seed == 4
 
+    def test_one_betting_round(self, tmp_path):
+        # rounds >= 1 is the game's rule, W < N, at parse time.
+        with pytest.raises(ConfigError, match="^rounds must be >= 1$"):
+            parse_config(write_config(tmp_path, TINY_SIM.replace("rounds = 50", "rounds = 0")))
+        config = parse_config(write_config(tmp_path, TINY_SIM.replace("rounds = 50", "rounds = 1")))
+        report = run_simulate(config, tmp_path / "out")
+        assert all(cell.ok for cell in report.cells)
+        lines = (tmp_path / "out" / "series/sosnn_1x2__rep0.csv").read_text().splitlines()
+        assert len(lines) == 1 + 6  # header, five warmup rounds and one bet
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["checkpoints"] == [1]
+
     @pytest.mark.parametrize(
         "strategy, section, label, look_back",
         [
@@ -977,6 +989,21 @@ class TestCli:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         out = capsys.readouterr().out
         assert "logK@50" in out
+
+    def test_seed_flag_reaches_the_config_copy(self, tmp_path):
+        # The manifest's config copy, written back as an INI file, reruns the
+        # --seed run byte for byte.
+        path = write_config(tmp_path, TINY_SIM)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "a"), "--seed", "12"]) == 0
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["seed"] == 12 and manifest["config"]["experiment"]["seed"] == "12"
+        copy = "".join(
+            f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in items.items())
+            for name, items in manifest["config"].items()
+        )
+        rerun = write_config(tmp_path, copy, "copy.ini")
+        assert main(["simulate", "--config", str(rerun), "--out", str(tmp_path / "b")]) == 0
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
     def test_bad_config_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv9"))

@@ -1,5 +1,5 @@
 """Game protocol: the movement rule, the bet check and the log1p capital update
-for one asset and for many, warmup, and causality."""
+for one asset and for many, warmup and the one length rule, and causality."""
 
 import math
 
@@ -16,10 +16,11 @@ from seqbet.game import (
     clamp_ratio,
     run_game,
 )
-from seqbet.markov import optimize_bucket
+from seqbet.markov import optimize_bucket, run_mkv
 from seqbet.network import NetworkConfig, NetworkWeights, log_wealth
+from seqbet.nnbp import run_nnbp
 from seqbet.portfolio import run_sosnn_portfolio
-from seqbet.sosnn import SosnnConfig
+from seqbet.sosnn import SosnnConfig, run_sosnn
 
 ratios_st = st.floats(-0.99, 0.99, allow_nan=False)
 moves_st = st.floats(-1.0, 1.0, allow_nan=False)
@@ -108,8 +109,13 @@ class TestRunGame:
         assert math.copysign(1.0, res.log_capital_path[0]) == 1.0
 
     def test_series_not_longer_than_warmup(self):
-        with pytest.raises(UsageError):
-            run_game(lambda n, past: 0.0, MovementSeries([0.1, 0.2]), warmup=2)
+        # Refused before the strategy is asked for any bet, as is a negative
+        # warmup, which would hand it round n <= 0.
+        asked = []
+        for warmup in (-1, 2, 3):
+            with pytest.raises(UsageError):
+                run_game(lambda n, past: asked.append(n) or 0.0, MovementSeries([0.1, 0.2]), warmup)
+        assert asked == []
 
     def test_callback_sees_only_the_past(self):
         seen = {}
@@ -189,6 +195,43 @@ class TestPlayManyAssets:
         ratios[4] = [2.0, 0.0]
         with pytest.raises(StrategyViolationError, match=r"total exposure >= 1 at round 4$"):
             _play(ratios, np.full((6, 2), 0.1), 0)
+
+
+# Every strategy, as (values, warmup) -> run: a two-input network, or MKV1.
+NET = NetworkConfig(2, 3)
+STRATEGIES = {
+    "sosnn": lambda xs, warmup: run_sosnn(MovementSeries(xs), SosnnConfig(NET, warmup=warmup, seed=3)),
+    "portfolio": lambda xs, warmup: run_sosnn_portfolio(
+        np.column_stack([xs, -0.5 * xs]), SosnnConfig(NET, warmup=warmup, seed=3)
+    ),
+    "nnbp": lambda xs, warmup: run_nnbp(
+        NetworkWeights.uniform(NET, 0.5, np.random.default_rng(3)), MovementSeries(xs), warmup
+    ),
+    "mkv1": lambda xs, warmup: run_mkv(MovementSeries(xs), 1, warmup),
+}
+
+
+class TestLengthRule:
+    """One rule for every strategy: after a warmup of W, an N-round series
+    bets rounds W + 1..N, so it needs W < N."""
+
+    XS = np.array([0.3, -0.2, 0.5, 0.4, -0.6, 0.1, 0.2])
+
+    @pytest.mark.parametrize("play", STRATEGIES.values(), ids=STRATEGIES)
+    def test_one_round_after_the_warmup(self, play):
+        # The one round bets what a longer run bets there, and is played.
+        one, longer = play(self.XS[:4], 3), play(self.XS, 3)
+        assert one.betting_rounds == 1
+        assert one.ratios.tobytes() == longer.ratios[:4].tobytes()
+        assert one.log_capital_path.tobytes() == longer.log_capital_path[:4].tobytes()
+        assert np.any(one.ratios[3] != 0.0) and one.final_log_capital != 0.0
+
+    @pytest.mark.parametrize("play", STRATEGIES.values(), ids=STRATEGIES)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_round_after_the_warmup(self, play, n):
+        message = f"^series of length {n} leaves no rounds after a warmup of 3$"
+        with pytest.raises(UsageError, match=message):
+            play(self.XS[:n], 3)
 
 
 class TestCheckpoints:

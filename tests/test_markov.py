@@ -110,10 +110,12 @@ class TestBucketIndex:
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_precomputed_indices_match(self, order, rng):
-        xs = rng.choice([-0.5, -0.0, 0.0, 0.25], 40)
-        index = markov._bucket_indices(xs, order)
-        for k in range(order + 1, 41):
-            assert index[k] == bucket_index(xs[k - 1 - order : k - 1], order)
+        for n in (1, 2, 3, 40):
+            xs = rng.choice([-0.5, -0.0, 0.0, 0.25], n)
+            index = markov._bucket_indices(xs, order)
+            assert index.shape == (n + 1,) and not index[: order + 1].any()
+            for k in range(order + 1, n + 1):
+                assert index[k] == bucket_index(xs[k - 1 - order : k - 1], order)
 
 
 class TestOptimizeBucket:

@@ -16,6 +16,7 @@ from conftest import (
     squared_error_gradient,
 )
 from seqbet.errors import UsageError
+from seqbet.game import betting_windows
 from seqbet.network import (
     AnnealingSchedule,
     NetworkConfig,
@@ -24,7 +25,6 @@ from seqbet.network import (
     forward,
     log_wealth,
     log_wealth_gradient,
-    window_matrix,
 )
 from seqbet.sosnn import SosnnConfig, optimize_weights
 
@@ -93,9 +93,11 @@ class TestWindows:
 
     def test_matrix_matches_single_windows(self, rng):
         xs = rng.uniform(-1, 1, 12)
-        mat = window_matrix(xs, 3, 4, 12)
-        for i, k in enumerate(range(4, 13)):
-            np.testing.assert_array_equal(mat[i], input_window(xs, k, 3))
+        for warmup in (3, 7):
+            mat = betting_windows(xs, 3, warmup)
+            assert mat.shape == (12 - warmup, 3)
+            for i, k in enumerate(range(warmup + 1, 13)):
+                np.testing.assert_array_equal(mat[i], input_window(xs, k, 3))
 
 
 class TestLogWealth:

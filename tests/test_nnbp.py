@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import input_window, squared_error_gradient
 from seqbet.errors import UsageError
-from seqbet.game import MovementSeries, clamp_ratio
-from seqbet.network import NetworkConfig, NetworkWeights, forward, window_matrix
+from seqbet.game import MovementSeries, betting_windows, clamp_ratio
+from seqbet.network import NetworkConfig, NetworkWeights, forward
 from seqbet.data import NoiseSpec, gen_ar1, normalize
 from seqbet.nnbp import (
     NnbpConfig,
@@ -260,7 +260,7 @@ class TestTrainReplicates:
         fits = [train(series[0], configs[0]), *train_replicates(series, configs)]
         for movements, (weights, diag) in zip([series[0], *series], fits):
             xs = movements.values
-            windows = window_matrix(xs, 2, 3, len(xs))
+            windows = betting_windows(xs, 2, 2)
             targets = [sign_target(x) for x in xs[2:]]
             assert diag.final_error == training_error(weights, windows, targets)
 

@@ -11,13 +11,13 @@ from conftest import fd_gradient, relative_error
 from seqbet.data import NoiseSpec, gen_ar1, normalize
 from seqbet import portfolio
 from seqbet.errors import StrategyViolationError, UsageError
+from seqbet.game import betting_windows
 from seqbet.network import (
     NetworkConfig,
     NetworkWeights,
     forward,
     log_wealth,
     log_wealth_gradient,
-    window_matrix,
 )
 from seqbet.portfolio import (
     PortfolioWeights,
@@ -208,8 +208,8 @@ class TestRunPortfolio:
             run_sosnn_portfolio(np.full((30, 2), np.nan), config)
         with pytest.raises(UsageError, match="cannot fill an input window"):
             run_sosnn_portfolio(np.zeros((30, 2)), SosnnConfig(net=NetworkConfig(3, 2), warmup=2))
-        with pytest.raises(UsageError, match="shorter than warmup"):
-            run_sosnn_portfolio(np.zeros((6, 2)), config)
+        with pytest.raises(UsageError, match="^series of length 5 leaves no rounds after a warmup of 5$"):
+            run_sosnn_portfolio(np.zeros((5, 2)), config)
 
     def test_correlated_assets_cross_bankrupt_region(self):
         # Two strongly correlated assets drive the refit into territory where
@@ -373,7 +373,7 @@ def _correlated_refit(max_iterations, weight_tolerance=1e-4):
     panel = np.column_stack(
         [normalize(shared).values, normalize(0.7 * shared + 0.3 * other).values]
     )
-    windows = window_matrix(panel[:, 0], 1, 2, 40)
+    windows = betting_windows(panel[:, 0], 1, 1)
     config = SosnnConfig(
         net=NetworkConfig(1, 3), max_iterations=max_iterations, weight_tolerance=weight_tolerance
     )

@@ -5,14 +5,13 @@ import pytest
 
 from seqbet.data import NoiseSpec, gen_ar1, normalize
 from seqbet.errors import NumericError, UsageError
-from seqbet.game import MovementSeries
+from seqbet.game import MovementSeries, betting_windows
 from seqbet.network import (
     AnnealingSchedule,
     NetworkConfig,
     NetworkWeights,
     log_wealth,
     log_wealth_gradient,
-    window_matrix,
 )
 from seqbet.portfolio import PortfolioWeights
 from seqbet.sosnn import (
@@ -246,7 +245,7 @@ class TestRunSosnn:
         config = small_config(2, 3, seed=4, warmup=10, max_iterations=80, weight_tolerance=1e-3)
         values = normalize(gen_ar1(40, NoiseSpec(seed=12))).values
         res = run_sosnn(MovementSeries(values), config)
-        windows = window_matrix(values, 2, config.warmup + 1, values.size)
+        windows = betting_windows(values, 2, config.warmup)
         weights = NetworkWeights.uniform(config.net, config.init_scale, np.random.default_rng(4))
         replay = [OptimizeReport(0, True, 0.0, 0.0)]
         for completed in range(1, values.size - config.warmup):
@@ -261,9 +260,9 @@ class TestRunSosnn:
         with pytest.raises(UsageError, match="warmup"):
             run_sosnn(MovementSeries(np.zeros(30)), small_config(3, 1, warmup=2))
 
-    def test_series_shorter_than_warmup_plus_two(self):
-        with pytest.raises(UsageError, match="warmup"):
-            run_sosnn(MovementSeries(np.zeros(6)), small_config(1, 1, warmup=5))
+    def test_series_not_longer_than_warmup(self):
+        with pytest.raises(UsageError, match="^series of length 5 leaves no rounds after a warmup of 5$"):
+            run_sosnn(MovementSeries(np.zeros(5)), small_config(1, 1, warmup=5))
 
     def test_annealing_schedule_feeds_optimizer(self):
         # A crippled schedule (tiny initial rate) must leave the weights
