@@ -117,6 +117,17 @@ def compare_failures(table: str) -> list[str]:
     return ["the compare table has no '*' row"]
 
 
+def rejection_failures(returncode: int, out_created: bool) -> list[str]:
+    """A usage error found while a cell runs must stop the run with exit 1
+    before it creates `--out`."""
+    failures = []
+    if returncode != 1:
+        failures.append(f"the short-training backtest exited {returncode}, not 1")
+    if out_created:
+        failures.append("the short-training backtest created its --out directory")
+    return failures
+
+
 def _run(args, capture: bool = False) -> subprocess.CompletedProcess:
     """`args` from the repository root, with `src` first on PYTHONPATH; when
     `capture`, standard output is returned as text and echoed."""
@@ -189,6 +200,21 @@ def cli_config(scratch: Path) -> Path:
     return path
 
 
+def short_training_config(scratch: Path) -> Path:
+    """`cli_config` with only NNBP and MKV0 and a training range of 7
+    movements, fewer than NNBP's 12 inputs: the config parses, and the
+    NNBP cell raises a usage error when it trains."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(cli_config(scratch), encoding="utf-8")
+    parser["experiment"]["strategies"] = "nnbp, mkv0"
+    parser["data"]["training_end"] = "2005-11-08"
+    parser.remove_section("sosnn")
+    path = scratch / "backtest_short_training.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return path
+
+
 def step_cli(scratch: Path) -> list[str]:
     # The console script and `compare` run nowhere else: the tests call the
     # CLI in process.
@@ -204,7 +230,14 @@ def step_cli(scratch: Path) -> list[str]:
             return _exited(done, f"seqbet backtest --seed {seed}")
     done = _run([*command, "compare", scratch / "backtest-7", scratch / "backtest-8",
                  "--out", scratch / "compare.csv"], capture=True)
-    return _exited(done, "seqbet compare") or compare_failures(done.stdout)
+    failures = _exited(done, "seqbet compare") or compare_failures(done.stdout)
+    if failures:
+        return failures
+    # The exit-code contract, through a pool worker.
+    out = scratch / "backtest-short-training"
+    done = _run([*command, "backtest", "--config", short_training_config(scratch),
+                 "--jobs", 2, "--out", out])
+    return rejection_failures(done.returncode, out.exists())
 
 
 STEPS = {

@@ -42,7 +42,7 @@ from .data import (
     normalize,
     write_movements,
 )
-from .errors import ConfigError, SeqbetError, UsageError
+from .errors import ConfigError, NumericError, UsageError
 from .game import RATIO_CAP, MovementSeries, StrategyRunResult, checkpoint_rounds
 from .markov import _TOL, MarkovOrder, run_mkv
 from .network import AnnealingSchedule, NetworkConfig
@@ -108,19 +108,10 @@ def _typed(convert, kind):
     def parse(value):
         try:
             return convert(value)
-        except ValueError:
+        except (ValueError, KeyError):
             raise ValueError(f"must be {kind}, got {value!r}") from None
 
     return parse
-
-
-def _boolean(value):
-    low = value.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"must be a boolean, got {value!r}")
 
 
 def _comma_list(convert, kind):
@@ -141,6 +132,7 @@ def _comma_list(convert, kind):
 _INT = _typed(int, "an integer")
 _FLOAT = _typed(float, "a number")
 _DATE = _typed(datetime.date.fromisoformat, "an ISO date")
+_BOOLEAN = _typed(lambda value: configparser.ConfigParser.BOOLEAN_STATES[value.lower()], "a boolean")
 _INT_LIST = _comma_list(int, "integers")
 _NAME_LIST = _comma_list(str.lower, "names")
 
@@ -284,7 +276,7 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         schedule = sec.given({"initial_rate": _FLOAT, "decay_steps": _FLOAT})
         settings = sec.given({
             "weight_tolerance": _FLOAT, "max_iterations": _INT,
-            "init_scale": _FLOAT, "warm_start": _boolean,
+            "init_scale": _FLOAT, "warm_start": _BOOLEAN,
         })
         sec.reject_unknown()
         with _section_rules("sosnn"):
@@ -396,32 +388,6 @@ class CellSummary:
     replicates: list[Replicate] = field(repr=False)
 
 
-def _run_cell(spec: TaskSpec) -> list[Replicate]:
-    """Run the cell's strategy on every replicate."""
-    config = spec.configs[0]
-    if isinstance(config, SosnnConfig):
-        runs = run_sosnn_replicates(spec.series, spec.configs)
-        return [str(run) if isinstance(run, SeqbetError) else (run, None) for run in runs]
-    if isinstance(config, NnbpConfig):
-        fits = train_replicates(spec.training, spec.configs)
-
-        def play(r):
-            weights, diag = fits[r]
-            return run_nnbp(weights, spec.series[r], spec.warmup), diag
-    else:
-
-        def play(r):
-            return run_mkv(spec.series[r], config, spec.warmup), None
-
-    outcomes = []
-    for r in range(len(spec.series)):
-        try:
-            outcomes.append(play(r))
-        except SeqbetError as exc:
-            outcomes.append(str(exc))
-    return outcomes
-
-
 def _mean(values: list[float]) -> float | None:
     return float(np.mean(values)) if values else None
 
@@ -429,15 +395,19 @@ def _mean(values: list[float]) -> float | None:
 def _run_task(spec: TaskSpec) -> CellSummary:
     """Run one cell over all its replicates and summarize it.
 
-    A failure that hits the whole cell (bad data, an invalid config) fails
-    every replicate with the same reason; one inside a replicate's own run,
-    such as a SOSNN refit that turns non-finite, fails only that replicate.
+    A SOSNN refit that turns non-finite fails only its own replicate, and
+    with it the cell. Any other error stops the whole run.
     """
     start = time.monotonic()
-    try:
-        replicates = _run_cell(spec)
-    except SeqbetError as exc:
-        replicates = [str(exc)] * len(spec.configs)
+    config = spec.configs[0]
+    if isinstance(config, SosnnConfig):
+        runs = run_sosnn_replicates(spec.series, spec.configs)
+        replicates = [str(run) if isinstance(run, NumericError) else (run, None) for run in runs]
+    elif isinstance(config, NnbpConfig):
+        fits = train_replicates(spec.training, spec.configs)
+        replicates = [(run_nnbp(w, s, spec.warmup), diag) for (w, diag), s in zip(fits, spec.series)]
+    else:
+        replicates = [(run_mkv(s, config, spec.warmup), None) for s in spec.series]
     failed = [r for r in replicates if isinstance(r, str)]
     if failed:
         seconds = time.monotonic() - start

@@ -5,11 +5,11 @@ move x_n in [-1, 1], and capital multiplies by (1 + alpha_n . x_n), with vectors
 for P assets. Each rule is written once, here: a movement is finite and lies
 in [-1, 1] (`_check_movements`); after a warmup of W rounds, with 0 <= W < N,
 rounds W + 1..N of an N-round series bet (`_betting_rounds`), each reading only
-the movements before it (`betting_windows`); a round's total exposure
-sum|alpha_n| is below 1, which rules out bankruptcy; log capital adds
-log1p(alpha_n . x_n) per round, summed left to right from 0.0. `_play` checks
-and plays a whole table of bets, for `run_game`'s single-asset callbacks and
-the multi-asset strategy alike.
+the movements before it (`betting_windows`), at most W of them
+(`_check_look_back`); a round's total exposure sum|alpha_n| is below 1, which
+rules out bankruptcy; log capital adds log1p(alpha_n . x_n) per round, summed
+left to right from 0.0. `_play` checks and plays a whole table of bets, for
+`run_game`'s single-asset callbacks and the multi-asset strategy alike.
 """
 
 from __future__ import annotations
@@ -60,13 +60,19 @@ def _betting_rounds(n_rounds: int, warmup: int) -> range:
     return range(warmup + 1, n_rounds + 1)
 
 
+def _check_look_back(look_back: int, warmup: int) -> None:
+    """The game's look-back rule: a bet that reads the `look_back` movements
+    before its round needs a warmup of at least that many rounds."""
+    if warmup < look_back:
+        raise UsageError(f"a look-back of {look_back} rounds does not fit in a warmup of {warmup}")
+
+
 def betting_windows(values, length: int, warmup: int) -> np.ndarray:
     """The input windows of rounds warmup + 1..N of an N-round series, one
     row per round: row i holds (x_{k-1}, ..., x_{k-length}) for round
     k = warmup + 1 + i, newest first. Empty when N <= warmup."""
     xs = np.asarray(values, dtype=float)
-    if warmup < length:
-        raise UsageError(f"warmup of {warmup} cannot fill an input window of {length}")
+    _check_look_back(length, warmup)
     rounds = np.arange(warmup + 1, xs.size + 1)
     return xs[rounds[:, None] - 2 - np.arange(length)]
 

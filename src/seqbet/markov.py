@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import UsageError
 from .game import (
-    RATIO_CAP, MovementSeries, StrategyRunResult, _check_movements, betting_windows, run_game,
+    RATIO_CAP, MovementSeries, StrategyRunResult, _check_look_back, _check_movements,
+    betting_windows, run_game,
 )
 
 @dataclass(frozen=True)
@@ -208,10 +209,7 @@ def run_mkv(movements: MovementSeries, order, warmup: int) -> StrategyRunResult:
     not the ratio. Fully deterministic.
     """
     order = _as_order(order)
-    if warmup < order.order:
-        raise UsageError(
-            f"warmup of {warmup} cannot provide an order-{order.order} sign context"
-        )
+    _check_look_back(order.order, warmup)
     xs = movements.values
     index = _bucket_indices(xs, order.order)
     # filed[b, k]: round k (0..N) is in bucket b and a later round fits on

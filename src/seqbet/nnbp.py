@@ -34,7 +34,12 @@ from .network import (
 
 @dataclass
 class NnbpConfig:
-    """Network shape and the back-propagation training loop controls."""
+    """Network shape and the back-propagation training loop controls.
+
+    `max_steps` caps the per-sample training steps, except that the first
+    full cycle over the training samples always runs: m > `max_steps`
+    samples take m steps.
+    """
 
     net: NetworkConfig
     learning_rate: float = 0.07
@@ -154,7 +159,9 @@ def train_replicates(
     The series must be equally long and the configs may differ only in
     seed. All replicates take the same per-sample steps in lockstep; one
     whose epoch error drops below the threshold stops there, with a shorter
-    error record, and leaves the stack. The loop binds its views once per
+    error record, and leaves the stack. Training stops before a cycle that
+    would pass `max_steps`, but never before the first, so the step count
+    can exceed the cap when one cycle does. The loop binds its views once per
     stack shape and returns once, when the last replicate has stopped.
     """
     config = _shared_config(configs, training, "nnbp")

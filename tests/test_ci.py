@@ -133,6 +133,21 @@ class TestCliConfig:
             assert cell == dataclasses.replace(full, **caps.get(label.split("_")[0], {}))
 
 
+class TestRejectionGuard:
+    def test_exit_1_without_out_passes(self):
+        assert ci.rejection_failures(1, False) == []
+
+    @pytest.mark.parametrize("returncode, out_created", [(0, True), (0, False), (2, False), (1, True)])
+    def test_other_exit_or_an_out_directory_fails(self, returncode, out_created):
+        assert ci.rejection_failures(returncode, out_created) != []
+
+    def test_short_training_config_parses(self, tmp_path):
+        # The run, not the parser, must reject it.
+        config = parse_config(ci.short_training_config(tmp_path))
+        assert [label for label, _ in config.cells] == ["nnbp_12x30", "mkv0"]
+        assert config.data.training[1].isoformat() == "2005-11-08"
+
+
 class TestLog1pGuard:
     @pytest.fixture
     def package(self, tmp_path):
@@ -158,12 +173,21 @@ class TestSteps:
     """Each step exits 1 when its broken input is substituted."""
 
     @pytest.fixture
-    def canned(self, monkeypatch):
-        """Replace the child processes by `outputs[i]`, one per call."""
+    def exits(self):
+        """Exit codes of the uncaptured child processes, one per call; 0
+        once they run out."""
+        return []
+
+    @pytest.fixture
+    def canned(self, monkeypatch, exits):
+        """Replace the captured child processes by `outputs[i]`, one per
+        call, each exiting 0."""
         outputs = []
 
         def run(args, capture=False):
-            return subprocess.CompletedProcess(args, 0, stdout=outputs.pop(0) if capture else None)
+            if capture:
+                return subprocess.CompletedProcess(args, 0, stdout=outputs.pop(0))
+            return subprocess.CompletedProcess(args, exits.pop(0) if exits else 0)
 
         monkeypatch.setattr(ci, "_run", run)
         monkeypatch.setattr(ci.shutil, "which", lambda name: "seqbet")
@@ -181,10 +205,16 @@ class TestSteps:
         canned.append(stability_table([(5686, 5686)] * 7))
         assert ci.main(["stability"]) == 1
 
-    def test_cli(self, canned):
+    def test_cli(self, canned, exits):
+        # Two seeded backtests, the compare, then the short-training backtest.
         canned.append(COMPARE_TABLE)
+        exits += [0, 0, 1]
         assert ci.main(["cli"]) == 0
+        canned.append(COMPARE_TABLE)
+        exits += [0, 0, 0]
+        assert ci.main(["cli"]) == 1
         canned.append(UNFLAGGED)
+        exits += [0, 0, 1]
         assert ci.main(["cli"]) == 1
 
     def test_failed_child_fails_its_step(self, monkeypatch):

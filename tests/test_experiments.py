@@ -228,6 +228,10 @@ class TestParseConfig:
             assert cell.warm_start is False and cell.warmup == 5
         assert config.cells[0][1] == NnbpConfig(NetworkConfig(2, 3), max_steps=50)
         assert config.training_rounds == 300
+        # configparser's boolean words, in any case.
+        for word, value in [("ON", True), ("0", False), ("Yes", True), ("FALSE", False), ("1", True)]:
+            config = parse_config(write_config(tmp_path, text.replace("warm_start = no", f"warm_start = {word}")))
+            assert all(cell.warm_start is value for _, cell in config.cells[1:])
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -680,13 +684,13 @@ class TestCompare:
 
 class TestFailureMarking:
     def test_failed_cell_recorded_not_raised(self, tmp_path, monkeypatch):
-        # A strategy that blows up at run time becomes a marked cell, not a
+        # SOSNN refits that turn non-finite mark their cell failed, not a
         # crashed run; the healthy cells still report.
         import seqbet.experiments as exp
         from seqbet.errors import NumericError
 
-        def explode(*args, **kwargs):
-            raise NumericError("round 7: non-finite objective")
+        def explode(series, configs):
+            return [NumericError("round 7: non-finite objective")] * len(configs)
 
         monkeypatch.setattr(exp, "run_sosnn_replicates", explode)
         config = parse_config(write_config(tmp_path, TINY_SIM))
@@ -706,7 +710,7 @@ class TestFailureMarking:
         assert flagged and all(r.ok for r in flagged)
 
 
-# MKV cells only reach the tables below: the sosnn cell fails before it runs.
+# MKV cells only reach the tables below: every sosnn replicate fails.
 TABLE_SIM = TINY_SIM.replace("rounds = 50", "rounds = 120").replace(
     "mkv0, mkv1, sosnn", "mkv0, mkv1, mkv2, sosnn"
 )
@@ -752,8 +756,8 @@ class TestTableBytes:
     def runs(self, tmp_path, monkeypatch):
         from seqbet.errors import NumericError
 
-        def explode(*args, **kwargs):
-            raise NumericError("round 7: non-finite objective, step 3")
+        def explode(series, configs):
+            return [NumericError("round 7: non-finite objective, step 3")] * len(configs)
 
         monkeypatch.setattr(experiments, "run_sosnn_replicates", explode)
         path = write_config(tmp_path, TABLE_SIM)
@@ -1023,8 +1027,11 @@ class TestCli:
             (TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, nnbp").split("[sosnn]")[0]
              + "[nnbp]\ninput_count = 2\nhidden_count = 3\nlearning_rate = nan\n",
              "error: [nnbp] learning_rate must be positive"),
+            (TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, nnbp").split("[sosnn]")[0]
+             + "[nnbp]\ninput_count = 3\nhidden_count = 2\ntraining_rounds = 3\n",
+             "error: [nnbp] training_rounds must exceed input_count"),
         ],
-        ids=["zero-tolerance", "negative-rate", "nan-tolerance", "nan-rate"],
+        ids=["zero-tolerance", "negative-rate", "nan-tolerance", "nan-rate", "training-rounds"],
     )
     def test_invalid_strategy_value_exits_1(self, tmp_path, capsys, text, message):
         path = write_config(tmp_path, text)
@@ -1058,10 +1065,10 @@ class TestCli:
         assert main(["simulate", "--config", str(path), "--out", str(previous)]) == 0
         before = tree_bytes(previous)
 
-        def broken(spec):
+        def broken(*args):
             raise RuntimeError("bug inside a cell")
 
-        monkeypatch.setattr(experiments, "_run_cell", broken)
+        monkeypatch.setattr(experiments, "run_mkv", broken)
         for out in (previous, fresh):
             capsys.readouterr()
             assert main(["simulate", "--config", str(path), "--out", str(out), "--jobs", "1"]) == 2
@@ -1070,6 +1077,46 @@ class TestCli:
             assert err.rstrip().endswith("RuntimeError: bug inside a cell")
         assert tree_bytes(previous) == before
         assert not fresh.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_usage_error_inside_a_cell_exits_1(self, tmp_path, capsys, jobs):
+        # 3 training movements leave no sample after NNBP's 3-movement
+        # window. The parser cannot see it; the run stops before --out.
+        make_prices(tmp_path)
+        text = BT_TEMPLATE.format(strategies="nnbp, mkv0", extra=BT_NNBP)
+        path = write_config(tmp_path, text.replace("training_end = 2020-02-10", "training_end = 2020-01-04"))
+        message = "training series of length 3 cannot fill a window of 3"
+        with pytest.raises(UsageError) as info:
+            run_backtest(parse_config(path), tmp_path / "o")
+        assert str(info.value) == message
+        assert main(["backtest", "--config", str(path), "--out", str(tmp_path / "o"), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (BT_TEMPLATE.format(strategies="mkv0", extra="").replace(
+                "normalization_start = 2020-01-02", "normalization_start = 2021-01-01").replace(
+                "normalization_end = 2020-02-10", "normalization_end = 2021-02-01"),
+             "normalization range selects no movements"),
+            (BT_TEMPLATE.format(strategies="mkv0", extra="").replace(
+                "investing_start = 2020-02-20", "investing_start = 2021-01-01").replace(
+                "investing_end = 2020-04-19", "investing_end = 2021-02-01"),
+             "investing range selects no movements"),
+            (BT_TEMPLATE.format(strategies="nnbp", extra=BT_NNBP).replace(
+                "training_start = 2020-01-02", "training_start = 2019-01-01").replace(
+                "training_end = 2020-02-10", "training_end = 2019-02-01"),
+             "training range selects no movements"),
+        ],
+        ids=["normalization", "investing", "training"],
+    )
+    def test_empty_date_range_exits_1(self, tmp_path, capsys, text, message):
+        make_prices(tmp_path)
+        path = write_config(tmp_path, text)
+        assert main(["backtest", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_out_is_a_file_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_SIM)

@@ -1,5 +1,6 @@
 """Game protocol: the movement rule, the bet check and the log1p capital update
-for one asset and for many, warmup and the one length rule, and causality."""
+for one asset and for many, warmup, the one length rule and the one look-back
+rule, and causality."""
 
 import math
 
@@ -232,6 +233,21 @@ class TestLengthRule:
         message = f"^series of length {n} leaves no rounds after a warmup of 3$"
         with pytest.raises(UsageError, match=message):
             play(self.XS[:n], 3)
+
+
+class TestLookBackRule:
+    """One rule and one text for every strategy: a bet that reads the L
+    movements before its round needs a warmup of at least L rounds."""
+
+    PLAYS = {
+        **{name: STRATEGIES[name] for name in ("sosnn", "portfolio", "nnbp")},
+        "mkv2": lambda xs, warmup: run_mkv(MovementSeries(xs), 2, warmup),
+    }
+
+    @pytest.mark.parametrize("play", PLAYS.values(), ids=PLAYS)
+    def test_one_text(self, play):
+        with pytest.raises(UsageError, match="^a look-back of 2 rounds does not fit in a warmup of 1$"):
+            play(TestLengthRule.XS, 1)
 
 
 class TestCheckpoints:

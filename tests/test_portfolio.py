@@ -206,7 +206,7 @@ class TestRunPortfolio:
             run_sosnn_portfolio(np.full((30, 2), 1.5), config)
         with pytest.raises(UsageError, match="finite"):
             run_sosnn_portfolio(np.full((30, 2), np.nan), config)
-        with pytest.raises(UsageError, match="cannot fill an input window"):
+        with pytest.raises(UsageError, match="^a look-back of 3 rounds does not fit in a warmup of 2$"):
             run_sosnn_portfolio(np.zeros((30, 2)), SosnnConfig(net=NetworkConfig(3, 2), warmup=2))
         with pytest.raises(UsageError, match="^series of length 5 leaves no rounds after a warmup of 5$"):
             run_sosnn_portfolio(np.zeros((5, 2)), config)
