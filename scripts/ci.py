@@ -117,14 +117,15 @@ def compare_failures(table: str) -> list[str]:
     return ["the compare table has no '*' row"]
 
 
-def rejection_failures(returncode: int, out_created: bool) -> list[str]:
-    """A usage error found while a cell runs must stop the run with exit 1
-    before it creates `--out`."""
+def rejection_failures(run: str, returncode: int, out_touched: bool) -> list[str]:
+    """A usage error, found before the run or while a cell runs, must stop
+    `run` with exit 1 and leave its `--out` as it was: not created, or the
+    file that stands there unchanged."""
     failures = []
     if returncode != 1:
-        failures.append(f"the short-training backtest exited {returncode}, not 1")
-    if out_created:
-        failures.append("the short-training backtest created its --out directory")
+        failures.append(f"{run} exited {returncode}, not 1")
+    if out_touched:
+        failures.append(f"{run} touched its --out")
     return failures
 
 
@@ -237,7 +238,13 @@ def step_cli(scratch: Path) -> list[str]:
     out = scratch / "backtest-short-training"
     done = _run([*command, "backtest", "--config", short_training_config(scratch),
                  "--jobs", 2, "--out", out])
-    return rejection_failures(done.returncode, out.exists())
+    failures = rejection_failures("the short-training backtest", done.returncode, out.exists())
+    # An --out that cannot be a directory, before any cell runs.
+    taken = scratch / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    done = _run([*command, "backtest", "--config", config, "--out", taken])
+    unchanged = taken.read_text(encoding="utf-8") == "kept\n"
+    return failures + rejection_failures("the backtest into a file", done.returncode, not unchanged)
 
 
 STEPS = {

@@ -1,4 +1,5 @@
-"""Synthetic series generation, price-file ingestion, and range normalization.
+"""Synthetic series generation, price-file ingestion, range normalization,
+and the one float format and file writer of every artifact.
 
 Generators draw from numpy's PCG64 via `default_rng`, so a given seed yields
 the same stream across runs; that seed-to-stream mapping is the package's
@@ -10,16 +11,13 @@ from __future__ import annotations
 import csv
 import datetime
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, UsageError
 from .game import MovementSeries
-
-AR1_COEFF = 0.6
-ARMA_AR_COEFFS = (0.6, 0.3)
-ARMA_MA_COEFF = -0.5
 
 
 @dataclass(frozen=True)
@@ -35,18 +33,25 @@ class NoiseSpec:
         return np.random.default_rng(self.seed).standard_normal(n)
 
 
+def _arma(n: int, noise: NoiseSpec, a1: float, a2: float, b: float) -> np.ndarray:
+    """x_t = a1 x_{t-1} + a2 x_{t-2} + eps_t + b eps_{t-1} from zero history, the
+    recursion of both generators. Python floats hold the doubles numpy scalars
+    would, faster."""
+    out = []
+    prev = prev2 = e_prev = 0.0
+    for e in noise.draw(n).tolist():
+        x = a1 * prev + a2 * prev2 + e + b * e_prev
+        out.append(x)
+        prev2, prev, e_prev = prev, x, e
+    return np.array(out)
+
+
 def gen_ar1(n: int, noise: NoiseSpec) -> np.ndarray:
     """First-order autoregression x_t = 0.6 x_{t-1} + eps_t, eps_t ~ N(0, 1).
 
     Returns x_1..x_n starting from x_0 = 0, with eps_1..eps_n = `noise.draw(n)`.
     """
-    e = noise.draw(n)
-    out = np.empty(n)
-    prev = 0.0
-    for i in range(n):
-        prev = AR1_COEFF * prev + e[i]
-        out[i] = prev
-    return out
+    return _arma(n, noise, 0.6, 0.0, 0.0)
 
 
 def gen_arma21(n: int, noise: NoiseSpec) -> np.ndarray:
@@ -55,15 +60,7 @@ def gen_arma21(n: int, noise: NoiseSpec) -> np.ndarray:
     Starts from x_0 = x_{-1} = 0 and eps_0 = 0, with eps_1..eps_n =
     `noise.draw(n)`.
     """
-    e = noise.draw(n)
-    a1, a2 = ARMA_AR_COEFFS
-    out = np.empty(n)
-    prev = prev2 = e_prev = 0.0
-    for i in range(n):
-        x = a1 * prev + a2 * prev2 + e[i] + ARMA_MA_COEFF * e_prev
-        out[i] = x
-        prev2, prev, e_prev = prev, x, e[i]
-    return out
+    return _arma(n, noise, 0.6, 0.3, -0.5)
 
 
 def normalize(raw: Sequence[float], rule_source: Sequence[float] | None = None) -> MovementSeries:
@@ -197,6 +194,16 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_lines(path, lines) -> None:
+    """`lines` as a UTF-8 file, each ended by a bare newline on every
+    platform; creates its directory. Every file the package writes goes
+    through here."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
 def write_movements(path, dates: Sequence[datetime.date], values: np.ndarray) -> None:
     """Write a movement series as `date,value_1,...` lines (the loaders' format).
 
@@ -209,6 +216,5 @@ def write_movements(path, dates: Sequence[datetime.date], values: np.ndarray) ->
         raise UsageError(
             f"need one date per movement row, got {len(dates)} dates and {len(values)} rows"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for day, row in zip(dates, values):
-            fh.write(f"{day.isoformat()},{','.join(map(_fmt, row))}\n")
+    rows = (",".join([day.isoformat(), *map(_fmt, row)]) for day, row in zip(dates, values))
+    _write_lines(path, rows)

@@ -9,7 +9,7 @@ before the output directory is touched. A task is one grid cell with all
 its replicates: it runs the cell on those series and returns one
 `CellSummary`, which holds the cell's means and each replicate's run (or
 the reason it failed). The parent writes every artifact from these
-summaries, in cell order.
+summaries, in cell order, and the manifest last.
 
 Every emitted number is a pure function of the configuration and seed:
 replicate and strategy seeds derive from the base seed through numpy
@@ -35,6 +35,7 @@ from . import __version__
 from .data import (
     NoiseSpec,
     _fmt,
+    _write_lines,
     gen_ar1,
     gen_arma21,
     load_prices,
@@ -426,14 +427,27 @@ def _run_task(spec: TaskSpec) -> CellSummary:
 
 
 def _execute(specs: list[TaskSpec], jobs: int) -> list[CellSummary]:
+    """Each spec's cell, in spec order. The first error a cell raises stops
+    the run: the cells still running finish, and no later cell starts."""
     if jobs <= 1 or len(specs) <= 1:
         return [_run_task(spec) for spec in specs]
     # Imported here so that a --jobs 1 run never loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    # The pool forks all its workers at the first submit; one per cell is enough.
-    with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-        return list(pool.map(_run_task, specs, chunksize=1))
+    # The pool forks all its workers at the first submit; one per cell is
+    # enough. A cell is submitted only when a worker is free: the pool would
+    # start every cell in its queue, also after one has failed.
+    workers = min(jobs, len(specs))
+    futures, running = [], set()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for spec in specs:
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    future.result()  # raises the error of a failed cell
+            futures.append(pool.submit(_run_task, spec))
+            running.add(futures[-1])
+        return [future.result() for future in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +534,6 @@ class RunReport:
         raise KeyError(label)
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    """`lines` as a UTF-8 file, each ended by a newline; creates its directory."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
 def _numbered(header: str, *columns) -> list[str]:
     """`header`, then one `i,value,...` row per entry of the equally long
     `columns`, numbered from 1."""
@@ -567,7 +575,7 @@ def _write_cells(report: RunReport) -> None:
         lines.append(",".join(row))
     _write_lines(out_dir / "summary.csv", lines)
 
-    (out_dir / "summary.txt").write_text(report.table.render(), encoding="utf-8")
+    _write_lines(out_dir / "summary.txt", report.table.render().splitlines())
 
 
 def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints) -> None:
@@ -596,17 +604,6 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints) -> Non
 
 # ---------------------------------------------------------------------------
 # Commands
-
-
-def _clear_artifacts(out_dir: Path) -> None:
-    """Create `out_dir` and remove the per-cell and movement artifacts of an
-    earlier run, which the new one might not overwrite. The tables and the
-    manifest are rewritten; nothing else in the directory is touched."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("series", "diagnostics"):
-        if (out_dir / name).is_dir():
-            shutil.rmtree(out_dir / name)
-    (out_dir / "movements.csv").unlink(missing_ok=True)
 
 
 def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
@@ -679,9 +676,7 @@ def run_backtest(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
     invest, invest_dates, training = _backtest_series(config)
     if training is not None:
         training = [training] * config.replicates
-    report = _run(config, Path(out_dir), jobs, [invest] * config.replicates, training)
-    write_movements(report.out_dir / "movements.csv", invest_dates, invest.values)
-    return report
+    return _run(config, Path(out_dir), jobs, [invest] * config.replicates, training, invest_dates)
 
 
 def _task_specs(config, series, training) -> list[TaskSpec]:
@@ -727,14 +722,27 @@ def _submission_rank(spec: TaskSpec) -> tuple[int, int]:
     return (2, 0)
 
 
-def _run(config: ExperimentConfig, out_dir: Path, jobs: int, series, training) -> RunReport:
+def _run(config: ExperimentConfig, out_dir: Path, jobs: int, series, training, dates=None) -> RunReport:
     """Run every cell on the per-replicate `series` (and the nnbp replicates'
-    `training` series) and write the artifacts in cell order. `out_dir` is
-    touched only after every cell has run, so an error that stops the run
-    leaves it as it was."""
+    `training` series), then write the artifacts in cell order, and with a
+    backtest's movement `dates` its series as `movements.csv`.
+
+    `out_dir` is touched only after every cell has run. An earlier run's
+    manifest, which marks a finished run, goes first with the files the new
+    run might not overwrite, and the new manifest is written last; other
+    files stay."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"cannot write the run into {out_dir}: {existing} is not a directory")
     checkpoints = checkpoint_rounds(len(series[0]) - config.warmup)
     done = {cell.label: cell for cell in _execute(_task_specs(config, series, training), jobs)}
-    _clear_artifacts(out_dir)
+    for name in ("manifest.json", "movements.csv"):
+        (out_dir / name).unlink(missing_ok=True)
+    for name in ("series", "diagnostics"):
+        if (out_dir / name).is_dir():
+            shutil.rmtree(out_dir / name)
+    if dates is not None:
+        write_movements(out_dir / "movements.csv", dates, series[0].values)
     report = RunReport(out_dir, checkpoints, [done[label] for label, _ in config.cells])
     _write_cells(report)
     _write_manifest(out_dir, config, checkpoints)
@@ -789,5 +797,5 @@ def run_compare(run_dirs, out_path=None) -> RankedTable:
             row.note = "tie"
     table = _ranked(("run", "cell"), checkpoints, rows)
     if out_path is not None:
-        Path(out_path).write_text(table.csv(), encoding="utf-8")
+        _write_lines(out_path, table.csv().splitlines())
     return table

@@ -135,11 +135,17 @@ class TestCliConfig:
 
 class TestRejectionGuard:
     def test_exit_1_without_out_passes(self):
-        assert ci.rejection_failures(1, False) == []
+        assert ci.rejection_failures("the run", 1, False) == []
 
-    @pytest.mark.parametrize("returncode, out_created", [(0, True), (0, False), (2, False), (1, True)])
-    def test_other_exit_or_an_out_directory_fails(self, returncode, out_created):
-        assert ci.rejection_failures(returncode, out_created) != []
+    @pytest.mark.parametrize("returncode, out_touched", [(0, True), (0, False), (2, False), (1, True)])
+    def test_other_exit_or_an_out_directory_fails(self, returncode, out_touched):
+        assert ci.rejection_failures("the run", returncode, out_touched) != []
+
+    def test_failures_name_the_run(self):
+        assert ci.rejection_failures("the backtest into a file", 2, True) == [
+            "the backtest into a file exited 2, not 1",
+            "the backtest into a file touched its --out",
+        ]
 
     def test_short_training_config_parses(self, tmp_path):
         # The run, not the parser, must reject it.
@@ -206,15 +212,32 @@ class TestSteps:
         assert ci.main(["stability"]) == 1
 
     def test_cli(self, canned, exits):
-        # Two seeded backtests, the compare, then the short-training backtest.
+        # Two seeded backtests, the compare, the short-training backtest,
+        # then the backtest into a file.
         canned.append(COMPARE_TABLE)
-        exits += [0, 0, 1]
+        exits += [0, 0, 1, 1]
         assert ci.main(["cli"]) == 0
         canned.append(COMPARE_TABLE)
-        exits += [0, 0, 0]
+        exits += [0, 0, 0, 1]
+        assert ci.main(["cli"]) == 1
+        canned.append(COMPARE_TABLE)
+        exits += [0, 0, 1, 2]
         assert ci.main(["cli"]) == 1
         canned.append(UNFLAGGED)
-        exits += [0, 0, 1]
+        exits += [0, 0, 1, 1]
+        assert ci.main(["cli"]) == 1
+
+    def test_cli_fails_when_the_file_at_out_changes(self, canned, exits, monkeypatch):
+        run = ci._run
+
+        def overwrite(args, capture=False):
+            if args[-2:-1] == ["--out"] and Path(args[-1]).name == "taken":
+                Path(args[-1]).write_text("overwritten\n", encoding="utf-8")
+            return run(args, capture)
+
+        monkeypatch.setattr(ci, "_run", overwrite)
+        canned.append(COMPARE_TABLE)
+        exits += [0, 0, 1, 1]
         assert ci.main(["cli"]) == 1
 
     def test_failed_child_fails_its_step(self, monkeypatch):

@@ -22,13 +22,14 @@ from seqbet.errors import DataError, UsageError
 
 
 class TestAr1:
-    def test_recursion_on_seeded_noise(self):
-        eps = NoiseSpec(seed=4).draw(50)
-        expected, prev = [], 0.0
-        for e in eps:
-            prev = 0.6 * prev + e
-            expected.append(prev)
-        np.testing.assert_array_equal(gen_ar1(50, NoiseSpec(seed=4)), expected)
+    @pytest.mark.parametrize("n", [1, 2, 50, 2520])
+    def test_recursion_on_seeded_noise(self, n):
+        for seed in range(20):
+            expected, prev = [], 0.0
+            for e in NoiseSpec(seed).draw(n):
+                prev = 0.6 * prev + e
+                expected.append(prev)
+            np.testing.assert_array_equal(gen_ar1(n, NoiseSpec(seed)), expected)
 
     def test_seed_reproducibility(self):
         a = gen_ar1(100, NoiseSpec(seed=9))
@@ -50,14 +51,15 @@ class TestAr1:
 
 
 class TestArma21:
-    def test_recursion_on_seeded_noise(self):
-        eps = NoiseSpec(seed=4).draw(50)
-        expected, prev, prev2, e_prev = [], 0.0, 0.0, 0.0
-        for e in eps:
-            x = 0.6 * prev + 0.3 * prev2 + e - 0.5 * e_prev
-            expected.append(x)
-            prev2, prev, e_prev = prev, x, e
-        np.testing.assert_array_equal(gen_arma21(50, NoiseSpec(seed=4)), expected)
+    @pytest.mark.parametrize("n", [1, 2, 50, 2520])
+    def test_recursion_on_seeded_noise(self, n):
+        for seed in range(20):
+            expected, prev, prev2, e_prev = [], 0.0, 0.0, 0.0
+            for e in NoiseSpec(seed).draw(n):
+                x = 0.6 * prev + 0.3 * prev2 + e - 0.5 * e_prev
+                expected.append(x)
+                prev2, prev, e_prev = prev, x, e
+            np.testing.assert_array_equal(gen_arma21(n, NoiseSpec(seed)), expected)
 
     def test_seed_reproducibility(self):
         np.testing.assert_array_equal(

@@ -536,6 +536,28 @@ class TestRerun:
         assert rerun.pop("notes.txt") == b"kept"
         assert rerun == tree_bytes(tmp_path / "fresh")
 
+    def test_interrupted_write_leaves_no_finished_run(self, tmp_path, monkeypatch):
+        # The earlier run's manifest is removed before the first file is
+        # written, so a rerun stopped after it cannot pass for finished.
+        path = write_config(tmp_path, TINY_SIM)
+        run_simulate(parse_config(path), tmp_path / "out")
+        write_lines = experiments._write_lines
+        written = []
+
+        def first_only(file, lines):
+            if written:
+                raise OSError("disk full")
+            written.append(file)
+            write_lines(file, lines)
+
+        monkeypatch.setattr(experiments, "_write_lines", first_only)
+        with pytest.raises(OSError, match="disk full"):
+            run_simulate(parse_config(path, seed_override=12), tmp_path / "out")
+        assert written[0].parent.name == "series"
+        assert not (tmp_path / "out" / "manifest.json").exists()
+        with pytest.raises(UsageError, match="does not contain a finished run"):
+            run_compare([tmp_path / "out"])
+
     def test_simulate_rerun_with_fewer_cells(self, tmp_path):
         path = write_config(tmp_path, TINY_SIM)
         run_simulate(parse_config(path), tmp_path / "out")
@@ -606,6 +628,26 @@ hidden_counts = 2
         with pytest.raises(ConfigError, match="warmup"):
             run_backtest(config, tmp_path / "out")
 
+    def test_manifest_written_last(self, tmp_path, monkeypatch):
+        from seqbet import data
+
+        make_prices(tmp_path)
+        config = parse_config(
+            write_config(tmp_path, BT_TEMPLATE.format(strategies="mkv0, nnbp", extra=BT_NNBP))
+        )
+        write_lines = data._write_lines
+        order = []
+
+        def recorded(path, lines):
+            order.append(Path(path).relative_to(tmp_path / "out").as_posix())
+            write_lines(path, lines)
+
+        monkeypatch.setattr(data, "_write_lines", recorded)
+        monkeypatch.setattr(experiments, "_write_lines", recorded)
+        run_backtest(config, tmp_path / "out")
+        assert order[0] == "movements.csv" and order[-1] == "manifest.json"
+        assert sorted(order) == sorted(tree_bytes(tmp_path / "out"))
+
     def test_movements_file_matches_loader_format(self, tmp_path):
         from seqbet.data import load_movement_matrix
 
@@ -660,6 +702,12 @@ class TestCompare:
     def test_missing_run_dir_rejected(self, tmp_path):
         with pytest.raises(UsageError, match="finished run"):
             run_compare([tmp_path / "nope"])
+
+    def test_out_into_a_new_directory(self, tmp_path):
+        a, b = self.make_two_runs(tmp_path)
+        merged = tmp_path / "new" / "merged.csv"
+        run_compare([a, b], out_path=merged)
+        assert merged.read_text().startswith("run,cell,logK_50,flag,note\n")
 
     @pytest.mark.parametrize(
         "name, old, new",
@@ -828,6 +876,28 @@ class TestArtifactBytes:
         assert epochs[0] == "epoch,training_error" and epochs[-1].startswith("10,")
 
 
+class TestNewlines:
+    def test_every_line_ends_with_a_bare_newline(self, tmp_path, monkeypatch):
+        # Text mode on Windows would end each line with os.linesep; the
+        # pure-Python `io` honours a patched one, so this emulates it here.
+        import _pyio
+
+        from seqbet import data
+
+        monkeypatch.setattr(os, "linesep", "\r\n")
+        monkeypatch.setattr(data, "open", _pyio.open, raising=False)
+        make_prices(tmp_path)
+        backtest = BT_TEMPLATE.format(strategies="mkv0, nnbp", extra=BT_NNBP)
+        run_backtest(parse_config(write_config(tmp_path, backtest, "bt.ini")), tmp_path / "bt")
+        run_simulate(parse_config(write_config(tmp_path, TINY_SIM)), tmp_path / "sim")
+        run_compare([tmp_path / "sim"], out_path=tmp_path / "sim" / "compare.csv")
+        files = {**tree_bytes(tmp_path / "bt"), **tree_bytes(tmp_path / "sim")}
+        assert {"movements.csv", "diagnostics/nnbp_3x4__rep0__days.csv", "summary.txt",
+                "compare.csv", "manifest.json"} <= files.keys()
+        for name, blob in files.items():
+            assert blob.endswith(b"\n") and b"\r" not in blob, name
+
+
 class TestGeneratedSeries:
     def test_each_series_generated_once(self, tmp_path, monkeypatch):
         # One call per replicate's betting series and one per NNBP training
@@ -941,8 +1011,8 @@ class TestCellTasks:
 
 class TestPool:
     def test_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
-        # A stand-in pool that records its size and maps in this process,
-        # so no worker is ever started.
+        # A stand-in pool that records its size and runs each submitted
+        # cell in this process, so no worker is ever started.
         import concurrent.futures
 
         sizes = []
@@ -957,8 +1027,10 @@ class TestPool:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
+            def submit(self, fn, spec):
+                future = concurrent.futures.Future()
+                future.set_result(fn(spec))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         config = parse_config(write_config(tmp_path, TINY_SIM))
@@ -968,6 +1040,51 @@ class TestPool:
         assert [cell.label for cell in cells] == [spec.label for spec in specs]
         experiments._execute(specs, 2)
         assert sizes == [3, 2]
+
+    def test_failing_cell_stops_the_queued_cells(self, tmp_path, monkeypatch, capsys):
+        # The patches reach the forked workers, and each cell's stand-in
+        # records its start in a file. NNBP is submitted first and fails at
+        # once; the SOSNN cells are slow. The MKV cells, submitted last,
+        # must never start.
+        import multiprocessing
+        import time
+
+        from seqbet.errors import NumericError
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the stand-ins reach pool workers only through fork")
+        started = tmp_path / "started"
+        started.mkdir()
+
+        def fail_training(training, configs):
+            (started / "nnbp").touch()
+            raise UsageError("no training series")
+
+        def slow_sosnn(series, configs):
+            (started / f"sosnn_{configs[0].net.input_count}x{configs[0].net.hidden_count}").touch()
+            time.sleep(0.5)
+            return [NumericError("stand-in")] * len(configs)
+
+        def record_mkv(series, order, warmup):
+            (started / f"mkv{order.order}").touch()
+            raise AssertionError("an MKV cell started")
+
+        monkeypatch.setattr(experiments, "train_replicates", fail_training)
+        monkeypatch.setattr(experiments, "run_sosnn_replicates", slow_sosnn)
+        monkeypatch.setattr(experiments, "run_mkv", record_mkv)
+        text = (
+            TINY_SIM.replace("mkv0, mkv1, sosnn", "sosnn, nnbp, mkv0, mkv1, mkv2")
+            .replace("input_counts = 1", "input_counts = 1, 2")
+            .replace("hidden_counts = 2", "hidden_counts = 2, 3")
+            + "[nnbp]\ninput_count = 2\nhidden_count = 3\n"
+        )
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--jobs", "2"]) == 1
+        assert capsys.readouterr().err == "error: no training series\n"
+        names = sorted(p.name for p in started.iterdir())
+        assert "nnbp" in names and not [name for name in names if name.startswith("mkv")]
+        assert not out.exists()
 
 
 class TestImports:
@@ -1118,12 +1235,23 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
-    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_that_cannot_be_a_directory_exits_1(self, tmp_path, capsys, monkeypatch, sub):
+        # A file at --out, or above it, is a usage error found before any
+        # cell runs (a cell would exit 2 here); the file keeps its bytes.
+        def broken(*args):
+            raise RuntimeError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_mkv", broken)
         path = write_config(tmp_path, TINY_SIM)
         taken = tmp_path / "taken"
-        taken.write_text("", encoding="utf-8")
-        assert main(["simulate", "--config", str(path), "--out", str(taken)]) == 2
-        assert "runtime failure" in capsys.readouterr().err
+        taken.write_text("kept\n", encoding="utf-8")
+        out = taken / sub
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write the run into {out}: {taken} is not a directory\n"
+        )
+        assert taken.read_text(encoding="utf-8") == "kept\n"
 
     def test_compare_cli(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_SIM)
