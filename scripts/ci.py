@@ -117,10 +117,24 @@ def compare_failures(table: str) -> list[str]:
     return ["the compare table has no '*' row"]
 
 
+def demo_failures(text: str) -> list[str]:
+    """Every row of the portfolio demo's `log_capital.csv` after its header
+    must be `round,value` with a value that parses as a float."""
+    rows = text.splitlines()[1:]
+    if not rows:
+        return ["log_capital.csv holds no rows"]
+    for lineno, row in enumerate(rows, 2):
+        try:
+            float(row.split(",")[1])
+        except (IndexError, ValueError):
+            return [f"log_capital.csv line {lineno} holds no number: {row!r}"]
+    return []
+
+
 def rejection_failures(run: str, returncode: int, out_touched: bool) -> list[str]:
-    """A usage error, found before the run or while a cell runs, must stop
-    `run` with exit 1 and leave its `--out` as it was: not created, or the
-    file that stands there unchanged."""
+    """A usage error must stop `run` with exit 1 before it writes anything,
+    and leave its `--out` as it was: not created, or the file that stands
+    there (or above it) unchanged."""
     failures = []
     if returncode != 1:
         failures.append(f"{run} exited {returncode}, not 1")
@@ -180,9 +194,10 @@ def step_stability(scratch: Path) -> list[str]:
 def step_demo(scratch: Path) -> list[str]:
     # The only runnable example of the multi-asset API. Like tier-1, it
     # fails on any RuntimeWarning.
-    done = _run([sys.executable, "-W", "error::RuntimeWarning",
-                 "scripts/run_portfolio_demo.py", scratch / "portfolio_demo"])
-    return _exited(done, "scripts/run_portfolio_demo.py")
+    out = scratch / "portfolio_demo"
+    done = _run([sys.executable, "-W", "error::RuntimeWarning", "scripts/run_portfolio_demo.py", out])
+    failures = _exited(done, "scripts/run_portfolio_demo.py")
+    return failures or demo_failures((out / "log_capital.csv").read_text(encoding="utf-8"))
 
 
 def cli_config(scratch: Path) -> Path:
@@ -203,8 +218,8 @@ def cli_config(scratch: Path) -> Path:
 
 def short_training_config(scratch: Path) -> Path:
     """`cli_config` with only NNBP and MKV0 and a training range of 7
-    movements, fewer than NNBP's 12 inputs: the config parses, and the
-    NNBP cell raises a usage error when it trains."""
+    movements, fewer than NNBP's 12 inputs: the config parses, and the run
+    rejects it before any cell starts."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read(cli_config(scratch), encoding="utf-8")
     parser["experiment"]["strategies"] = "nnbp, mkv0"
@@ -234,17 +249,23 @@ def step_cli(scratch: Path) -> list[str]:
     failures = _exited(done, "seqbet compare") or compare_failures(done.stdout)
     if failures:
         return failures
-    # The exit-code contract, through a pool worker.
+    # The exit-code contract at --jobs 2: the run is rejected before the
+    # pool starts a cell.
     out = scratch / "backtest-short-training"
     done = _run([*command, "backtest", "--config", short_training_config(scratch),
                  "--jobs", 2, "--out", out])
     failures = rejection_failures("the short-training backtest", done.returncode, out.exists())
-    # An --out that cannot be a directory, before any cell runs.
+    # An --out that cannot be a directory, before any cell runs, and a
+    # compare --out under a file.
     taken = scratch / "taken"
     taken.write_text("kept\n", encoding="utf-8")
     done = _run([*command, "backtest", "--config", config, "--out", taken])
     unchanged = taken.read_text(encoding="utf-8") == "kept\n"
-    return failures + rejection_failures("the backtest into a file", done.returncode, not unchanged)
+    failures += rejection_failures("the backtest into a file", done.returncode, not unchanged)
+    done = _run([*command, "compare", scratch / "backtest-7", scratch / "backtest-8",
+                 "--out", taken / "m.csv"])
+    unchanged = taken.read_text(encoding="utf-8") == "kept\n"
+    return failures + rejection_failures("the compare under a file", done.returncode, not unchanged)
 
 
 STEPS = {

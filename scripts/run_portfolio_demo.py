@@ -38,7 +38,7 @@ def main() -> int:
     config = SosnnConfig(net=NetworkConfig(input_count=1, hidden_count=3), seed=7)
     result = run_sosnn_portfolio(panel, config)
     lines = ["round,log_capital"]
-    lines += [f"{i + 1},{v!r}" for i, v in enumerate(result.log_capital_path)]
+    lines += [f"{i + 1},{v!r}" for i, v in enumerate(result.log_capital_path.tolist())]
     (out / "log_capital.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     exposure = np.abs(result.ratios).sum(axis=1).max()

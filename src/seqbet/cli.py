@@ -43,13 +43,7 @@ def _build_parser() -> _Parser:
 
 def _run(args) -> int:
     if args.command in ("simulate", "backtest"):
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
         config = parse_config(args.config, seed_override=args.seed)
-        if config.mode != args.command:
-            raise ConfigError(
-                f"config declares mode '{config.mode}' but the command is '{args.command}'"
-            )
         runner = run_simulate if args.command == "simulate" else run_backtest
         report = runner(config, args.out, jobs=args.jobs)
         sys.stdout.write(report.table.render())

@@ -19,6 +19,7 @@ formatted with a fixed spec, so reruns are byte-identical.
 
 from __future__ import annotations
 
+import bisect
 import configparser
 import datetime
 import json
@@ -44,12 +45,12 @@ from .data import (
     write_movements,
 )
 from .errors import ConfigError, NumericError, UsageError
-from .game import RATIO_CAP, MovementSeries, StrategyRunResult, checkpoint_rounds
+from .game import RATIO_CAP, MovementSeries, StrategyRunResult, _check_look_back, checkpoint_rounds
 from .markov import _TOL, MarkovOrder, run_mkv
 from .network import AnnealingSchedule, NetworkConfig
 # Tasks call the replicate-stack entry points. The one-replicate `run_sosnn`
 # and `train` stay importable here because perfbench patches these names.
-from .nnbp import NnbpConfig, TrainingDiagnostics, run_nnbp, train, train_replicates  # noqa: F401
+from .nnbp import NnbpConfig, TrainingDiagnostics, _check_training_length, run_nnbp, train, train_replicates  # noqa: F401
 from .sosnn import SosnnConfig, run_sosnn, run_sosnn_replicates  # noqa: F401
 
 STRATEGY_NAMES = ("sosnn", "nnbp", "mkv0", "mkv1", "mkv2")
@@ -172,7 +173,7 @@ class _SectionReader:
 
 @contextmanager
 def _section_rules(section: str):
-    """Report a config dataclass's own validation as an error of `section`."""
+    """Report a rule's usage error as an error of `section`, an INI section or a cell."""
     try:
         yield
     except UsageError as exc:
@@ -308,12 +309,12 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
                 "a backtest trains on its training date range"
             )
         training_rounds = sec.get("training_rounds", _INT, 300)
+        if training_rounds < 1:
+            raise ConfigError("[nnbp] training_rounds must be >= 1")
         sec.reject_unknown()
         with _section_rules("nnbp"):
             nnbp = NnbpConfig(NetworkConfig(input_count, hidden_count), **settings)
         grid["nnbp"] = [(f"nnbp_{input_count}x{hidden_count}", nnbp)]
-        if mode == "simulate" and training_rounds <= input_count:
-            raise ConfigError("[nnbp] training_rounds must exceed input_count")
         if mode == "backtest":
             if data_spec.training is None:
                 raise ConfigError("nnbp needs a training date range in backtest mode")
@@ -325,11 +326,8 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     cells = tuple(cell for name in strategies for cell in grid[name])
     for label, cell in cells:
         # Rounds of history a bet reads: the sign context or the input window.
-        look_back = cell.order if isinstance(cell, MarkovOrder) else cell.net.input_count
-        if look_back > warmup:
-            raise ConfigError(
-                f"{label} looks back {look_back} rounds, more than the warmup of {warmup}"
-            )
+        with _section_rules(label):
+            _check_look_back(cell.order if isinstance(cell, MarkovOrder) else cell.net.input_count, warmup)
 
     raw = {name: dict(parser[name]) for name in parser.sections()}
     if seed_override is not None:  # the copy records the seed the run uses
@@ -606,10 +604,21 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints) -> Non
 # Commands
 
 
+def _check_out(directory: Path, what: str) -> None:
+    """Reject a `directory` that cannot hold `what`: it, or its first existing parent, is no directory."""
+    existing = next(p for p in (directory, *directory.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"cannot write {what} into {directory}: {existing} is not a directory")
+
+
+def _check_mode(config: ExperimentConfig, command: str) -> None:
+    if config.mode != command:
+        raise ConfigError(f"config declares mode '{config.mode}' but the command is '{command}'")
+
+
 def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
     """Generate data per replicate, run every selected strategy, emit artifacts."""
-    if config.mode != "simulate":
-        raise UsageError(f"run_simulate got a {config.mode!r} config")
+    _check_mode(config, "simulate")
     return _run(config, Path(out_dir), jobs, *_generated_series(config))
 
 
@@ -641,17 +650,14 @@ def _backtest_series(config: ExperimentConfig):
     raw = movements_from_prices(prices)
     dates = prices.dates[1:]  # movement n belongs to the later day
 
-    def window(bounds):
-        lo = next((i for i, d in enumerate(dates) if d >= bounds[0]), len(dates))
-        hi = next((i for i, d in enumerate(dates) if d > bounds[1]), len(dates))
+    def window(bounds, name):
+        lo, hi = bisect.bisect_left(dates, bounds[0]), bisect.bisect_right(dates, bounds[1])
+        if lo >= hi:
+            raise ConfigError(f"{name} range selects no movements")
         return lo, hi
 
-    n_lo, n_hi = window(spec.normalization)
-    if n_lo >= n_hi:
-        raise ConfigError("normalization range selects no movements")
-    i_lo, i_hi = window(spec.investing)
-    if i_lo >= i_hi:
-        raise ConfigError("investing range selects no movements")
+    n_lo, n_hi = window(spec.normalization, "normalization")
+    i_lo, i_hi = window(spec.investing, "investing")
     if i_lo < config.warmup:
         raise ConfigError(
             f"only {i_lo} movements precede the investing range; warmup needs {config.warmup}"
@@ -662,17 +668,14 @@ def _backtest_series(config: ExperimentConfig):
     invest_dates = dates[i_lo - config.warmup : i_hi]
     training = None
     if "nnbp" in config.strategies:
-        t_lo, t_hi = window(spec.training)
-        if t_lo >= t_hi:
-            raise ConfigError("training range selects no movements")
+        t_lo, t_hi = window(spec.training, "training")
         training = normalize(raw[t_lo:t_hi], rule_source=reference)
     return invest, invest_dates, training
 
 
 def run_backtest(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
     """Normalize price movements by the reference window, then run strategies."""
-    if config.mode != "backtest":
-        raise UsageError(f"run_backtest got a {config.mode!r} config")
+    _check_mode(config, "backtest")
     invest, invest_dates, training = _backtest_series(config)
     if training is not None:
         training = [training] * config.replicates
@@ -727,13 +730,17 @@ def _run(config: ExperimentConfig, out_dir: Path, jobs: int, series, training, d
     `training` series), then write the artifacts in cell order, and with a
     backtest's movement `dates` its series as `movements.csv`.
 
-    `out_dir` is touched only after every cell has run. An earlier run's
-    manifest, which marks a finished run, goes first with the files the new
-    run might not overwrite, and the new manifest is written last; other
-    files stay."""
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not existing.is_dir():
-        raise UsageError(f"cannot write the run into {out_dir}: {existing} is not a directory")
+    Every input rule is checked before the first cell starts, and `out_dir`
+    is touched only after the last one ends. An earlier run's manifest,
+    which marks a finished run, goes first with the files the new run might
+    not overwrite, and the new manifest is written last; other files stay."""
+    if jobs < 1:
+        raise UsageError(f"jobs must be >= 1, got {jobs}")
+    _check_out(out_dir, "the run")
+    for label, cell in config.cells:
+        if isinstance(cell, NnbpConfig):
+            with _section_rules(label):
+                _check_training_length(len(training[0]), cell.net.input_count)
     checkpoints = checkpoint_rounds(len(series[0]) - config.warmup)
     done = {cell.label: cell for cell in _execute(_task_specs(config, series, training), jobs)}
     for name in ("manifest.json", "movements.csv"):
@@ -761,6 +768,12 @@ def run_compare(run_dirs, out_path=None) -> RankedTable:
     dirs = [Path(d) for d in run_dirs]
     if len(dirs) < 1:
         raise UsageError("compare needs at least one run directory")
+    if out_path is not None:
+        out_path = Path(out_path)
+        _check_out(out_path.parent, out_path.name)
+        read = {(d / name).resolve() for d in dirs for name in ("manifest.json", "summary.csv")}
+        if out_path.is_dir() or out_path.resolve() in read:
+            raise UsageError(f"cannot write the table into {out_path}: it is a directory or a file compare reads")
     checkpoints = None
     rows: list[TableRow] = []
     for d in dirs:

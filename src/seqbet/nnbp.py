@@ -118,11 +118,14 @@ def _training_errors(windows, w_hidden, w_out, targets) -> tuple[np.ndarray, np.
     return 0.5 * np.mean(residuals**2, axis=-1), 0.5 * residuals**2
 
 
+def _check_training_length(size: int, length: int) -> None:
+    """NNBP's training rule: a day's sample needs the `length` movements before it."""
+    if size <= length:
+        raise UsageError(f"training series of length {size} leaves no sample after a window of {length}")
+
+
 def _training_pairs(xs: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    if len(xs) < length + 1:
-        raise UsageError(
-            f"training series of length {len(xs)} cannot fill a window of {length}"
-        )
+    _check_training_length(len(xs), length)
     # Day k's sample is the window before it and the sign of x_k, from k = L + 1.
     windows = betting_windows(xs, length, length)
     targets = np.array([sign_target(x) for x in xs[length:]], dtype=float)

@@ -148,10 +148,26 @@ class TestRejectionGuard:
         ]
 
     def test_short_training_config_parses(self, tmp_path):
-        # The run, not the parser, must reject it.
+        # The run, not the parser, must reject it, before any cell starts.
         config = parse_config(ci.short_training_config(tmp_path))
         assert [label for label, _ in config.cells] == ["nnbp_12x30", "mkv0"]
         assert config.data.training[1].isoformat() == "2005-11-08"
+
+
+class TestDemoGuard:
+    def test_numbers_pass(self):
+        assert ci.demo_failures("round,log_capital\n1,0.0\n2,-0.0123\n") == []
+
+    def test_numpy_scalar_reprs_fail(self):
+        # What `{v!r}` writes for a numpy scalar under numpy 2.
+        text = "round,log_capital\n1,np.float64(0.0)\n2,np.float64(-0.0123)\n"
+        assert ci.demo_failures(text) == [
+            "log_capital.csv line 2 holds no number: '1,np.float64(0.0)'"
+        ]
+
+    @pytest.mark.parametrize("text", ["", "round,log_capital\n", "round,log_capital\n1\n"])
+    def test_missing_rows_or_values_fail(self, text):
+        assert ci.demo_failures(text) != []
 
 
 class TestLog1pGuard:
@@ -211,34 +227,50 @@ class TestSteps:
         canned.append(stability_table([(5686, 5686)] * 7))
         assert ci.main(["stability"]) == 1
 
-    def test_cli(self, canned, exits):
+    @pytest.mark.parametrize("codes, table, status", [
+        ([0, 0, 1, 1, 1], COMPARE_TABLE, 0),
+        ([0, 0, 0, 1, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 2, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 2], COMPARE_TABLE, 1),
+        ([0, 0], UNFLAGGED, 1),
+    ], ids=["pass", "short-training-exit-0", "into-a-file-exit-2", "compare-under-a-file-exit-2", "no-best-row"])
+    def test_cli(self, canned, exits, codes, table, status):
         # Two seeded backtests, the compare, the short-training backtest,
-        # then the backtest into a file.
-        canned.append(COMPARE_TABLE)
-        exits += [0, 0, 1, 1]
-        assert ci.main(["cli"]) == 0
-        canned.append(COMPARE_TABLE)
-        exits += [0, 0, 0, 1]
-        assert ci.main(["cli"]) == 1
-        canned.append(COMPARE_TABLE)
-        exits += [0, 0, 1, 2]
-        assert ci.main(["cli"]) == 1
-        canned.append(UNFLAGGED)
-        exits += [0, 0, 1, 1]
-        assert ci.main(["cli"]) == 1
+        # the backtest into a file, then the compare under that file. The
+        # step makes each run it gets to once: no exit code is left over.
+        canned.append(table)
+        exits += codes
+        assert ci.main(["cli"]) == status
+        assert exits == [] and canned == []
 
-    def test_cli_fails_when_the_file_at_out_changes(self, canned, exits, monkeypatch):
+    @pytest.mark.parametrize("command", ["backtest", "compare"])
+    def test_cli_fails_when_the_file_at_out_changes(self, canned, exits, monkeypatch, command):
         run = ci._run
 
         def overwrite(args, capture=False):
-            if args[-2:-1] == ["--out"] and Path(args[-1]).name == "taken":
-                Path(args[-1]).write_text("overwritten\n", encoding="utf-8")
+            # The backtest's --out is the file; the compare's lies under it.
+            out = Path(args[-1])
+            taken = out if command == "backtest" else out.parent
+            if args[1] == command and args[-2] == "--out" and taken.name == "taken":
+                taken.write_text("overwritten\n", encoding="utf-8")
             return run(args, capture)
 
         monkeypatch.setattr(ci, "_run", overwrite)
         canned.append(COMPARE_TABLE)
-        exits += [0, 0, 1, 1]
+        exits += [0, 0, 1, 1, 1]
         assert ci.main(["cli"]) == 1
+
+    def test_demo(self, monkeypatch):
+        def run(args, capture=False, value="0.5"):
+            out = Path(args[-1])
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "log_capital.csv").write_text(f"round,log_capital\n1,{value}\n", encoding="utf-8")
+            return subprocess.CompletedProcess(args, 0)
+
+        monkeypatch.setattr(ci, "_run", run)
+        assert ci.main(["demo"]) == 0
+        monkeypatch.setattr(ci, "_run", lambda args, capture=False: run(args, value="np.float64(0.5)"))
+        assert ci.main(["demo"]) == 1
 
     def test_failed_child_fails_its_step(self, monkeypatch):
         monkeypatch.setattr(ci, "_run", lambda args, capture=False: subprocess.CompletedProcess(args, 2))

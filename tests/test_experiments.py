@@ -165,7 +165,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(short)
         assert str(info.value) == (
-            f"{label} looks back {look_back} rounds, more than the warmup of {look_back - 1}"
+            f"[{label}] a look-back of {look_back} rounds does not fit in a warmup of {look_back - 1}"
         )
         parse_config(write_config(tmp_path, text.format(look_back), "enough.ini"))
 
@@ -703,6 +703,23 @@ class TestCompare:
         with pytest.raises(UsageError, match="finished run"):
             run_compare([tmp_path / "nope"])
 
+    @pytest.mark.parametrize("target", ["taken/m.csv", "runA", "runA/manifest.json", "runB/summary.csv"],
+                             ids=["under-a-file", "directory", "manifest", "summary"])
+    def test_out_that_cannot_take_the_table_exits_1(self, tmp_path, capsys, target):
+        # Rejected before the table is written: a file above --out, a
+        # directory at --out, or a file compare reads; no byte changes.
+        a, b = self.make_two_runs(tmp_path)
+        (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
+        before = tree_bytes(tmp_path)
+        out = tmp_path / target
+        assert main(["compare", str(a), str(b), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        if target == "taken/m.csv":
+            assert err == f"error: cannot write m.csv into {out.parent}: {out.parent} is not a directory\n"
+        else:
+            assert err == f"error: cannot write the table into {out}: it is a directory or a file compare reads\n"
+        assert tree_bytes(tmp_path) == before
+
     def test_out_into_a_new_directory(self, tmp_path):
         a, b = self.make_two_runs(tmp_path)
         merged = tmp_path / "new" / "merged.csv"
@@ -1146,9 +1163,13 @@ class TestCli:
              "error: [nnbp] learning_rate must be positive"),
             (TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, nnbp").split("[sosnn]")[0]
              + "[nnbp]\ninput_count = 3\nhidden_count = 2\ntraining_rounds = 3\n",
-             "error: [nnbp] training_rounds must exceed input_count"),
+             "error: [nnbp_3x2] training series of length 3 leaves no sample after a window of 3"),
+            (TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, nnbp").split("[sosnn]")[0]
+             + "[nnbp]\ninput_count = 3\nhidden_count = 2\ntraining_rounds = 0\n",
+             "error: [nnbp] training_rounds must be >= 1"),
         ],
-        ids=["zero-tolerance", "negative-rate", "nan-tolerance", "nan-rate", "training-rounds"],
+        ids=["zero-tolerance", "negative-rate", "nan-tolerance", "nan-rate", "training-rounds",
+             "no-training-rounds"],
     )
     def test_invalid_strategy_value_exits_1(self, tmp_path, capsys, text, message):
         path = write_config(tmp_path, text)
@@ -1170,6 +1191,34 @@ class TestCli:
     def test_wrong_mode_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_SIM)
         assert main(["backtest", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: config declares mode 'simulate' but the command is 'backtest'\n"
+        )
+
+    def test_each_runner_rejects_the_other_mode(self, tmp_path):
+        make_prices(tmp_path)
+        simulate = parse_config(write_config(tmp_path, TINY_SIM))
+        backtest = parse_config(write_config(tmp_path, BT_TEMPLATE.format(strategies="mkv0", extra=""), "bt.ini"))
+        for runner, config, command in ((run_backtest, simulate, "backtest"), (run_simulate, backtest, "simulate")):
+            with pytest.raises(ConfigError) as info:
+                runner(config, tmp_path / "o")
+            assert str(info.value) == f"config declares mode '{config.mode}' but the command is '{command}'"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_jobs_below_1_rejected_before_any_cell(self, tmp_path, monkeypatch, jobs):
+        def broken(*args):
+            raise RuntimeError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_mkv", broken)
+        monkeypatch.setattr(experiments, "run_sosnn_replicates", broken)
+        config = parse_config(write_config(tmp_path, TINY_SIM))
+        with pytest.raises(UsageError) as info:
+            run_simulate(config, tmp_path / "o", jobs=jobs)
+        assert str(info.value) == f"jobs must be >= 1, got {jobs}"
+        assert main(["simulate", "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "o"),
+                     "--jobs", str(jobs)]) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["simulate", "--out", "x"]) == 1
@@ -1196,14 +1245,20 @@ class TestCli:
         assert not fresh.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_usage_error_inside_a_cell_exits_1(self, tmp_path, capsys, jobs):
+    def test_short_training_exits_1_before_any_cell(self, tmp_path, capsys, monkeypatch, jobs):
         # 3 training movements leave no sample after NNBP's 3-movement
-        # window. The parser cannot see it; the run stops before --out.
+        # window. The parser cannot see it; the run rejects it before its
+        # first cell starts (a cell that started would exit 2 here).
+        def broken(*args):
+            raise RuntimeError("a cell ran")
+
+        monkeypatch.setattr(experiments, "train_replicates", broken)
+        monkeypatch.setattr(experiments, "run_mkv", broken)
         make_prices(tmp_path)
         text = BT_TEMPLATE.format(strategies="nnbp, mkv0", extra=BT_NNBP)
         path = write_config(tmp_path, text.replace("training_end = 2020-02-10", "training_end = 2020-01-04"))
-        message = "training series of length 3 cannot fill a window of 3"
-        with pytest.raises(UsageError) as info:
+        message = "[nnbp_3x4] training series of length 3 leaves no sample after a window of 3"
+        with pytest.raises(ConfigError) as info:
             run_backtest(parse_config(path), tmp_path / "o")
         assert str(info.value) == message
         assert main(["backtest", "--config", str(path), "--out", str(tmp_path / "o"), "--jobs", jobs]) == 1
