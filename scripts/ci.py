@@ -202,8 +202,9 @@ def step_demo(scratch: Path) -> list[str]:
 
 def cli_config(scratch: Path) -> Path:
     """configs/backtest_demo.ini with its price file by absolute path and the
-    SOSNN and NNBP step caps cut, written to `scratch`: every strategy still
-    runs, in seconds rather than minutes."""
+    SOSNN and NNBP step caps cut, written to `scratch` with a UTF-8 byte-order
+    mark: every strategy still runs, in seconds rather than minutes, and the
+    console-script runs parse a marked file."""
     demo = ROOT / "configs" / "backtest_demo.ini"
     parser = configparser.ConfigParser(interpolation=None)
     parser.read(demo, encoding="utf-8")
@@ -211,7 +212,7 @@ def cli_config(scratch: Path) -> Path:
     parser["sosnn"]["max_iterations"] = "100"
     parser["nnbp"]["max_steps"] = "2000"
     path = scratch / "backtest_cli.ini"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8-sig") as fh:
         parser.write(fh)
     return path
 
@@ -221,7 +222,7 @@ def short_training_config(scratch: Path) -> Path:
     movements, fewer than NNBP's 12 inputs: the config parses, and the run
     rejects it before any cell starts."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read(cli_config(scratch), encoding="utf-8")
+    parser.read(cli_config(scratch), encoding="utf-8-sig")
     parser["experiment"]["strategies"] = "nnbp, mkv0"
     parser["data"]["training_end"] = "2005-11-08"
     parser.remove_section("sosnn")

@@ -116,11 +116,11 @@ def _parse_rows(path, n_values: int | None = None):
     """Yield (lineno, date, values) rows from a `date,v1,..` CSV, whose
     dates must be strictly increasing.
 
-    Blank lines are skipped, and the first other line may be a header: a
-    line whose date field is not an ISO date and whose values are not all
-    numbers. Without `n_values`, that line fixes the number of value columns.
+    A UTF-8 byte-order mark and blank lines are skipped, and the first other
+    line may be a header: a line whose date field is not an ISO date and whose
+    values are not all numbers; without `n_values`, it sets the column count.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         first = True
         last = None
         for lineno, row in enumerate(csv.reader(fh), start=1):

@@ -45,7 +45,7 @@ from .data import (
     write_movements,
 )
 from .errors import ConfigError, NumericError, UsageError
-from .game import RATIO_CAP, MovementSeries, StrategyRunResult, _check_look_back, checkpoint_rounds
+from .game import RATIO_CAP, MovementSeries, StrategyRunResult, _check_look_back, _check_warmup, checkpoint_rounds
 from .markov import _TOL, MarkovOrder, run_mkv
 from .network import AnnealingSchedule, NetworkConfig
 # Tasks call the replicate-stack entry points. The one-replicate `run_sosnn`
@@ -116,12 +116,40 @@ def _typed(convert, kind):
     return parse
 
 
-def _comma_list(convert, kind):
+_INT = _typed(int, "an integer")
+_FLOAT = _typed(float, "a number")
+_DATE = _typed(datetime.date.fromisoformat, "an ISO date")
+_BOOLEAN = _typed(lambda value: configparser.ConfigParser.BOOLEAN_STATES[value.lower()], "a boolean")
+
+
+def _at_least(low):
+    """Parser of an integer that must be at least `low`."""
+
     def parse(value):
-        try:
-            items = tuple(convert(v.strip()) for v in value.split(",") if v.strip())
-        except ValueError:
-            raise ValueError(f"must be a comma list of {kind}") from None
+        number = _INT(value)
+        if number < low:
+            raise ValueError(f"must be >= {low}, got {number}")
+        return number
+
+    return parse
+
+
+def _one_of(names):
+    """Parser of a name, in any case, that must be one of `names`."""
+
+    def parse(value):
+        if value.lower() not in names:
+            raise ValueError(f"must be one of {', '.join(names)}, got {value!r}")
+        return value.lower()
+
+    return parse
+
+
+def _comma_list(convert):
+    """Parser of a nonempty list of distinct items, each read by `convert`."""
+
+    def parse(value):
+        items = tuple(convert(v.strip()) for v in value.split(",") if v.strip())
         if not items:
             raise ValueError("must not be empty")
         if len(set(items)) != len(items):
@@ -129,14 +157,6 @@ def _comma_list(convert, kind):
         return items
 
     return parse
-
-
-_INT = _typed(int, "an integer")
-_FLOAT = _typed(float, "a number")
-_DATE = _typed(datetime.date.fromisoformat, "an ISO date")
-_BOOLEAN = _typed(lambda value: configparser.ConfigParser.BOOLEAN_STATES[value.lower()], "a boolean")
-_INT_LIST = _comma_list(int, "integers")
-_NAME_LIST = _comma_list(str.lower, "names")
 
 
 class _SectionReader:
@@ -188,9 +208,9 @@ def _date_range(section: _SectionReader, name: str, required: bool):
     if start is None and end is None:
         return None
     if start is None or end is None:
-        raise ConfigError(f"{name}_start and {name}_end must be given together")
+        raise ConfigError(f"[{section.name}] {name}_start and {name}_end must be given together")
     if end < start:
-        raise ConfigError(f"{name} range ends before it starts")
+        raise ConfigError(f"[{section.name}] {name} range ends before it starts")
     return start, end
 
 
@@ -212,7 +232,7 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -224,28 +244,18 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     if "experiment" not in parser or "data" not in parser:
         raise ConfigError("config needs [experiment] and [data] sections")
 
+    if seed_override is not None:  # read, and recorded, as the INI's own seed
+        parser["experiment"]["seed"] = str(seed_override)
     exp = _SectionReader("experiment", parser["experiment"])
-    mode = exp.get("mode", required=True).lower()
-    if mode not in ("simulate", "backtest"):
-        raise ConfigError(f"mode must be 'simulate' or 'backtest', got {mode!r}")
-    seed = seed_override if seed_override is not None else exp.get("seed", _INT)
-    exp.seen.add("seed")
+    mode = exp.get("mode", _one_of(("simulate", "backtest")), required=True)
+    seed = exp.get("seed", _at_least(0))
     if seed is None:
         raise ConfigError("a seed is required ([experiment] seed or --seed)")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
     warmup = exp.get("warmup", _INT, 20)
-    if warmup < 0:
-        raise ConfigError("warmup must be nonnegative")
-    replicates = exp.get("replicates", _INT, 1)
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
-    strategies = exp.get("strategies", _NAME_LIST, required=True)
-    for name in strategies:
-        if name not in STRATEGY_NAMES:
-            raise ConfigError(
-                f"unknown strategy {name!r}; choose from {', '.join(STRATEGY_NAMES)}"
-            )
+    with _section_rules("experiment"):
+        _check_warmup(warmup)
+    replicates = exp.get("replicates", _at_least(1), 1)
+    strategies = exp.get("strategies", _comma_list(_one_of(STRATEGY_NAMES)), required=True)
     grid: dict[str, list[Cell]] = {
         name: [(name, MarkovOrder(int(name[-1])))] for name in strategies if name.startswith("mkv")
     }
@@ -253,12 +263,8 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     rounds = None
     data = _SectionReader("data", parser["data"])
     if mode == "simulate":
-        rounds = exp.get("rounds", _INT, 300)
-        if rounds < 1:
-            raise ConfigError("rounds must be >= 1")
-        generator = data.get("generator", required=True).lower()
-        if generator not in ("ar1", "arma21"):
-            raise ConfigError(f"generator must be 'ar1' or 'arma21', got {generator!r}")
+        rounds = exp.get("rounds", _at_least(1), 300)
+        generator = data.get("generator", _one_of(("ar1", "arma21")), required=True)
         data_spec: GeneratorData | BacktestData = GeneratorData(generator)
     else:
         price_file = data.get("price_file", required=True)
@@ -273,8 +279,8 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
     sec = _strategy_section(parser, strategies, "sosnn")
     if sec is not None:
-        input_counts = sec.get("input_counts", _INT_LIST, required=True)
-        hidden_counts = sec.get("hidden_counts", _INT_LIST, required=True)
+        input_counts = sec.get("input_counts", _comma_list(_INT), required=True)
+        hidden_counts = sec.get("hidden_counts", _comma_list(_INT), required=True)
         schedule = sec.given({"initial_rate": _FLOAT, "decay_steps": _FLOAT})
         settings = sec.given({
             "weight_tolerance": _FLOAT, "max_iterations": _INT,
@@ -308,20 +314,17 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
                 "[nnbp] training_rounds applies to simulate mode only; "
                 "a backtest trains on its training date range"
             )
-        training_rounds = sec.get("training_rounds", _INT, 300)
-        if training_rounds < 1:
-            raise ConfigError("[nnbp] training_rounds must be >= 1")
+        training_rounds = sec.get("training_rounds", _at_least(1), 300)
         sec.reject_unknown()
         with _section_rules("nnbp"):
             nnbp = NnbpConfig(NetworkConfig(input_count, hidden_count), **settings)
         grid["nnbp"] = [(f"nnbp_{input_count}x{hidden_count}", nnbp)]
         if mode == "backtest":
             if data_spec.training is None:
-                raise ConfigError("nnbp needs a training date range in backtest mode")
-            t0, t1 = data_spec.training
-            i0, i1 = data_spec.investing
+                raise ConfigError("[data] nnbp needs a training date range in backtest mode")
+            (t0, t1), (i0, i1) = data_spec.training, data_spec.investing
             if not (t1 < i0 or i1 < t0):
-                raise ConfigError("training and investing ranges must be disjoint")
+                raise ConfigError("[data] training and investing ranges must be disjoint")
 
     cells = tuple(cell for name in strategies for cell in grid[name])
     for label, cell in cells:
@@ -330,8 +333,6 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
             _check_look_back(cell.order if isinstance(cell, MarkovOrder) else cell.net.input_count, warmup)
 
     raw = {name: dict(parser[name]) for name in parser.sections()}
-    if seed_override is not None:  # the copy records the seed the run uses
-        raw["experiment"]["seed"] = str(seed)
     return ExperimentConfig(
         mode=mode,
         seed=seed,
@@ -416,8 +417,8 @@ def _run_task(spec: TaskSpec) -> CellSummary:
     return CellSummary(
         spec.label, True, "",
         {c: _mean([run.checkpoints[c] for run in runs]) for c in runs[0].checkpoints},
-        _mean([_mean([d.iterations for d in ds]) if ds else 0.0 for ds in refits]),
-        _mean([_mean([d.converged for d in ds]) if ds else 1.0 for ds in refits]),
+        _mean([_mean([d.iterations for d in ds]) for ds in refits]),
+        _mean([_mean([d.converged for d in ds]) for ds in refits]),
         _mean([diag.final_error for _, diag in replicates if diag is not None]),
         time.monotonic() - start,
         replicates,
@@ -684,7 +685,8 @@ def run_backtest(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunReport:
 
 def _task_specs(config, series, training) -> list[TaskSpec]:
     """One TaskSpec per cell, holding every replicate's series and its
-    config seeded from the base seed, listed in submission order.
+    config seeded from the base seed, listed in submission order. NNBP's
+    rule on its training length is checked here, before any cell runs.
 
     `training` holds the series each nnbp replicate trains on. Cells are
     submitted longest first, so the pool does not end on one long task:
@@ -692,37 +694,22 @@ def _task_specs(config, series, training) -> list[TaskSpec]:
     down, then MKV. The order never reaches the artifacts, which are
     written in cell order.
     """
-    specs = [
-        TaskSpec(
-            label,
-            config.warmup,
-            [_replicate_config(config, strategy, r) for r in range(config.replicates)],
-            series,
-            training if isinstance(strategy, NnbpConfig) else None,
-        )
-        for label, strategy in config.cells
-    ]
-    return sorted(specs, key=_submission_rank)
-
-
-def _replicate_config(config, strategy, r):
-    """`strategy` with replicate r's seed, derived from the base seed."""
-    if isinstance(strategy, SosnnConfig):
-        net = strategy.net
-        seed = derive_seed(config.seed, r, _ROLE_SOSNN, net.input_count, net.hidden_count)
-        return replace(strategy, seed=seed)
-    if isinstance(strategy, NnbpConfig):
-        return replace(strategy, seed=derive_seed(config.seed, r, _ROLE_NNBP_INIT))
-    return strategy
-
-
-def _submission_rank(spec: TaskSpec) -> tuple[int, int]:
-    config = spec.configs[0]
-    if isinstance(config, NnbpConfig):
-        return (0, 0)
-    if isinstance(config, SosnnConfig):
-        return (1, -config.net.hidden_count * (config.net.input_count + 1))
-    return (2, 0)
+    ranked, reps = [], range(config.replicates)
+    for label, cell in config.cells:
+        cell_training = None
+        if isinstance(cell, NnbpConfig):
+            with _section_rules(label):
+                _check_training_length(len(training[0]), cell.net.input_count)
+            rank, cell_training = (0, 0), training
+            configs = [replace(cell, seed=derive_seed(config.seed, r, _ROLE_NNBP_INIT)) for r in reps]
+        elif isinstance(cell, SosnnConfig):
+            lin, hid = cell.net.input_count, cell.net.hidden_count
+            rank = (1, -hid * (lin + 1))
+            configs = [replace(cell, seed=derive_seed(config.seed, r, _ROLE_SOSNN, lin, hid)) for r in reps]
+        else:
+            rank, configs = (2, 0), [cell] * config.replicates
+        ranked.append((rank, TaskSpec(label, config.warmup, configs, series, cell_training)))
+    return [spec for _, spec in sorted(ranked, key=lambda pair: pair[0])]
 
 
 def _run(config: ExperimentConfig, out_dir: Path, jobs: int, series, training, dates=None) -> RunReport:
@@ -737,10 +724,6 @@ def _run(config: ExperimentConfig, out_dir: Path, jobs: int, series, training, d
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     _check_out(out_dir, "the run")
-    for label, cell in config.cells:
-        if isinstance(cell, NnbpConfig):
-            with _section_rules(label):
-                _check_training_length(len(training[0]), cell.net.input_count)
     checkpoints = checkpoint_rounds(len(series[0]) - config.warmup)
     done = {cell.label: cell for cell in _execute(_task_specs(config, series, training), jobs)}
     for name in ("manifest.json", "movements.csv"):

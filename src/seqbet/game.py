@@ -2,10 +2,10 @@
 
 Each round Investor bets a fraction alpha_n of current capital, Market reveals a
 move x_n in [-1, 1], and capital multiplies by (1 + alpha_n . x_n), with vectors
-for P assets. Each rule is written once, here: a movement is finite and lies
-in [-1, 1] (`_check_movements`); after a warmup of W rounds, with 0 <= W < N,
-rounds W + 1..N of an N-round series bet (`_betting_rounds`), each reading only
-the movements before it (`betting_windows`), at most W of them
+for P assets. Each rule is written once, here: a movement is finite and lies in
+[-1, 1] (`_check_movements`); a warmup of W rounds has W >= 0 (`_check_warmup`),
+and, with W < N, rounds W + 1..N of an N-round series bet (`_betting_rounds`),
+each reading only the movements before it (`betting_windows`), at most W of them
 (`_check_look_back`); a round's total exposure sum|alpha_n| is below 1, which
 rules out bankruptcy; log capital adds log1p(alpha_n . x_n) per round, summed
 left to right from 0.0. `_play` checks and plays a whole table of bets, for
@@ -48,11 +48,16 @@ def _check_movements(values: np.ndarray) -> float:
     return peak
 
 
+def _check_warmup(warmup: int) -> None:
+    """The game's warmup rule: a warmup is a nonnegative number of rounds."""
+    if warmup < 0:
+        raise UsageError(f"warmup must be nonnegative, got {warmup}")
+
+
 def _betting_rounds(n_rounds: int, warmup: int) -> range:
     """Rounds warmup + 1..N of an N-round series, the rounds that bet; the
     game's one length rule is 0 <= warmup < N."""
-    if warmup < 0:
-        raise UsageError(f"warmup must be nonnegative, got {warmup}")
+    _check_warmup(warmup)
     if n_rounds <= warmup:
         raise UsageError(
             f"series of length {n_rounds} leaves no rounds after a warmup of {warmup}"
@@ -63,6 +68,7 @@ def _betting_rounds(n_rounds: int, warmup: int) -> range:
 def _check_look_back(look_back: int, warmup: int) -> None:
     """The game's look-back rule: a bet that reads the `look_back` movements
     before its round needs a warmup of at least that many rounds."""
+    _check_warmup(warmup)
     if warmup < look_back:
         raise UsageError(f"a look-back of {look_back} rounds does not fit in a warmup of {warmup}")
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .game import (
-    MovementSeries, OptimizeReport, StrategyRunResult, betting_windows, clamp_ratio, run_game,
+    MovementSeries, OptimizeReport, StrategyRunResult, _check_warmup, betting_windows, clamp_ratio, run_game,
 )
 from .network import (
     AnnealingSchedule,
@@ -61,8 +61,7 @@ class SosnnConfig:
             raise UsageError("weight_tolerance must be positive")
         if self.max_iterations < 1:
             raise UsageError("max_iterations must be >= 1")
-        if self.warmup < 0:
-            raise UsageError("warmup must be nonnegative")
+        _check_warmup(self.warmup)
         if not self.init_scale > 0:
             raise UsageError("init_scale must be positive")
 

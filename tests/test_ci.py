@@ -124,7 +124,9 @@ class TestCompareGuard:
 class TestCliConfig:
     def test_demo_grid_with_small_caps(self, tmp_path):
         demo = parse_config(ROOT / "configs" / "backtest_demo.ini")
-        reduced = parse_config(ci.cli_config(tmp_path))
+        path = ci.cli_config(tmp_path)
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf[")  # read as a marked file
+        reduced = parse_config(path)
         assert reduced.strategies == demo.strategies == STRATEGY_NAMES
         assert reduced.data == demo.data
         assert [label for label, _ in reduced.cells] == [label for label, _ in demo.cells]

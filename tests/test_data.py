@@ -191,6 +191,16 @@ class TestLoadPrices:
         with pytest.raises(DataError, match="no price records"):
             load_prices(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        text = "2006-01-02,100\n2006-01-03,101\n"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = load_prices(plain), load_prices(marked)
+        assert a.dates == b.dates
+        np.testing.assert_array_equal(a.closes, b.closes)
+
 
 class TestMovementMatrix:
     def test_roundtrip(self, tmp_path, rng):
@@ -226,6 +236,16 @@ class TestMovementMatrix:
         path.write_text("\n2020-01-01,0.1,x\n2020-01-02,0.3,0.4\n")
         with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:2: non-numeric value"):
             load_movement_matrix(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        text = "2020-01-01,0.1,-0.2\n2020-01-02,0.3,0.4\n"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        (a_dates, a), (b_dates, b) = load_movement_matrix(plain), load_movement_matrix(marked)
+        assert a_dates == b_dates
+        np.testing.assert_array_equal(a, b)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

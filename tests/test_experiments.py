@@ -137,7 +137,7 @@ class TestParseConfig:
 
     def test_one_betting_round(self, tmp_path):
         # rounds >= 1 is the game's rule, W < N, at parse time.
-        with pytest.raises(ConfigError, match="^rounds must be >= 1$"):
+        with pytest.raises(ConfigError, match=r"^\[experiment\] rounds must be >= 1, got 0$"):
             parse_config(write_config(tmp_path, TINY_SIM.replace("rounds = 50", "rounds = 0")))
         config = parse_config(write_config(tmp_path, TINY_SIM.replace("rounds = 50", "rounds = 1")))
         report = run_simulate(config, tmp_path / "out")
@@ -238,7 +238,7 @@ class TestParseConfig:
         [
             ("rounds = 50", "rounds = many", "[experiment] rounds must be an integer, got 'many'"),
             ("input_counts = 1", "input_counts = 1, a",
-             "[sosnn] input_counts must be a comma list of integers"),
+             "[sosnn] input_counts must be an integer, got 'a'"),
             ("input_counts = 1", "input_counts = ,", "[sosnn] input_counts must not be empty"),
             ("strategies = mkv0, mkv1, sosnn", "strategies = ,",
              "[experiment] strategies must not be empty"),
@@ -253,12 +253,37 @@ class TestParseConfig:
             ("hidden_counts = 2", "hidden_counts = 2\nwarm_start = maybe",
              "[sosnn] warm_start must be a boolean, got 'maybe'"),
             ("hidden_counts = 2\n", "", "[sosnn] is missing required key 'hidden_counts'"),
+            ("mode = simulate", "mode = train",
+             "[experiment] mode must be one of simulate, backtest, got 'train'"),
+            ("generator = ar1", "generator = ar2",
+             "[data] generator must be one of ar1, arma21, got 'ar2'"),
+            ("strategies = mkv0, mkv1, sosnn", "strategies = mkv0, mkv7",
+             "[experiment] strategies must be one of sosnn, nnbp, mkv0, mkv1, mkv2, got 'mkv7'"),
+            ("replicates = 2", "replicates = 0", "[experiment] replicates must be >= 1, got 0"),
+            ("warmup = 5", "warmup = -1", "[experiment] warmup must be nonnegative, got -1"),
+            ("seed = 11", "seed = -1", "[experiment] seed must be >= 0, got -1"),
         ],
     )
     def test_value_errors_name_section_and_key(self, tmp_path, old, new, message):
         with pytest.raises(ConfigError) as info:
             parse_config(write_config(tmp_path, TINY_SIM.replace(old, new)))
         assert str(info.value) == message
+
+    def test_seed_override_read_as_the_ini_seed(self, tmp_path):
+        path = write_config(tmp_path, TINY_SIM)
+        with pytest.raises(ConfigError) as info:
+            parse_config(path, seed_override=-1)
+        assert str(info.value) == "[experiment] seed must be >= 0, got -1"
+        config = parse_config(path, seed_override=4)
+        assert config.seed == 4 and config.raw["experiment"]["seed"] == "4"
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain = parse_config(write_config(tmp_path, TINY_SIM.lstrip()))
+        marked = tmp_path / "marked.ini"
+        marked.write_text(TINY_SIM.lstrip(), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf[experiment]")
+        config = parse_config(marked)
+        assert config == plain and config.raw == plain.raw
 
     def test_bad_date_named(self, tmp_path):
         make_prices(tmp_path)
@@ -276,7 +301,7 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError) as info:
             parse_config(write_config(tmp_path, text))
-        assert str(info.value) == "normalization range ends before it starts"
+        assert str(info.value) == "[data] normalization range ends before it starts"
 
     def test_training_range_needs_both_ends(self, tmp_path):
         make_prices(tmp_path)
@@ -285,7 +310,7 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError) as info:
             parse_config(write_config(tmp_path, text))
-        assert str(info.value) == "training_start and training_end must be given together"
+        assert str(info.value) == "[data] training_start and training_end must be given together"
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -1024,6 +1049,15 @@ class TestCellTasks:
             "nnbp_2x3", "sosnn_2x3", "sosnn_1x3", "sosnn_2x2", "sosnn_1x2", "mkv0"
         ]
         assert all(len(s.configs) == len(s.series) == 2 for s in specs)
+        roles = {"nnbp_2x3": (3,), "sosnn_2x3": (1, 2, 3), "sosnn_1x3": (1, 1, 3),
+                 "sosnn_2x2": (1, 2, 2), "sosnn_1x2": (1, 1, 2)}
+        for spec in specs:
+            if spec.label in roles:
+                seeds = [derive_seed(11, r, *roles[spec.label]) for r in range(2)]
+                assert [c.seed for c in spec.configs] == seeds
+            else:
+                assert spec.configs == [MarkovOrder(0)] * 2
+            assert (spec.training is not None) == (spec.label == "nnbp_2x3")
 
 
 class TestPool:
@@ -1166,7 +1200,7 @@ class TestCli:
              "error: [nnbp_3x2] training series of length 3 leaves no sample after a window of 3"),
             (TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, nnbp").split("[sosnn]")[0]
              + "[nnbp]\ninput_count = 3\nhidden_count = 2\ntraining_rounds = 0\n",
-             "error: [nnbp] training_rounds must be >= 1"),
+             "error: [nnbp] training_rounds must be >= 1, got 0"),
         ],
         ids=["zero-tolerance", "negative-rate", "nan-tolerance", "nan-rate", "training-rounds",
              "no-training-rounds"],

@@ -250,6 +250,31 @@ class TestLookBackRule:
             play(TestLengthRule.XS, 1)
 
 
+def _portfolio_with_warmup(xs, warmup):
+    config = SosnnConfig(NET, seed=3)
+    config.warmup = warmup  # set after the config's own check, so the runner's is reached
+    return run_sosnn_portfolio(np.column_stack([xs, -0.5 * xs]), config)
+
+
+class TestWarmupRule:
+    """One check and one text for a negative warmup, whichever entry point
+    meets it first."""
+
+    PLAYS = {
+        "run_game": lambda xs, warmup: run_game(lambda n, past: 0.0, MovementSeries(xs), warmup),
+        "mkv0": lambda xs, warmup: run_mkv(MovementSeries(xs), 0, warmup),
+        "mkv2": lambda xs, warmup: run_mkv(MovementSeries(xs), 2, warmup),
+        "nnbp": STRATEGIES["nnbp"],
+        "sosnn_config": lambda xs, warmup: SosnnConfig(NET, warmup=warmup),
+        "portfolio": _portfolio_with_warmup,
+    }
+
+    @pytest.mark.parametrize("play", PLAYS.values(), ids=PLAYS)
+    def test_one_text(self, play):
+        with pytest.raises(UsageError, match="^warmup must be nonnegative, got -1$"):
+            play(TestLengthRule.XS, -1)
+
+
 class TestCheckpoints:
     def test_standard_marks(self):
         assert checkpoint_rounds(300) == [100, 200, 300]
