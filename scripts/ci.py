@@ -217,19 +217,35 @@ def cli_config(scratch: Path) -> Path:
     return path
 
 
+def _cli_variant(scratch: Path, name: str, strategies: str, **data: str) -> Path:
+    """`cli_config` with only `strategies`, the sections they read and the
+    `[data]` values `data`, written to `scratch / name`."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(cli_config(scratch), encoding="utf-8-sig")
+    parser["experiment"]["strategies"] = strategies
+    parser["data"].update(data)
+    for section in ("sosnn", "nnbp"):
+        if section not in strategies:
+            parser.remove_section(section)
+    path = scratch / name
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return path
+
+
 def short_training_config(scratch: Path) -> Path:
     """`cli_config` with only NNBP and MKV0 and a training range of 7
     movements, fewer than NNBP's 12 inputs: the config parses, and the run
     rejects it before any cell starts."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read(cli_config(scratch), encoding="utf-8-sig")
-    parser["experiment"]["strategies"] = "nnbp, mkv0"
-    parser["data"]["training_end"] = "2005-11-08"
-    parser.remove_section("sosnn")
-    path = scratch / "backtest_short_training.ini"
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)
-    return path
+    return _cli_variant(scratch, "backtest_short_training.ini", "nnbp, mkv0", training_end="2005-11-08")
+
+
+def late_investing_config(scratch: Path) -> Path:
+    """`cli_config` with only MKV0 and an investing range that starts after
+    the bundled price file's last day: the config parses, and the run
+    rejects it before any cell starts."""
+    return _cli_variant(scratch, "backtest_late_investing.ini", "mkv0",
+                        investing_start="2008-01-02", investing_end="2008-06-30")
 
 
 def step_cli(scratch: Path) -> list[str]:
@@ -256,6 +272,9 @@ def step_cli(scratch: Path) -> list[str]:
     done = _run([*command, "backtest", "--config", short_training_config(scratch),
                  "--jobs", 2, "--out", out])
     failures = rejection_failures("the short-training backtest", done.returncode, out.exists())
+    out = scratch / "backtest-late-investing"
+    done = _run([*command, "backtest", "--config", late_investing_config(scratch), "--out", out])
+    failures += rejection_failures("the late-investing backtest", done.returncode, out.exists())
     # An --out that cannot be a directory, before any cell runs, and a
     # compare --out under a file.
     taken = scratch / "taken"

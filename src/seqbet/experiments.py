@@ -654,14 +654,14 @@ def _backtest_series(config: ExperimentConfig):
     def window(bounds, name):
         lo, hi = bisect.bisect_left(dates, bounds[0]), bisect.bisect_right(dates, bounds[1])
         if lo >= hi:
-            raise ConfigError(f"{name} range selects no movements")
+            raise ConfigError(f"[data] {name} range selects no movements")
         return lo, hi
 
     n_lo, n_hi = window(spec.normalization, "normalization")
     i_lo, i_hi = window(spec.investing, "investing")
     if i_lo < config.warmup:
         raise ConfigError(
-            f"only {i_lo} movements precede the investing range; warmup needs {config.warmup}"
+            f"[data] only {i_lo} movements precede the investing range; warmup needs {config.warmup}"
         )
     # A flat normalization window (constant prices) raises DataError.
     reference = raw[n_lo:n_hi]

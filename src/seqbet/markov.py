@@ -10,12 +10,15 @@ bisection on [-RATIO_CAP, RATIO_CAP] to 1e-10. The computed S is monotone
 non-increasing in `a` (see `_maximize_log_wealth`), so one slope decides
 every bisection midpoint on its side of the point it was taken at, and any
 point with S < 0 (S > 0) decides the upper (lower) endpoint test. `run_mkv`
-starts each refit at the bucket's last ratio: a bucket that stays at its cap
-costs one slope pass, and an interior one about 4.5 (Newton predictions from
-the old ratio, a probe, rarely a replayed midpoint). On the two seed-1
-`arma21_long` series that is 2.98 passes per refit over orders 0-2, against
-4.90 for the earlier cold start with two unconditional endpoint tests and
-about 37 for plain bisection, whose double the solver returns bit for bit.
+starts each refit at a predicted root: the bucket's last ratio `a` plus one
+Newton step, the slope its new movements add at `a` over a curvature carried
+from the bucket's last refit, or `a` itself while it sits at a cap. A bucket
+that stays at its cap costs one slope pass, and an interior one three or four
+(Newton steps from the prediction, two probes, rarely a replayed midpoint). On
+the two seed-1 `arma21_long` series that is 2.47 passes per refit over orders
+0-2 (3.30, 2.12 and 2.00 by order), against 2.98 from the last ratio, 4.90
+for the earlier cold start with two unconditional endpoint tests and about
+37 for plain bisection, whose double the solver returns bit for bit.
 """
 
 from __future__ import annotations
@@ -114,10 +117,10 @@ def _maximize_log_wealth(moves: np.ndarray, start: float) -> float:
     Returns exactly the midpoint that plain bisection on the sign of the
     computed slope S(a) = sum(x / (1 + a*x)) returns: `hi` if S(hi) >= 0,
     else `lo` if S(lo) <= 0, else the bisection's last midpoint. It
-    evaluates S only where the answer needs it: 2.98 times per refit on the
-    two seed-1 `arma21_long` series when `run_mkv` starts each refit at the
-    bucket's last ratio (4.00 from 0), instead of about 37 (2 endpoint tests
-    and ~35 halvings).
+    evaluates S only where the answer needs it: 2.47 times per refit on the
+    two seed-1 `arma21_long` series from `run_mkv`'s predicted roots (3.30,
+    2.12 and 2.00 for orders 0, 1 and 2; 2.98 from the bucket's last ratio,
+    4.00 from 0), instead of about 37 (2 endpoint tests and ~35 halvings).
 
     The replay is exact because the computed S is monotone non-increasing in
     `a` for finite moves in [-1, 1]: each rounded term fl(x / fl(1 + fl(a*x)))
@@ -205,8 +208,12 @@ def run_mkv(movements: MovementSeries, order, warmup: int) -> StrategyRunResult:
     context's bucket. The movements are split by bucket once; round n fits
     on the prefix of its bucket that precedes it, and only when that prefix
     has grown since the bucket's last refit. Each refit starts its search at
-    the bucket's last ratio (0 before the first), which changes the work,
-    not the ratio. Fully deterministic.
+    a predicted root, which changes the work, not the ratio: the bucket's
+    last ratio `a` (0 before the first refit) plus sum(q) / C over the
+    movements the bucket gained since, q = x / (1 + a*x), where C is
+    sum(q) / (new ratio - a) of the bucket's last refit. It starts at `a`
+    when C is not finite and positive, or when `a` sits at a cap, where the
+    slope at `a` is not that of the new movements alone. Fully deterministic.
     """
     order = _as_order(order)
     _check_look_back(order.order, warmup)
@@ -217,16 +224,28 @@ def run_mkv(movements: MovementSeries, order, warmup: int) -> StrategyRunResult:
     rounds = np.arange(len(index))
     filed = (index == np.arange(order.bucket_count)[:, None]) & (rounds > order.order) & (rounds < len(xs))
     buckets = [xs[row[1:]] for row in filed]
+    listed = [bucket.tolist() for bucket in buckets]
     # earlier[n]: how many filed rounds of round n's bucket precede round n.
     earlier = (np.cumsum(filed, axis=1) - filed)[index, rounds].tolist()
     bucket_of = index.tolist()
     ratios = [0.0] * order.bucket_count
     fitted = [0] * order.bucket_count  # the bucket prefix each ratio was fit on
+    # -S' estimated at the bucket's last refit: its slope gain over the shift.
+    curvature = [0.0] * order.bucket_count
 
     def bet(n: int, past: np.ndarray) -> float:
         b, size = bucket_of[n], earlier[n]
         if size > fitted[b]:
-            ratios[b] = optimize_bucket(buckets[b][:size], start=ratios[b])
+            a = ratios[b]
+            gain = 0.0
+            for x in listed[b][fitted[b] : size]:
+                gain += x / (1.0 + a * x)
+            start = a
+            if 0.0 < curvature[b] < math.inf and -RATIO_CAP < a < RATIO_CAP:
+                start = a + gain / curvature[b]
+            ratios[b] = optimize_bucket(buckets[b][:size], start=start)
+            shift = ratios[b] - a
+            curvature[b] = gain / shift if shift else 0.0
             fitted[b] = size
         return ratios[b]
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
-from .game import MovementSeries, StrategyRunResult, betting_windows, clamp_ratio, run_game
+from .game import RATIO_CAP, MovementSeries, StrategyRunResult, betting_windows, run_game
 from .network import (
     NetworkConfig,
     NetworkWeights,
@@ -28,7 +28,6 @@ from .network import (
     _batch_forward,
     _check_history,
     _shared_config,
-    forward,
 )
 
 
@@ -258,14 +257,18 @@ def run_nnbp(
 ) -> StrategyRunResult:
     """Bet the frozen network's output through an investing series.
 
-    The weights are copied up front and never updated; rounds 1..warmup only
-    provide window history.
+    Rounds 1..warmup only provide window history. The bets of all rounds
+    come from one stacked pass over their windows, which makes per window
+    the matrix-vector and dot products of `network.forward`, so each bet
+    is bit for bit `clamp_ratio(forward(window, weights))`; `run_game`
+    then plays them. The weights are only read.
     """
     # Row i holds the input window of round warmup + 1 + i.
     windows = betting_windows(movements.values, weights.hidden_weights.shape[1], warmup)
-    frozen = weights.copy()
-
-    def bet(n: int, past: np.ndarray) -> float:
-        return clamp_ratio(forward(windows[n - warmup - 1], frozen))
-
-    return run_game(bet, movements, warmup)
+    # A stack of matrix-vector products, not `windows @ hidden_weights.T`:
+    # that matrix product rounds differently from `forward` in the last bit.
+    hidden = weights.hidden_weights @ windows[:, :, None]
+    np.tanh(hidden, out=hidden)
+    out = np.tanh(weights.output_weights @ hidden)[:, 0]
+    bets = np.clip(out, -RATIO_CAP, RATIO_CAP).tolist()
+    return run_game(lambda n, past: bets[n - warmup - 1], movements, warmup)

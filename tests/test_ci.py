@@ -155,6 +155,12 @@ class TestRejectionGuard:
         assert [label for label, _ in config.cells] == ["nnbp_12x30", "mkv0"]
         assert config.data.training[1].isoformat() == "2005-11-08"
 
+    def test_late_investing_config_parses(self, tmp_path):
+        # It starts after the bundled price file's last day, 2007-11-30.
+        config = parse_config(ci.late_investing_config(tmp_path))
+        assert [label for label, _ in config.cells] == ["mkv0"]
+        assert config.data.investing[0].isoformat() == "2008-01-02"
+
 
 class TestDemoGuard:
     def test_numbers_pass(self):
@@ -230,16 +236,19 @@ class TestSteps:
         assert ci.main(["stability"]) == 1
 
     @pytest.mark.parametrize("codes, table, status", [
-        ([0, 0, 1, 1, 1], COMPARE_TABLE, 0),
-        ([0, 0, 0, 1, 1], COMPARE_TABLE, 1),
-        ([0, 0, 1, 2, 1], COMPARE_TABLE, 1),
-        ([0, 0, 1, 1, 2], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 1, 1], COMPARE_TABLE, 0),
+        ([0, 0, 0, 1, 1, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 0, 1, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 2, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 1, 2], COMPARE_TABLE, 1),
         ([0, 0], UNFLAGGED, 1),
-    ], ids=["pass", "short-training-exit-0", "into-a-file-exit-2", "compare-under-a-file-exit-2", "no-best-row"])
+    ], ids=["pass", "short-training-exit-0", "late-investing-exit-0", "into-a-file-exit-2",
+            "compare-under-a-file-exit-2", "no-best-row"])
     def test_cli(self, canned, exits, codes, table, status):
         # Two seeded backtests, the compare, the short-training backtest,
-        # the backtest into a file, then the compare under that file. The
-        # step makes each run it gets to once: no exit code is left over.
+        # the late-investing backtest, the backtest into a file, then the
+        # compare under that file. The step makes each run it gets to once:
+        # no exit code is left over.
         canned.append(table)
         exits += codes
         assert ci.main(["cli"]) == status
@@ -259,7 +268,7 @@ class TestSteps:
 
         monkeypatch.setattr(ci, "_run", overwrite)
         canned.append(COMPARE_TABLE)
-        exits += [0, 0, 1, 1, 1]
+        exits += [0, 0, 1, 1, 1, 1]
         assert ci.main(["cli"]) == 1
 
     def test_demo(self, monkeypatch):

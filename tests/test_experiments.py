@@ -1305,15 +1305,15 @@ class TestCli:
             (BT_TEMPLATE.format(strategies="mkv0", extra="").replace(
                 "normalization_start = 2020-01-02", "normalization_start = 2021-01-01").replace(
                 "normalization_end = 2020-02-10", "normalization_end = 2021-02-01"),
-             "normalization range selects no movements"),
+             "[data] normalization range selects no movements"),
             (BT_TEMPLATE.format(strategies="mkv0", extra="").replace(
                 "investing_start = 2020-02-20", "investing_start = 2021-01-01").replace(
                 "investing_end = 2020-04-19", "investing_end = 2021-02-01"),
-             "investing range selects no movements"),
+             "[data] investing range selects no movements"),
             (BT_TEMPLATE.format(strategies="nnbp", extra=BT_NNBP).replace(
                 "training_start = 2020-01-02", "training_start = 2019-01-01").replace(
                 "training_end = 2020-02-10", "training_end = 2019-02-01"),
-             "training range selects no movements"),
+             "[data] training range selects no movements"),
         ],
         ids=["normalization", "investing", "training"],
     )
@@ -1322,6 +1322,17 @@ class TestCli:
         path = write_config(tmp_path, text)
         assert main(["backtest", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_warmup_longer_than_the_movements_before_investing_exits_1(self, tmp_path, capsys):
+        # 60 days of prices leave 49 movements before the investing range.
+        make_prices(tmp_path, n=60)
+        text = BT_TEMPLATE.format(strategies="mkv0", extra="").replace("warmup = 6", "warmup = 50")
+        path = write_config(tmp_path, text)
+        assert main(["backtest", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: [data] only 49 movements precede the investing range; warmup needs 50\n"
+        )
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sub", ["", "sub"])

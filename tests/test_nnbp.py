@@ -200,14 +200,23 @@ class TestRunNnbp:
         run_nnbp(weights, alternating_series(30), warmup=2)
         np.testing.assert_array_equal(weights.hidden_weights, before)
 
-    def test_bets_are_per_round_forward_passes(self, rng):
-        # Each round bets the clamped output on its own newest-first window.
-        weights = NetworkWeights.uniform(NetworkConfig(3, 4), 1.0, rng)
-        xs = rng.uniform(-1, 1, 40)
-        res = run_nnbp(weights, MovementSeries(xs), warmup=5)
-        expected = [0.0] * 5 + [
-            clamp_ratio(forward(input_window(xs, n, 3), weights)) for n in range(6, 41)
+    @pytest.mark.parametrize("rounds", [1, 2000])
+    @pytest.mark.parametrize("scale", [0.1, 5.0])  # 5.0 saturates both layers
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (12, 30), (15, 40)], ids="{0[0]}x{0[1]}".format)
+    def test_bets_are_per_round_forward_passes(self, shape, scale, rounds):
+        # The stacked pass bets, bit for bit, the clamped `forward` output on
+        # each round's own newest-first window.
+        length, hidden = shape
+        rng = np.random.default_rng([length, hidden, rounds])
+        weights = NetworkWeights.uniform(NetworkConfig(length, hidden), scale, rng)
+        warmup = length + 2
+        xs = rng.uniform(-1, 1, warmup + rounds)
+        res = run_nnbp(weights, MovementSeries(xs), warmup=warmup)
+        expected = [0.0] * warmup + [
+            clamp_ratio(forward(input_window(xs, n, length), weights))
+            for n in range(warmup + 1, warmup + rounds + 1)
         ]
+        assert res.betting_rounds == rounds
         assert res.ratios.tobytes() == np.array(expected).tobytes()
 
 
