@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The repository's checks, one named step per step of the CI workflow.
 
-    python scripts/ci.py {log1p,tier1,smoke,stability,demo,cli,all}
+    python scripts/ci.py {log1p,tier1,smoke,stability,demo,cli,rundir,all}
 
 `all` runs the steps in workflow order and stops at the first failure. The
 exit status is 0 when the step (or every step) passes and 1 when one fails.
@@ -72,6 +72,24 @@ def log1p_failures(package: Path) -> list[str]:
         if path != package / "game.py"
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if LOG1P.search(line)
+    ]
+
+
+# The run files and directories, named as a string or a path part: that is
+# seqbet.rundir's schema, so only rundir.py may spell them.
+RUN_FILE = re.compile(r"""(?<=["'/])(manifest\.json|summary\.csv|summary\.txt|replicates\.csv"""
+                      r"""|movements\.csv|series|diagnostics)(?=["'/])""")
+
+
+def rundir_failures(package: Path) -> list[str]:
+    """Lines outside `rundir.py` of the package tree that quote a run file."""
+    return [
+        f"{path.relative_to(package.parent)}:{lineno}: {match.group(1)} outside rundir.py: "
+        "the run directory's layout belongs to seqbet.rundir"
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "rundir.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for match in RUN_FILE.finditer(line)
     ]
 
 
@@ -161,6 +179,10 @@ def _exited(done: subprocess.CompletedProcess, what: str) -> list[str]:
 
 def step_log1p(scratch: Path) -> list[str]:
     return log1p_failures(PACKAGE)
+
+
+def step_rundir(scratch: Path) -> list[str]:
+    return rundir_failures(PACKAGE)
 
 
 def step_tier1(scratch: Path) -> list[str]:
@@ -295,6 +317,7 @@ STEPS = {
     "stability": step_stability,
     "demo": step_demo,
     "cli": step_cli,
+    "rundir": step_rundir,
 }
 
 

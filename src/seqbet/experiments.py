@@ -8,8 +8,8 @@ The parent process builds every replicate's normalized series once,
 before the output directory is touched. A task is one grid cell with all
 its replicates: it runs the cell on those series and returns one
 `CellSummary`, which holds the cell's means and each replicate's run (or
-the reason it failed). The parent writes every artifact from these
-summaries, in cell order, and the manifest last.
+the reason it failed). The parent writes the run directory from these
+summaries through `rundir.write_run`, in cell order, the manifest last.
 
 Every emitted number is a pure function of the configuration and seed:
 replicate and strategy seeds derive from the base seed through numpy
@@ -22,8 +22,6 @@ from __future__ import annotations
 import bisect
 import configparser
 import datetime
-import json
-import shutil
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -42,7 +40,6 @@ from .data import (
     load_prices,
     movements_from_prices,
     normalize,
-    write_movements,
 )
 from .errors import ConfigError, NumericError, UsageError
 from .game import RATIO_CAP, MovementSeries, StrategyRunResult, _check_look_back, _check_warmup, checkpoint_rounds
@@ -51,6 +48,7 @@ from .network import AnnealingSchedule, NetworkConfig
 # Tasks call the replicate-stack entry points. The one-replicate `run_sosnn`
 # and `train` stay importable here because perfbench patches these names.
 from .nnbp import NnbpConfig, TrainingDiagnostics, _check_training_length, run_nnbp, train, train_replicates  # noqa: F401
+from .rundir import READ_FILES, read_run, write_run
 from .sosnn import SosnnConfig, run_sosnn, run_sosnn_replicates  # noqa: F401
 
 STRATEGY_NAMES = ("sosnn", "nnbp", "mkv0", "mkv1", "mkv2")
@@ -450,7 +448,7 @@ def _execute(specs: list[TaskSpec], jobs: int) -> list[CellSummary]:
 
 
 # ---------------------------------------------------------------------------
-# Artifact writing
+# Ranked tables and the run report
 
 
 @dataclass
@@ -533,60 +531,16 @@ class RunReport:
         raise KeyError(label)
 
 
-def _numbered(header: str, *columns) -> list[str]:
-    """`header`, then one `i,value,...` row per entry of the equally long
-    `columns`, numbered from 1."""
-    rows = (",".join([str(i), *map(_fmt, values)]) for i, values in enumerate(zip(*columns), 1))
-    return [header, *rows]
-
-
-def _write_cells(report: RunReport) -> None:
-    """Each finished replicate's series (and NNBP diagnostics), then the
-    tables: per-replicate checkpoint values, exactly as in the series files,
-    and the cell summaries."""
-    out_dir, cells, checkpoints = report.out_dir, report.cells, report.checkpoints
-    lines = ["cell,replicate,checkpoint,log_capital"]
-    for cell in cells:
-        for r, replicate in enumerate(cell.replicates):
-            if isinstance(replicate, str):
-                continue
-            run, diag = replicate
-            stem = f"{cell.label}__rep{r}"
-            series = _numbered("round,alpha,log_capital", run.ratios, run.log_capital_path)
-            _write_lines(out_dir / "series" / f"{stem}.csv", series)
-            if diag is not None:
-                diags = out_dir / "diagnostics"
-                _write_lines(diags / f"{stem}__epochs.csv", _numbered("epoch,training_error", diag.error_per_epoch))
-                _write_lines(diags / f"{stem}__days.csv", _numbered("day,error", diag.per_day_error))
-            lines += [f"{cell.label},{r},{c},{_fmt(run.checkpoints[c])}" for c in checkpoints]
-    _write_lines(out_dir / "replicates.csv", lines)
-
-    header = ["cell", "status", "reason"]
-    header += [f"logK_{c}" for c in checkpoints]
-    header += ["mean_iterations", "converged_fraction", "training_error"]
-    lines = [",".join(header)]
-    for s in cells:
-        row = [s.label, "ok" if s.ok else "failed", s.reason.replace(",", ";")]
-        row += [_fmt(s.means[c]) if s.ok else "" for c in checkpoints]
-        row.append(_fmt(s.mean_iterations) if s.mean_iterations is not None else "")
-        row.append(_fmt(s.converged_fraction) if s.converged_fraction is not None else "")
-        row.append(_fmt(s.training_error) if s.training_error is not None else "")
-        lines.append(",".join(row))
-    _write_lines(out_dir / "summary.csv", lines)
-
-    _write_lines(out_dir / "summary.txt", report.table.render().splitlines())
-
-
-def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints) -> None:
+def _manifest(config: ExperimentConfig) -> dict:
+    """What `manifest.json` records of the run besides its checkpoints."""
     warm_start = next((c.warm_start for _, c in config.cells if isinstance(c, SosnnConfig)), None)
-    manifest = {
+    return {
         "tool": "seqbet",
         "version": __version__,
         "mode": config.mode,
         "seed": config.seed,
         "warmup": config.warmup,
         "replicates": config.replicates,
-        "checkpoints": list(checkpoints),
         "cells": [label for label, _ in config.cells],
         "config": config.raw,
         "strategy_notes": {
@@ -598,7 +552,6 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, checkpoints) -> Non
             "markov": {"optimizer": f"slope bisection on [{-RATIO_CAP}, {RATIO_CAP}], tol {_TOL}"},
         },
     }
-    _write_lines(out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 # ---------------------------------------------------------------------------
@@ -714,28 +667,18 @@ def _task_specs(config, series, training) -> list[TaskSpec]:
 
 def _run(config: ExperimentConfig, out_dir: Path, jobs: int, series, training, dates=None) -> RunReport:
     """Run every cell on the per-replicate `series` (and the nnbp replicates'
-    `training` series), then write the artifacts in cell order, and with a
-    backtest's movement `dates` its series as `movements.csv`.
+    `training` series), then write the run directory, with a backtest's
+    movement `dates` and its series.
 
     Every input rule is checked before the first cell starts, and `out_dir`
-    is touched only after the last one ends. An earlier run's manifest,
-    which marks a finished run, goes first with the files the new run might
-    not overwrite, and the new manifest is written last; other files stay."""
+    is touched only after the last one ends."""
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     _check_out(out_dir, "the run")
     checkpoints = checkpoint_rounds(len(series[0]) - config.warmup)
     done = {cell.label: cell for cell in _execute(_task_specs(config, series, training), jobs)}
-    for name in ("manifest.json", "movements.csv"):
-        (out_dir / name).unlink(missing_ok=True)
-    for name in ("series", "diagnostics"):
-        if (out_dir / name).is_dir():
-            shutil.rmtree(out_dir / name)
-    if dates is not None:
-        write_movements(out_dir / "movements.csv", dates, series[0].values)
     report = RunReport(out_dir, checkpoints, [done[label] for label, _ in config.cells])
-    _write_cells(report)
-    _write_manifest(out_dir, config, checkpoints)
+    write_run(report, _manifest(config), None if dates is None else (dates, series[0].values))
     return report
 
 
@@ -754,38 +697,17 @@ def run_compare(run_dirs, out_path=None) -> RankedTable:
     if out_path is not None:
         out_path = Path(out_path)
         _check_out(out_path.parent, out_path.name)
-        read = {(d / name).resolve() for d in dirs for name in ("manifest.json", "summary.csv")}
+        read = {(d / name).resolve() for d in dirs for name in READ_FILES}
         if out_path.is_dir() or out_path.resolve() in read:
             raise UsageError(f"cannot write the table into {out_path}: it is a directory or a file compare reads")
     checkpoints = None
     rows: list[TableRow] = []
     for d in dirs:
-        manifest_path = d / "manifest.json"
-        summary_path = d / "summary.csv"
-        if not manifest_path.is_file() or not summary_path.is_file():
-            raise UsageError(f"{d} does not contain a finished run")
-        try:
-            marks = list(json.loads(manifest_path.read_text(encoding="utf-8"))["checkpoints"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"{manifest_path} is not a finished run's manifest: {exc!r}") from None
-        if not marks:
-            raise UsageError(f"{manifest_path} lists no checkpoints")
-        if checkpoints is None:
-            checkpoints = marks
-        elif marks != checkpoints:
-            raise UsageError(
-                f"incompatible checkpoints: {d.name} has {marks}, expected {checkpoints}"
-            )
-        header, *records = summary_path.read_text(encoding="utf-8").strip().split("\n")
-        names = header.split(",")
-        try:
-            for record in records:
-                fields = dict(zip(names, record.split(",")))
-                ok = fields["status"] == "ok"
-                values = {c: float(fields[f"logK_{c}"]) for c in checkpoints} if ok else {}
-                rows.append(TableRow((d.name, fields["cell"]), ok, values))
-        except (ValueError, KeyError) as exc:
-            raise UsageError(f"{summary_path} is not a finished run's summary: {exc!r}") from None
+        marks, summary = read_run(d)
+        checkpoints = checkpoints or marks  # read_run lists at least one
+        if marks != checkpoints:
+            raise UsageError(f"incompatible checkpoints: {d.name} has {marks}, expected {checkpoints}")
+        rows += [TableRow((d.name, cell), ok, values) for cell, ok, values in summary]
     final = checkpoints[-1]
     counts = Counter(row.values[final] for row in rows if row.ok)
     for row in rows:

@@ -5,20 +5,10 @@ sign pattern of the last one or two movements (zero counts as "up"). Every
 bucket's ratio is re-fit each round by maximizing the log wealth its past
 movements would have produced, a strictly concave one-dimensional problem.
 
-The maximizer is the root of the slope S(a) = sum(x / (1 + a*x)), found by
-bisection on [-RATIO_CAP, RATIO_CAP] to 1e-10. The computed S is monotone
-non-increasing in `a` (see `_maximize_log_wealth`), so one slope decides
-every bisection midpoint on its side of the point it was taken at, and any
-point with S < 0 (S > 0) decides the upper (lower) endpoint test. `run_mkv`
-starts each refit at a predicted root: the bucket's last ratio `a` plus one
-Newton step, the slope its new movements add at `a` over a curvature carried
-from the bucket's last refit, or `a` itself while it sits at a cap. A bucket
-that stays at its cap costs one slope pass, and an interior one three or four
-(Newton steps from the prediction, two probes, rarely a replayed midpoint). On
-the two seed-1 `arma21_long` series that is 2.47 passes per refit over orders
-0-2 (3.30, 2.12 and 2.00 by order), against 2.98 from the last ratio, 4.90
-for the earlier cold start with two unconditional endpoint tests and about
-37 for plain bisection, whose double the solver returns bit for bit.
+The maximizer is the root of the slope S(a) = sum(x / (1 + a*x)). The
+solver returns the double of plain bisection on [-RATIO_CAP, RATIO_CAP] to
+1e-10, but evaluates S only where that answer needs it (`_maximize_log_wealth`),
+starting from a root `run_mkv` predicts for each refit.
 """
 
 from __future__ import annotations
@@ -93,7 +83,7 @@ def optimize_bucket(movements_in_bucket: Sequence[float], start: float = 0.0) ->
 # Safeguarded Newton steps that predict the root before the bisection replay,
 # the half-width of the two probes around the prediction, and the Newton step
 # below which the prediction is taken to be that close to the root.
-_NEWTON_STEPS = 6
+_NEWTON_STEPS = 8
 _PROBE = 1e-12
 _NEWTON_DONE = 1e-7
 # Width at which the slope bisection stops (the manifest records it).
@@ -133,14 +123,19 @@ def _maximize_log_wealth(moves: np.ndarray, start: float) -> float:
     S < 0 fails the `hi` test (S(hi) <= S(p) < 0), any point with S > 0 the
     `lo` test, and an endpoint is evaluated only when no such point exists.
 
-    Safeguarded Newton steps from `start`, clamped into the interval (S' =
-    -sum(q**2) comes from the same pass), and two probes around their
-    prediction make the gap between `pos` and `nonpos` about 2e-12 wide,
-    which the bisection's ~1e-10 final width rarely straddles. A prediction
-    past a cap whose test is still open evaluates that cap, and a cap that
-    passes its test is the answer, so a bucket that stays at its cap costs
-    one pass. Which points get evaluated depends on `start`; the result,
-    being plain bisection's, does not.
+    Up to `_NEWTON_STEPS` safeguarded Newton steps from `start`, clamped into
+    the interval (S' = -sum(q**2) comes from the same pass), and two probes
+    around their prediction make the gap between `pos` and `nonpos` about
+    2e-12 wide, which the bisection's ~1e-10 final width rarely straddles.
+    An interior refit takes three or four passes, but one that leaves a cap
+    nears the root from the cap's side in steps that fall short: on a seed-12
+    `arma21_long` bucket, six steps from 0.999 stopped 1.2e-4 above the root,
+    and the replay bisected from -RATIO_CAP (38 passes); eight reach it (10
+    passes, 34 from 0, whose first step lands on the cap). A prediction past
+    a cap whose test is still open evaluates that cap, and a cap that passes
+    its test is the answer, so a bucket that stays at its cap costs one
+    pass. Which points get evaluated depends on `start`; the result, being
+    plain bisection's, does not.
     """
     terms = np.empty_like(moves)
     lo, hi = -RATIO_CAP, RATIO_CAP

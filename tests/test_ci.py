@@ -199,6 +199,31 @@ class TestLog1pGuard:
         assert ci.log1p_failures(package) == []
 
 
+class TestRundirGuard:
+    @pytest.fixture
+    def package(self, tmp_path):
+        return Path(shutil.copytree(ci.PACKAGE, tmp_path / "seqbet"))
+
+    def test_source_tree_passes(self, package):
+        assert ci.rundir_failures(package) == []
+
+    @pytest.mark.parametrize("line", [
+        'path = out_dir / "manifest.json"',
+        "path = out_dir / 'series' / name",
+        'path = f"{out_dir}/summary.csv"',
+    ])
+    def test_run_file_in_experiments_fails(self, package, line):
+        with open(package / "experiments.py", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        (failure,) = ci.rundir_failures(package)
+        assert failure.startswith("seqbet/experiments.py:")
+
+    def test_run_file_in_rundir_passes(self, package):
+        with open(package / "rundir.py", "a", encoding="utf-8") as fh:
+            fh.write('path = out_dir / "manifest.json"\n')
+        assert ci.rundir_failures(package) == []
+
+
 class TestSteps:
     """Each step exits 1 when its broken input is substituted."""
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqbet import experiments
+from seqbet import experiments, rundir
 from seqbet.cli import main
 from seqbet.errors import ConfigError, DataError, UsageError
 from seqbet.experiments import (
@@ -566,7 +566,7 @@ class TestRerun:
         # written, so a rerun stopped after it cannot pass for finished.
         path = write_config(tmp_path, TINY_SIM)
         run_simulate(parse_config(path), tmp_path / "out")
-        write_lines = experiments._write_lines
+        write_lines = rundir._write_lines
         written = []
 
         def first_only(file, lines):
@@ -575,7 +575,7 @@ class TestRerun:
             written.append(file)
             write_lines(file, lines)
 
-        monkeypatch.setattr(experiments, "_write_lines", first_only)
+        monkeypatch.setattr(rundir, "_write_lines", first_only)
         with pytest.raises(OSError, match="disk full"):
             run_simulate(parse_config(path, seed_override=12), tmp_path / "out")
         assert written[0].parent.name == "series"
@@ -668,7 +668,7 @@ hidden_counts = 2
             write_lines(path, lines)
 
         monkeypatch.setattr(data, "_write_lines", recorded)
-        monkeypatch.setattr(experiments, "_write_lines", recorded)
+        monkeypatch.setattr(rundir, "_write_lines", recorded)
         run_backtest(config, tmp_path / "out")
         assert order[0] == "movements.csv" and order[-1] == "manifest.json"
         assert sorted(order) == sorted(tree_bytes(tmp_path / "out"))
@@ -798,6 +798,27 @@ class TestFailureMarking:
         assert failed and all(r.flag == "" for r in failed)
         flagged = [r for r in rows if r.flag]
         assert flagged and all(r.ok for r in flagged)
+
+    def test_read_run_returns_what_the_run_wrote(self, tmp_path, monkeypatch):
+        # The reader against the writer: the checkpoints and every ok cell's
+        # means bit for bit, and the failed cell with no values.
+        from seqbet.errors import NumericError
+
+        def explode(series, configs):
+            return [NumericError("round 7: non-finite objective")] * len(configs)
+
+        monkeypatch.setattr(experiments, "run_sosnn_replicates", explode)
+        report = run_simulate(parse_config(write_config(tmp_path, TINY_SIM)), tmp_path / "out")
+        checkpoints, rows = rundir.read_run(tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert checkpoints == manifest["checkpoints"] == report.checkpoints
+        assert [cell for cell, _, _ in rows] == [c.label for c in report.cells]
+        for (_, ok, values), summary in zip(rows, report.cells):
+            assert ok == summary.ok
+            hexes = {c: v.hex() for c, v in values.items()}
+            assert hexes == {c: v.hex() for c, v in summary.means.items()}
+        assert [ok for _, ok, _ in rows] == [True, True, False]
+        assert rows[-1] == ("sosnn_1x2", False, {})
 
 
 # MKV cells only reach the tables below: every sosnn replicate fails.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from seqbet import markov
 from seqbet.data import NoiseSpec, gen_ar1, gen_arma21, normalize
 from seqbet.errors import UsageError
+from seqbet.experiments import derive_seed
 from seqbet.game import RATIO_CAP, MovementSeries
 from seqbet.markov import MarkovOrder, bucket_index, optimize_bucket, run_mkv
 
@@ -259,6 +260,16 @@ class TestSolverMatchesBisection:
         moves = np.array([0.5, -0.5])
         assert optimize_bucket(moves).hex() == reference_maximize(moves).hex()
         assert len(slope_points) == 3
+
+    def test_refit_leaving_its_cap_reaches_the_root(self, slope_points):
+        # `run_mkv` refits this order-0 bucket (round 195 of a seed-12
+        # `arma21_long` series) from the cap it leaves. Newton nears the root
+        # from above in short steps; six stopped 1.2e-4 short of it, and the
+        # replay bisected from the full interval in 38 passes.
+        xs = normalize(gen_arma21(2520, NoiseSpec(seed=derive_seed(12, 1, 0)))).values
+        moves = xs[:194]
+        assert optimize_bucket(moves, start=RATIO_CAP).hex() == reference_maximize(moves).hex()
+        assert len(slope_points) <= 10
 
     @pytest.mark.parametrize("n", PAIRWISE_SIZES)
     def test_pairwise_block_sizes(self, n, rng):
