@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The repository's checks, one named step per step of the CI workflow.
 
-    python scripts/ci.py {log1p,tier1,smoke,stability,demo,cli,rundir,all}
+    python scripts/ci.py {owners,tier1,smoke,stability,demo,cli,all}
 
 `all` runs the steps in workflow order and stops at the first failure. The
 exit status is 0 when the step (or every step) passes and 1 when one fails.
@@ -61,35 +61,29 @@ STABILITY_TASKS = 8
 # Capital adds math.log1p(alpha . x) per round in seqbet.game alone;
 # np.log1p in network._evaluate is the refit objective, not capital.
 LOG1P = re.compile(r"math\.log1p|from math import .*log1p")
-
-
-def log1p_failures(package: Path) -> list[str]:
-    """Lines outside `game.py` of the package tree that use math.log1p."""
-    return [
-        f"{path.relative_to(package.parent)}:{lineno}: math.log1p outside game.py: "
-        "the capital update belongs to game._play"
-        for path in sorted(package.rglob("*.py"))
-        if path != package / "game.py"
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if LOG1P.search(line)
-    ]
-
-
-# The run files and directories, named as a string or a path part: that is
-# seqbet.rundir's schema, so only rundir.py may spell them.
+# The run files and directories, named as a string or a path part.
 RUN_FILE = re.compile(r"""(?<=["'/])(manifest\.json|summary\.csv|summary\.txt|replicates\.csv"""
                       r"""|movements\.csv|series|diagnostics)(?=["'/])""")
+FILE_IO = re.compile(r"\bopen\(|\.(read|write)_(text|bytes)\(")
+
+# (pattern, owning file, reason): only the owning file of the package may
+# match the pattern, so each decision keeps its one home.
+OWNERS = (
+    (LOG1P, "game.py", "the capital update belongs to game._play"),
+    (RUN_FILE, "rundir.py", "the run directory's layout belongs to seqbet.rundir"),
+    (FILE_IO, "data.py", "files are read by data._read_text and written by data._write_lines"),
+)
 
 
-def rundir_failures(package: Path) -> list[str]:
-    """Lines outside `rundir.py` of the package tree that quote a run file."""
+def owner_failures(package: Path) -> list[str]:
+    """Lines of the package tree that match an OWNERS pattern outside its owning file."""
     return [
-        f"{path.relative_to(package.parent)}:{lineno}: {match.group(1)} outside rundir.py: "
-        "the run directory's layout belongs to seqbet.rundir"
+        f"{path.relative_to(package.parent)}:{lineno}: {match.group(0)} outside {owner}: {reason}"
+        for pattern, owner, reason in OWNERS
         for path in sorted(package.rglob("*.py"))
-        if path != package / "rundir.py"
+        if path != package / owner
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        for match in RUN_FILE.finditer(line)
+        for match in pattern.finditer(line)
     ]
 
 
@@ -177,12 +171,8 @@ def _exited(done: subprocess.CompletedProcess, what: str) -> list[str]:
     return [f"{what} exited {done.returncode}"] if done.returncode else []
 
 
-def step_log1p(scratch: Path) -> list[str]:
-    return log1p_failures(PACKAGE)
-
-
-def step_rundir(scratch: Path) -> list[str]:
-    return rundir_failures(PACKAGE)
+def step_owners(scratch: Path) -> list[str]:
+    return owner_failures(PACKAGE)
 
 
 def step_tier1(scratch: Path) -> list[str]:
@@ -270,6 +260,13 @@ def late_investing_config(scratch: Path) -> Path:
                         investing_start="2008-01-02", investing_end="2008-06-30")
 
 
+def missing_prices_config(scratch: Path) -> Path:
+    """`cli_config` with only MKV0 and a price file that does not exist: the
+    config parses, and the run rejects it before any cell starts."""
+    return _cli_variant(scratch, "backtest_missing_prices.ini", "mkv0",
+                        price_file=str(scratch / "no_such_prices.csv"))
+
+
 def step_cli(scratch: Path) -> list[str]:
     # The console script and `compare` run nowhere else: the tests call the
     # CLI in process.
@@ -297,6 +294,9 @@ def step_cli(scratch: Path) -> list[str]:
     out = scratch / "backtest-late-investing"
     done = _run([*command, "backtest", "--config", late_investing_config(scratch), "--out", out])
     failures += rejection_failures("the late-investing backtest", done.returncode, out.exists())
+    out = scratch / "backtest-missing-prices"
+    done = _run([*command, "backtest", "--config", missing_prices_config(scratch), "--out", out])
+    failures += rejection_failures("the missing-prices backtest", done.returncode, out.exists())
     # An --out that cannot be a directory, before any cell runs, and a
     # compare --out under a file.
     taken = scratch / "taken"
@@ -311,13 +311,12 @@ def step_cli(scratch: Path) -> list[str]:
 
 
 STEPS = {
-    "log1p": step_log1p,
+    "owners": step_owners,
     "tier1": step_tier1,
     "smoke": step_smoke,
     "stability": step_stability,
     "demo": step_demo,
     "cli": step_cli,
-    "rundir": step_rundir,
 }
 
 

@@ -1,5 +1,5 @@
 """Synthetic series generation, price-file ingestion, range normalization,
-and the one float format and file writer of every artifact.
+and the one file reader (`_read_text`), float format and file writer.
 
 Generators draw from numpy's PCG64 via `default_rng`, so a given seed yields
 the same stream across runs; that seed-to-stream mapping is the package's
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -116,43 +117,43 @@ def _parse_rows(path, n_values: int | None = None):
     """Yield (lineno, date, values) rows from a `date,v1,..` CSV, whose
     dates must be strictly increasing.
 
-    A UTF-8 byte-order mark and blank lines are skipped, and the first other
-    line may be a header: a line whose date field is not an ISO date and whose
-    values are not all numbers; without `n_values`, it sets the column count.
+    Blank lines are skipped, and the first other line may be a header: a line
+    whose date field is not an ISO date and whose values are not all numbers;
+    without `n_values`, it sets the column count.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        first = True
-        last = None
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
+    text = _read_text(path, DataError)
+    first = True
+    last = None
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        header_allowed, first = first, False
+        if n_values is None:
+            n_values = len(row) - 1
+            if n_values < 1:
+                raise DataError(f"{path}: records need at least one value column")
+        if len(row) != 1 + n_values:
+            raise DataError(
+                f"{path}:{lineno}: expected {1 + n_values} fields, got {len(row)}"
+            )
+        try:
+            day = datetime.date.fromisoformat(row[0].strip())
+        except ValueError:
+            day = None
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            if header_allowed and day is None:  # header line: no date, non-numeric values
                 continue
-            header_allowed, first = first, False
-            if n_values is None:
-                n_values = len(row) - 1
-                if n_values < 1:
-                    raise DataError(f"{path}: records need at least one value column")
-            if len(row) != 1 + n_values:
-                raise DataError(
-                    f"{path}:{lineno}: expected {1 + n_values} fields, got {len(row)}"
-                )
-            try:
-                day = datetime.date.fromisoformat(row[0].strip())
-            except ValueError:
-                day = None
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                if header_allowed and day is None:  # header line: no date, non-numeric values
-                    continue
-                raise DataError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
-            if day is None:
-                raise DataError(f"{path}:{lineno}: bad ISO date {row[0]!r}")
-            if last is not None and day <= last:
-                raise DataError(
-                    f"{path}:{lineno}: dates must be strictly increasing, got {day} after {last}"
-                )
-            last = day
-            yield lineno, day, values
+            raise DataError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
+        if day is None:
+            raise DataError(f"{path}:{lineno}: bad ISO date {row[0]!r}")
+        if last is not None and day <= last:
+            raise DataError(
+                f"{path}:{lineno}: dates must be strictly increasing, got {day} after {last}"
+            )
+        last = day
+        yield lineno, day, values
 
 
 def load_prices(path) -> PriceSeries:
@@ -186,6 +187,18 @@ def load_movement_matrix(path) -> tuple[list[datetime.date], np.ndarray]:
     if not dates:
         raise DataError(f"{path}: no movement records found")
     return dates, np.asarray(rows, dtype=float)
+
+
+def _read_text(path, error) -> str:
+    """The text of the UTF-8 file at `path`, a leading byte-order mark dropped
+    and line ends kept. Every file the package reads comes through here; one
+    it cannot open or decode raises the caller's `error`, naming the path."""
+    try:
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except OSError as exc:
+        raise error(f"{path}: cannot be read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _fmt(value: float) -> str:

@@ -34,6 +34,7 @@ from . import __version__
 from .data import (
     NoiseSpec,
     _fmt,
+    _read_text,
     _write_lines,
     gen_ar1,
     gen_arma21,
@@ -226,12 +227,9 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Read and validate a declarative experiment file (INI key-value format)
     and build the strategy config of every grid cell."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            parser.read_file(fh)
+        parser.read_string(_read_text(path, ConfigError), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -83,7 +83,7 @@ def optimize_bucket(movements_in_bucket: Sequence[float], start: float = 0.0) ->
 # Safeguarded Newton steps that predict the root before the bisection replay,
 # the half-width of the two probes around the prediction, and the Newton step
 # below which the prediction is taken to be that close to the root.
-_NEWTON_STEPS = 8
+_NEWTON_STEPS = 9
 _PROBE = 1e-12
 _NEWTON_DONE = 1e-7
 # Width at which the slope bisection stops (the manifest records it).
@@ -131,11 +131,11 @@ def _maximize_log_wealth(moves: np.ndarray, start: float) -> float:
     nears the root from the cap's side in steps that fall short: on a seed-12
     `arma21_long` bucket, six steps from 0.999 stopped 1.2e-4 above the root,
     and the replay bisected from -RATIO_CAP (38 passes); eight reach it (10
-    passes, 34 from 0, whose first step lands on the cap). A prediction past
-    a cap whose test is still open evaluates that cap, and a cap that passes
-    its test is the answer, so a bucket that stays at its cap costs one
-    pass. Which points get evaluated depends on `start`; the result, being
-    plain bisection's, does not.
+    passes). From 0 the first step lands on the cap, and nine take 11 passes
+    (eight took 34). A prediction past a cap whose test is still open
+    evaluates that cap, and a cap that passes its test is the answer, so a
+    bucket that stays at its cap costs one pass. Which points get evaluated
+    depends on `start`; the result, being plain bisection's, does not.
     """
     terms = np.empty_like(moves)
     lo, hi = -RATIO_CAP, RATIO_CAP

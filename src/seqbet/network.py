@@ -107,6 +107,20 @@ class NetworkWeights:
         return type(self)(self.hidden_weights.copy(), self.output_weights.copy())
 
 
+def _check_settings(config, positive=(), counts=()) -> None:
+    """Each setting of `config` named in `positive` must be above 0 with a
+    finite range [-v, v] (weights are drawn from it), so NaN, inf and any v
+    above half the largest double fail; each named in `counts` must be >= 1."""
+    for key in positive:
+        value = getattr(config, key)
+        if not 0 < value <= np.finfo(float).max / 2:
+            raise UsageError(f"{key} must be positive and finite, got {value}")
+    for key in counts:
+        value = getattr(config, key)
+        if value < 1:
+            raise UsageError(f"{key} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class AnnealingSchedule:
     """Search-then-converge decay: rate(s) = initial_rate / (1 + s / decay_steps)."""
@@ -115,8 +129,7 @@ class AnnealingSchedule:
     decay_steps: float = 5.0
 
     def __post_init__(self) -> None:
-        if not (self.initial_rate > 0 and self.decay_steps > 0):
-            raise UsageError("annealing parameters must be strictly positive")
+        _check_settings(self, ("initial_rate", "decay_steps"))
 
     def rates(self):
         """The rate of each ascent step s = 0, 1, 2, ..., as the endless

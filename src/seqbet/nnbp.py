@@ -27,6 +27,7 @@ from .network import (
     _OUTPUT_CAP,
     _batch_forward,
     _check_history,
+    _check_settings,
     _shared_config,
 )
 
@@ -48,15 +49,7 @@ class NnbpConfig:
     init_scale: float = 0.1
 
     def __post_init__(self) -> None:
-        # `not x > 0` also rejects NaN, which every comparison fails.
-        if not self.learning_rate > 0:
-            raise UsageError("learning_rate must be positive")
-        if not self.error_threshold > 0:
-            raise UsageError("error_threshold must be positive")
-        if self.max_steps < 1:
-            raise UsageError("max_steps must be >= 1")
-        if not self.init_scale > 0:
-            raise UsageError("init_scale must be positive")
+        _check_settings(self, ("learning_rate", "error_threshold", "init_scale"), ("max_steps",))
 
 
 @dataclass

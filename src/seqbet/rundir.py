@@ -14,7 +14,7 @@ import json
 import shutil
 from pathlib import Path
 
-from .data import _fmt, _write_lines, write_movements
+from .data import _fmt, _read_text, _write_lines, write_movements
 from .errors import UsageError
 
 # The files `read_run` reads, which `compare --out` must not write over.
@@ -82,16 +82,18 @@ def read_run(path) -> tuple[list[int], list[tuple[str, bool, dict[int, float]]]]
     manifest_path, summary_path = (directory / name for name in READ_FILES)
     if not manifest_path.is_file() or not summary_path.is_file():
         raise UsageError(f"{directory} does not contain a finished run")
+    manifest = _read_text(manifest_path, UsageError)
     try:
-        checkpoints = list(json.loads(manifest_path.read_text(encoding="utf-8"))["checkpoints"])
+        checkpoints = list(json.loads(manifest)["checkpoints"])
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"{manifest_path} is not a finished run's manifest: {exc!r}") from None
     if not checkpoints:
         raise UsageError(f"{manifest_path} lists no checkpoints")
-    header, *records = summary_path.read_text(encoding="utf-8").strip().split("\n")
-    names = header.split(",")
+    summary = _read_text(summary_path, UsageError)
     rows = []
     try:
+        header, *records = summary.strip().splitlines()
+        names = header.split(",")
         for record in records:
             fields = dict(zip(names, record.split(",")))
             ok = fields["status"] == "ok"

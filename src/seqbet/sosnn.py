@@ -35,6 +35,7 @@ from .network import (
     NetworkConfig,
     NetworkWeights,
     _check_history,
+    _check_settings,
     _evaluate,
     _gradient,
     _shared_config,
@@ -56,14 +57,8 @@ class SosnnConfig:
     warm_start: bool = True
 
     def __post_init__(self) -> None:
-        # `not x > 0` also rejects NaN, which every comparison fails.
-        if not self.weight_tolerance > 0:
-            raise UsageError("weight_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise UsageError("max_iterations must be >= 1")
+        _check_settings(self, ("weight_tolerance", "init_scale"), ("max_iterations",))
         _check_warmup(self.warmup)
-        if not self.init_scale > 0:
-            raise UsageError("init_scale must be positive")
 
 
 def optimize_weights(

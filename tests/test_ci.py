@@ -155,6 +155,12 @@ class TestRejectionGuard:
         assert [label for label, _ in config.cells] == ["nnbp_12x30", "mkv0"]
         assert config.data.training[1].isoformat() == "2005-11-08"
 
+    def test_missing_prices_config_parses(self, tmp_path):
+        config = parse_config(ci.missing_prices_config(tmp_path))
+        assert [label for label, _ in config.cells] == ["mkv0"]
+        assert config.data.price_file == (tmp_path / "no_such_prices.csv").resolve()
+        assert not config.data.price_file.exists()
+
     def test_late_investing_config_parses(self, tmp_path):
         # It starts after the bundled price file's last day, 2007-11-30.
         config = parse_config(ci.late_investing_config(tmp_path))
@@ -178,50 +184,41 @@ class TestDemoGuard:
         assert ci.demo_failures(text) != []
 
 
-class TestLog1pGuard:
+# Per OWNERS row: its owning file, lines that break it in another module,
+# and the line that owning file may hold.
+OWNED = {
+    "game.py": (["x = math.log1p(y)", "from math import exp, log1p"], "x = math.log1p(0.5)"),
+    "rundir.py": (['path = out_dir / "manifest.json"', "path = out_dir / 'series' / name",
+                   'path = f"{out_dir}/summary.csv"'], 'path = out_dir / "manifest.json"'),
+    "data.py": (["fh = open(path)", "text = path.read_text()", "path.write_text(text)",
+                 "blob = path.read_bytes()", "path.write_bytes(blob)"], "blob = Path(path).read_bytes()"),
+}
+
+
+class TestOwnerGuard:
     @pytest.fixture
     def package(self, tmp_path):
         return Path(shutil.copytree(ci.PACKAGE, tmp_path / "seqbet"))
 
-    def test_source_tree_passes(self, package):
-        assert ci.log1p_failures(package) == []
-
-    @pytest.mark.parametrize("line", ["x = math.log1p(y)", "from math import exp, log1p"])
-    def test_log1p_outside_game_fails(self, package, line):
-        with open(package / "network.py", "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-        (failure,) = ci.log1p_failures(package)
-        assert failure.startswith("seqbet/network.py:")
-
-    def test_log1p_in_game_passes(self, package):
-        with open(package / "game.py", "a", encoding="utf-8") as fh:
-            fh.write("x = math.log1p(0.5)\n")
-        assert ci.log1p_failures(package) == []
-
-
-class TestRundirGuard:
-    @pytest.fixture
-    def package(self, tmp_path):
-        return Path(shutil.copytree(ci.PACKAGE, tmp_path / "seqbet"))
+    def test_every_row_is_listed(self):
+        assert [owner for _, owner, _ in ci.OWNERS] == list(OWNED)
 
     def test_source_tree_passes(self, package):
-        assert ci.rundir_failures(package) == []
+        assert ci.owner_failures(package) == []
 
-    @pytest.mark.parametrize("line", [
-        'path = out_dir / "manifest.json"',
-        "path = out_dir / 'series' / name",
-        'path = f"{out_dir}/summary.csv"',
-    ])
-    def test_run_file_in_experiments_fails(self, package, line):
-        with open(package / "experiments.py", "a", encoding="utf-8") as fh:
+    @pytest.mark.parametrize("owner, line", [(owner, line) for owner, (bad, _) in OWNED.items() for line in bad])
+    @pytest.mark.parametrize("module", ["network.py", "experiments.py"])
+    def test_line_outside_its_owner_fails(self, package, owner, line, module):
+        with open(package / module, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
-        (failure,) = ci.rundir_failures(package)
-        assert failure.startswith("seqbet/experiments.py:")
+        (failure,) = ci.owner_failures(package)
+        assert failure.startswith(f"seqbet/{module}:") and f" outside {owner}: " in failure
 
-    def test_run_file_in_rundir_passes(self, package):
-        with open(package / "rundir.py", "a", encoding="utf-8") as fh:
-            fh.write('path = out_dir / "manifest.json"\n')
-        assert ci.rundir_failures(package) == []
+    @pytest.mark.parametrize("owner", list(OWNED))
+    def test_line_in_its_owner_passes(self, package, owner):
+        with open(package / owner, "a", encoding="utf-8") as fh:
+            fh.write(OWNED[owner][1] + "\n")
+        assert ci.owner_failures(package) == []
 
 
 class TestSteps:
@@ -261,19 +258,20 @@ class TestSteps:
         assert ci.main(["stability"]) == 1
 
     @pytest.mark.parametrize("codes, table, status", [
-        ([0, 0, 1, 1, 1, 1], COMPARE_TABLE, 0),
-        ([0, 0, 0, 1, 1, 1], COMPARE_TABLE, 1),
-        ([0, 0, 1, 0, 1, 1], COMPARE_TABLE, 1),
-        ([0, 0, 1, 1, 2, 1], COMPARE_TABLE, 1),
-        ([0, 0, 1, 1, 1, 2], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 1, 1, 1], COMPARE_TABLE, 0),
+        ([0, 0, 0, 1, 1, 1, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 0, 1, 1, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 2, 1, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 1, 2, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 1, 1, 2], COMPARE_TABLE, 1),
         ([0, 0], UNFLAGGED, 1),
-    ], ids=["pass", "short-training-exit-0", "late-investing-exit-0", "into-a-file-exit-2",
-            "compare-under-a-file-exit-2", "no-best-row"])
+    ], ids=["pass", "short-training-exit-0", "late-investing-exit-0", "missing-prices-exit-2",
+            "into-a-file-exit-2", "compare-under-a-file-exit-2", "no-best-row"])
     def test_cli(self, canned, exits, codes, table, status):
         # Two seeded backtests, the compare, the short-training backtest,
-        # the late-investing backtest, the backtest into a file, then the
-        # compare under that file. The step makes each run it gets to once:
-        # no exit code is left over.
+        # the late-investing backtest, the missing-prices backtest, the
+        # backtest into a file, then the compare under that file. The step
+        # makes each run it gets to once: no exit code is left over.
         canned.append(table)
         exits += codes
         assert ci.main(["cli"]) == status
@@ -293,7 +291,7 @@ class TestSteps:
 
         monkeypatch.setattr(ci, "_run", overwrite)
         canned.append(COMPARE_TABLE)
-        exits += [0, 0, 1, 1, 1, 1]
+        exits += [0, 0, 1, 1, 1, 1, 1]
         assert ci.main(["cli"]) == 1
 
     def test_demo(self, monkeypatch):
@@ -312,12 +310,12 @@ class TestSteps:
         monkeypatch.setattr(ci, "_run", lambda args, capture=False: subprocess.CompletedProcess(args, 2))
         assert ci.main(["demo"]) == 1
 
-    def test_log1p(self, monkeypatch, tmp_path, capsys):
+    def test_owners(self, monkeypatch, tmp_path, capsys):
         package = Path(shutil.copytree(ci.PACKAGE, tmp_path / "seqbet"))
         monkeypatch.setattr(ci, "PACKAGE", package)
-        assert ci.main(["log1p"]) == 0
+        assert ci.main(["owners"]) == 0
         (package / "sosnn.py").write_text("import math\nmath.log1p(0.5)\n", encoding="utf-8")
-        assert ci.main(["log1p"]) == 1
+        assert ci.main(["owners"]) == 1
         assert "::error::seqbet/sosnn.py:2:" in capsys.readouterr().out
 
     def test_all_stops_at_the_first_failure(self, monkeypatch):
@@ -326,4 +324,4 @@ class TestSteps:
             monkeypatch.setitem(ci.STEPS, name, lambda scratch, name=name: ran.append(name) or (
                 ["broken"] if name == "smoke" else []))
         assert ci.main(["all"]) == 1
-        assert ran == ["log1p", "tier1", "smoke"]
+        assert ran == ["owners", "tier1", "smoke"]

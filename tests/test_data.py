@@ -201,6 +201,29 @@ class TestLoadPrices:
         assert a.dates == b.dates
         np.testing.assert_array_equal(a.closes, b.closes)
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_crlf_line_ends_read_as_plain(self, tmp_path, encoding):
+        plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+        text = "date,close\n2006-01-02,100\n\n2006-01-03,101\n"
+        plain.write_bytes(text.encode("utf-8"))
+        other.write_bytes(text.replace("\n", "\r\n").encode(encoding))
+        a, b = load_prices(plain), load_prices(other)
+        assert a.dates == b.dates
+        assert a.closes.tobytes() == b.closes.tobytes()
+
+    def test_file_that_is_not_utf8_names_itself(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"date,clos\xe9\n2006-01-02,100\n")
+        with pytest.raises(DataError) as info:
+            load_prices(path)
+        assert str(info.value) == f"{path}: is not UTF-8 text: invalid continuation byte at byte 9"
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_file_that_cannot_be_read_names_itself(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: cannot be read: "):
+            load_prices(path)
+
 
 class TestMovementMatrix:
     def test_roundtrip(self, tmp_path, rng):

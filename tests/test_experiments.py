@@ -285,6 +285,14 @@ class TestParseConfig:
         config = parse_config(marked)
         assert config == plain and config.raw == plain.raw
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_crlf_line_ends_read_as_plain(self, tmp_path, encoding):
+        plain = parse_config(write_config(tmp_path, TINY_SIM))
+        other = tmp_path / "crlf.ini"
+        other.write_bytes(TINY_SIM.replace("\n", "\r\n").encode(encoding))
+        config = parse_config(other)
+        assert config == plain and config.raw == plain.raw
+
     def test_bad_date_named(self, tmp_path):
         make_prices(tmp_path)
         text = BT_TEMPLATE.format(strategies="mkv0", extra="").replace(
@@ -316,17 +324,27 @@ class TestParseConfig:
         "old, new, message",
         [
             ("hidden_counts = 2", "hidden_counts = 2\nweight_tolerance = 0",
-             "[sosnn] weight_tolerance must be positive"),
+             "[sosnn] weight_tolerance must be positive and finite, got 0.0"),
             ("hidden_counts = 2", "hidden_counts = 2\nweight_tolerance = nan",
-             "[sosnn] weight_tolerance must be positive"),
+             "[sosnn] weight_tolerance must be positive and finite, got nan"),
+            ("hidden_counts = 2", "hidden_counts = 2\nweight_tolerance = inf",
+             "[sosnn] weight_tolerance must be positive and finite, got inf"),
             ("hidden_counts = 2", "hidden_counts = 2\ninit_scale = nan",
-             "[sosnn] init_scale must be positive"),
+             "[sosnn] init_scale must be positive and finite, got nan"),
+            ("hidden_counts = 2", "hidden_counts = 2\ninit_scale = inf",
+             "[sosnn] init_scale must be positive and finite, got inf"),
+            ("hidden_counts = 2", "hidden_counts = 2\ninit_scale = 1e308",
+             "[sosnn] init_scale must be positive and finite, got 1e+308"),
             ("hidden_counts = 2", "hidden_counts = 2\nmax_iterations = 0",
-             "[sosnn] max_iterations must be >= 1"),
+             "[sosnn] max_iterations must be >= 1, got 0"),
             ("hidden_counts = 2", "hidden_counts = 2\ninit_scale = -0.1",
-             "[sosnn] init_scale must be positive"),
+             "[sosnn] init_scale must be positive and finite, got -0.1"),
             ("hidden_counts = 2", "hidden_counts = 2\ndecay_steps = 0",
-             "[sosnn] annealing parameters must be strictly positive"),
+             "[sosnn] decay_steps must be positive and finite, got 0.0"),
+            ("hidden_counts = 2", "hidden_counts = 2\ndecay_steps = inf",
+             "[sosnn] decay_steps must be positive and finite, got inf"),
+            ("hidden_counts = 2", "hidden_counts = 2\ninitial_rate = -inf",
+             "[sosnn] initial_rate must be positive and finite, got -inf"),
             ("hidden_counts = 2", "hidden_counts = 0",
              "[sosnn] layer sizes must be >= 1, got 1x0"),
         ],
@@ -339,13 +357,16 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "line, rule",
         [
-            ("learning_rate = -1", "learning_rate must be positive"),
-            ("learning_rate = nan", "learning_rate must be positive"),
-            ("error_threshold = 0", "error_threshold must be positive"),
-            ("error_threshold = nan", "error_threshold must be positive"),
-            ("init_scale = nan", "init_scale must be positive"),
-            ("max_steps = 0", "max_steps must be >= 1"),
-            ("init_scale = -1", "init_scale must be positive"),
+            ("learning_rate = -1", "learning_rate must be positive and finite, got -1.0"),
+            ("learning_rate = nan", "learning_rate must be positive and finite, got nan"),
+            ("learning_rate = inf", "learning_rate must be positive and finite, got inf"),
+            ("error_threshold = 0", "error_threshold must be positive and finite, got 0.0"),
+            ("error_threshold = nan", "error_threshold must be positive and finite, got nan"),
+            ("error_threshold = inf", "error_threshold must be positive and finite, got inf"),
+            ("init_scale = nan", "init_scale must be positive and finite, got nan"),
+            ("init_scale = 1e308", "init_scale must be positive and finite, got 1e+308"),
+            ("max_steps = 0", "max_steps must be >= 1, got 0"),
+            ("init_scale = -1", "init_scale must be positive and finite, got -1.0"),
             ("hidden_count = 0", "layer sizes must be >= 1, got 3x0"),
         ],
     )
@@ -750,6 +771,18 @@ class TestCompare:
         merged = tmp_path / "new" / "merged.csv"
         run_compare([a, b], out_path=merged)
         assert merged.read_text().startswith("run,cell,logK_50,flag,note\n")
+
+    @pytest.mark.parametrize("encoding, newline", [("utf-8-sig", "\n"), ("utf-8", "\r\n"), ("utf-8-sig", "\r\n")],
+                             ids=["byte-order-mark", "crlf", "both"])
+    def test_summary_read_as_plain(self, tmp_path, encoding, newline):
+        # A summary saved by a tool that marks or re-ends its lines compares
+        # as the run wrote it.
+        path = write_config(tmp_path, TINY_SIM)
+        run_simulate(parse_config(path), tmp_path / "run")
+        plain = rundir.read_run(tmp_path / "run")
+        summary = tmp_path / "run" / "summary.csv"
+        summary.write_bytes(summary.read_text(encoding="utf-8").replace("\n", newline).encode(encoding))
+        assert rundir.read_run(tmp_path / "run") == plain
 
     @pytest.mark.parametrize(
         "name, old, new",
@@ -1207,15 +1240,15 @@ class TestCli:
         "text, message",
         [
             (TINY_SIM + "weight_tolerance = 0\n",
-             "error: [sosnn] weight_tolerance must be positive"),
+             "error: [sosnn] weight_tolerance must be positive and finite, got 0.0"),
             (TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, nnbp").split("[sosnn]")[0]
              + "[nnbp]\ninput_count = 2\nhidden_count = 3\nlearning_rate = -1\n",
-             "error: [nnbp] learning_rate must be positive"),
+             "error: [nnbp] learning_rate must be positive and finite, got -1.0"),
             (TINY_SIM + "weight_tolerance = nan\n",
-             "error: [sosnn] weight_tolerance must be positive"),
+             "error: [sosnn] weight_tolerance must be positive and finite, got nan"),
             (TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, nnbp").split("[sosnn]")[0]
              + "[nnbp]\ninput_count = 2\nhidden_count = 3\nlearning_rate = nan\n",
-             "error: [nnbp] learning_rate must be positive"),
+             "error: [nnbp] learning_rate must be positive and finite, got nan"),
             (TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, nnbp").split("[sosnn]")[0]
              + "[nnbp]\ninput_count = 3\nhidden_count = 2\ntraining_rounds = 3\n",
              "error: [nnbp_3x2] training series of length 3 leaves no sample after a window of 3"),
@@ -1373,6 +1406,61 @@ class TestCli:
             f"error: cannot write the run into {out}: {taken} is not a directory\n"
         )
         assert taken.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("case", [
+        "sosnn-init-scale-inf", "nnbp-init-scale-1e308", "nnbp-learning-rate-inf", "sosnn-initial-rate-inf",
+        "config-not-utf8", "prices-not-utf8", "summary-not-utf8", "no-price-file",
+    ])
+    def test_bad_input_exits_1_before_any_cell(self, tmp_path, capsys, monkeypatch, case):
+        # Each of these once ended in exit 2 or a failed cell. A usage,
+        # configuration or data error exits 1, naming the file or the
+        # [section] key, before a cell starts (a cell would exit 2 here) and
+        # before --out exists.
+        nnbp = TINY_SIM.replace("mkv0, mkv1, sosnn", "mkv0, nnbp").split("[sosnn]")[0]
+        nnbp += "[nnbp]\ninput_count = 2\nhidden_count = 3\n"
+        texts = {
+            "sosnn-init-scale-inf": (TINY_SIM + "init_scale = inf\n", "[sosnn] init_scale", "inf"),
+            "nnbp-init-scale-1e308": (nnbp + "init_scale = 1e308\n", "[nnbp] init_scale", "1e+308"),
+            "nnbp-learning-rate-inf": (nnbp + "learning_rate = inf\n", "[nnbp] learning_rate", "inf"),
+            "sosnn-initial-rate-inf": (TINY_SIM + "initial_rate = inf\n", "[sosnn] initial_rate", "inf"),
+        }
+        out = tmp_path / "o"
+        if case in texts:
+            text, key, value = texts[case]
+            argv = ["simulate", "--config", str(write_config(tmp_path, text)), "--out", str(out)]
+            message = f"{key} must be positive and finite, got {value}"
+        elif case == "config-not-utf8":
+            path = tmp_path / "exp.ini"
+            path.write_bytes(b"# caf\xe9\n" + TINY_SIM.encode())
+            argv = ["simulate", "--config", str(path), "--out", str(out)]
+            message = f"{path}: is not UTF-8 text: invalid continuation byte at byte 5"
+        elif case == "summary-not-utf8":
+            run_simulate(parse_config(write_config(tmp_path, TINY_SIM)), tmp_path / "run")
+            path = tmp_path / "run" / "summary.csv"
+            size = len(path.read_bytes())
+            path.write_bytes(path.read_bytes() + b"\xff\n")
+            argv = ["compare", str(tmp_path / "run"), "--out", str(out)]
+            message = f"{path}: is not UTF-8 text: invalid start byte at byte {size}"
+        else:
+            prices = (tmp_path / "prices.csv").resolve()
+            if case == "prices-not-utf8":
+                make_prices(tmp_path)
+                prices.write_bytes(b"date,clos\xe9\n" + prices.read_bytes())
+                message = f"{prices}: is not UTF-8 text: invalid continuation byte at byte 9"
+            else:
+                message = f"{prices}: cannot be read: No such file or directory"
+            path = write_config(tmp_path, BT_TEMPLATE.format(strategies="mkv0", extra=""))
+            argv = ["backtest", "--config", str(path), "--out", str(out)]
+
+        def broken(*args):
+            raise RuntimeError("a cell ran")
+
+        for name in ("run_mkv", "run_sosnn_replicates", "train_replicates"):
+            monkeypatch.setattr(experiments, name, broken)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_compare_cli(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_SIM)

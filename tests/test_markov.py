@@ -261,15 +261,17 @@ class TestSolverMatchesBisection:
         assert optimize_bucket(moves).hex() == reference_maximize(moves).hex()
         assert len(slope_points) == 3
 
-    def test_refit_leaving_its_cap_reaches_the_root(self, slope_points):
+    @pytest.mark.parametrize("start, passes", [(RATIO_CAP, 10), (0.0, 11)])
+    def test_refit_leaving_its_cap_reaches_the_root(self, slope_points, start, passes):
         # `run_mkv` refits this order-0 bucket (round 195 of a seed-12
         # `arma21_long` series) from the cap it leaves. Newton nears the root
         # from above in short steps; six stopped 1.2e-4 short of it, and the
-        # replay bisected from the full interval in 38 passes.
+        # replay bisected from the full interval in 38 passes. From 0 the
+        # first step lands on the cap, and eight steps took 34 passes.
         xs = normalize(gen_arma21(2520, NoiseSpec(seed=derive_seed(12, 1, 0)))).values
         moves = xs[:194]
-        assert optimize_bucket(moves, start=RATIO_CAP).hex() == reference_maximize(moves).hex()
-        assert len(slope_points) <= 10
+        assert optimize_bucket(moves, start=start).hex() == reference_maximize(moves).hex()
+        assert len(slope_points) <= passes
 
     @pytest.mark.parametrize("n", PAIRWISE_SIZES)
     def test_pairwise_block_sizes(self, n, rng):

@@ -6,11 +6,17 @@ and the MKV search interval are symmetric; IEEE rounding is symmetric in
 sign. The check compares two runs on one machine, so it holds under any
 BLAS kernel, also where byte pins do not. MKV1 and MKV2 count a 0 movement
 as "up", so for them the relation holds only on series without an exact 0.
+The runner-level lock runs whole grids through `experiments._run` and
+compares the run directories.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqbet import experiments
 from seqbet.data import NoiseSpec, gen_ar1, normalize
 from seqbet.game import MovementSeries
 from seqbet.markov import run_mkv
@@ -95,3 +101,80 @@ def test_exact_zero_breaks_the_relation_for_sign_contexts():
         assert apart[0] + 1 == 32
         assert mirror.log_capital_path[:31].tobytes() == run.log_capital_path[:31].tobytes()
         assert np.all(mirror.log_capital_path[31:] != run.log_capital_path[31:])
+
+
+ROOT = Path(__file__).resolve().parent.parent
+GRID = """
+[experiment]
+mode = simulate
+seed = 5
+rounds = 80
+warmup = 20
+strategies = sosnn, nnbp, mkv0, mkv1, mkv2
+
+[data]
+generator = ar1
+
+[sosnn]
+input_counts = 1, 3
+hidden_counts = 2
+max_iterations = 200
+
+[nnbp]
+input_count = 4
+hidden_count = 5
+max_steps = 2000
+training_rounds = 120
+"""
+
+
+def grid_inputs(tmp_path):
+    """A small simulate grid with every strategy, 1 replicate."""
+    path = tmp_path / "grid.ini"
+    path.write_text(GRID, encoding="utf-8")
+    config = experiments.parse_config(path)
+    return config, *experiments._generated_series(config), None
+
+
+def demo_backtest_inputs(tmp_path):
+    """The reduced demo backtest of `scripts/ci.py`, every strategy."""
+    spec = importlib.util.spec_from_file_location("ci", ROOT / "scripts" / "ci.py")
+    ci = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ci)
+    config = experiments.parse_config(ci.cli_config(tmp_path))
+    invest, dates, training = experiments._backtest_series(config)
+    return config, [invest], [training], dates
+
+
+def files(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("inputs", [grid_inputs, demo_backtest_inputs], ids=["simulate-grid", "demo-backtest"])
+def test_runner(tmp_path, inputs):
+    # Every series/ alpha is negated (as floats, so -0.0 equals 0.0) and
+    # its log capital kept; every other run file but a backtest's negated
+    # movements.csv keeps its bytes, the NNBP diagnostics included.
+    config, series, training, dates = inputs(tmp_path)
+    assert all(np.all(s.values != 0.0) for s in [*series, *training])
+    run, mirror = tmp_path / "run", tmp_path / "mirror"
+    experiments._run(config, run, 1, series, training, dates)
+    experiments._run(config, mirror, 1, [negated(s) for s in series], [negated(s) for s in training], dates)
+    ran, mirrored = files(run), files(mirror)
+    assert ran.keys() == mirrored.keys()
+    labels = [label for label, _ in config.cells]
+    assert {f"series/{label}__rep0.csv" for label in labels} <= ran.keys()
+    assert any(name.startswith("diagnostics/") for name in ran)
+    for name, blob in ran.items():
+        if name == "movements.csv":
+            continue
+        if not name.startswith("series/"):
+            assert mirrored[name] == blob, name
+            continue
+        rows = [line.split(",") for line in blob.decode().splitlines()]
+        mirror_rows = [line.split(",") for line in mirrored[name].decode().splitlines()]
+        assert mirror_rows[0] == rows[0] == ["round", "alpha", "log_capital"]
+        assert len(mirror_rows) == len(rows)
+        for (k, alpha, log_k), (mk, malpha, mlog_k) in zip(rows[1:], mirror_rows[1:]):
+            assert (mk, mlog_k) == (k, log_k), name
+            assert float(malpha) == -float(alpha), name

@@ -26,6 +26,7 @@ from seqbet.network import (
     log_wealth,
     log_wealth_gradient,
 )
+from seqbet.nnbp import NnbpConfig
 from seqbet.sosnn import SosnnConfig, optimize_weights
 
 # Frozen oracle values (direct double-precision evaluation).
@@ -253,6 +254,35 @@ class TestAnnealingSchedule:
             AnnealingSchedule(0.0, 5.0)
         with pytest.raises(UsageError):
             AnnealingSchedule(1.0, -1.0)
+
+
+class TestCheckSettings:
+    """One rule for every strategy setting: positive ones are above 0 with a
+    finite range [-v, v], counts at least 1."""
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), -float("inf"), 1e308])
+    def test_positive_setting_outside_its_rule_is_rejected(self, value):
+        for make in (lambda v: AnnealingSchedule(v, 5.0), lambda v: AnnealingSchedule(1.0, v),
+                     lambda v: SosnnConfig(NetworkConfig(1, 1), init_scale=v),
+                     lambda v: NnbpConfig(NetworkConfig(1, 1), learning_rate=v)):
+            with pytest.raises(UsageError, match=r"^\w+ must be positive and finite, got "):
+                make(value)
+
+    def test_largest_scale_whose_range_is_finite_draws(self, rng):
+        # Half the largest double is the last v whose 2v is finite; the
+        # draw from [-v, v] runs there and overflows one double above it.
+        scale = np.finfo(float).max / 2
+        config = SosnnConfig(NetworkConfig(1, 1), init_scale=scale)
+        weights = NetworkWeights.uniform(config.net, config.init_scale, rng)
+        assert np.isfinite(weights.hidden_weights).all()
+        with pytest.raises(UsageError, match=r"^init_scale must be positive and finite, got "):
+            SosnnConfig(NetworkConfig(1, 1), init_scale=np.nextafter(scale, np.inf))
+
+    @pytest.mark.parametrize("key", ["max_iterations", "max_steps"])
+    def test_count_below_1_is_rejected(self, key):
+        config = SosnnConfig if key == "max_iterations" else NnbpConfig
+        with pytest.raises(UsageError, match=rf"^{key} must be >= 1, got 0$"):
+            config(NetworkConfig(1, 1), **{key: 0})
 
 
 class TestNetworkWeights:
