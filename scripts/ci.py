@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The repository's checks, one named step per step of the CI workflow.
 
-    python scripts/ci.py {owners,tier1,smoke,stability,demo,cli,all}
+    python scripts/ci.py {owners,tier1,mirror,smoke,stability,demo,cli,all}
 
 `all` runs the steps in workflow order and stops at the first failure. The
 exit status is 0 when the step (or every step) passes and 1 when one fails.
@@ -155,10 +155,11 @@ def rejection_failures(run: str, returncode: int, out_touched: bool) -> list[str
     return failures
 
 
-def _run(args, capture: bool = False) -> subprocess.CompletedProcess:
-    """`args` from the repository root, with `src` first on PYTHONPATH; when
-    `capture`, standard output is returned as text and echoed."""
-    env = dict(os.environ)
+def _run(args, capture: bool = False, env: dict | None = None) -> subprocess.CompletedProcess:
+    """`args` from the repository root, with `src` first on PYTHONPATH and the
+    variables `env` added to the environment; when `capture`, standard output
+    is returned as text and echoed."""
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([str(a) for a in args], cwd=ROOT, env=env, text=True,
                           stdout=subprocess.PIPE if capture else None)
@@ -178,6 +179,15 @@ def step_owners(scratch: Path) -> list[str]:
 def step_tier1(scratch: Path) -> list[str]:
     done = _run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"])
     return _exited(done, "the tier-1 tests")
+
+
+def step_mirror(scratch: Path) -> list[str]:
+    # The mirror lock compares two runs on one machine, so it must hold under
+    # any BLAS kernel; tier-1 runs it under the default one. Haswell's kernels
+    # need AVX2 (x86-64-v3), which the hosted runners have.
+    done = _run([sys.executable, "-m", "pytest", "-q", "tests/test_mirror.py"],
+                env={"OPENBLAS_CORETYPE": "Haswell"})
+    return _exited(done, "the mirror lock under OPENBLAS_CORETYPE=Haswell")
 
 
 def step_smoke(scratch: Path) -> list[str]:
@@ -313,6 +323,7 @@ def step_cli(scratch: Path) -> list[str]:
 STEPS = {
     "owners": step_owners,
     "tier1": step_tier1,
+    "mirror": step_mirror,
     "smoke": step_smoke,
     "stability": step_stability,
     "demo": step_demo,

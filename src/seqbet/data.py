@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, UsageError
-from .game import MovementSeries
+from .errors import DataError, DomainError, UsageError
+from .game import MovementSeries, _check_movements
 
 
 @dataclass(frozen=True)
@@ -89,21 +89,26 @@ class PriceSeries:
     def __post_init__(self) -> None:
         self.closes = np.asarray(self.closes, dtype=float)
         if len(self.dates) != self.closes.size:
-            raise DataError(
-                f"{len(self.dates)} dates against {self.closes.size} closes"
-            )
-        if self.closes.size and not ((self.closes > 0) & np.isfinite(self.closes)).all():
-            bad = int(np.flatnonzero(~((self.closes > 0) & np.isfinite(self.closes)))[0])
-            raise DataError(
-                f"close must be positive and finite, got {self.closes[bad]!r} "
-                f"on {self.dates[bad]}"
-            )
+            raise DataError(f"{len(self.dates)} dates against {self.closes.size} closes")
+        for day, close in zip(self.dates, self.closes.tolist()):
+            _check_close(day, close)
         for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise DataError(f"dates must be strictly increasing, got {prev} then {cur}")
+            _check_date_order(prev, cur)
 
     def __len__(self) -> int:
         return int(self.closes.size)
+
+
+def _check_close(day: datetime.date, close: float) -> None:
+    """The price rule of `PriceSeries`: a close is positive and finite."""
+    if not (close > 0 and np.isfinite(close)):
+        raise DataError(f"close must be positive and finite, got {close!r} on {day}")
+
+
+def _check_date_order(prev: datetime.date, cur: datetime.date) -> None:
+    """The date rule of `PriceSeries` and every dated file: dates strictly increase."""
+    if cur <= prev:
+        raise DataError(f"dates must be strictly increasing, got {prev} then {cur}")
 
 
 def movements_from_prices(prices: PriceSeries) -> np.ndarray:
@@ -113,9 +118,10 @@ def movements_from_prices(prices: PriceSeries) -> np.ndarray:
     return np.diff(prices.closes)
 
 
-def _parse_rows(path, n_values: int | None = None):
-    """Yield (lineno, date, values) rows from a `date,v1,..` CSV, whose
-    dates must be strictly increasing.
+def _read_rows(path, kind: str, check, n_values: int | None = None):
+    """The dates and values (rows x columns) of a `date,v1,..` CSV of at least one
+    `kind` record. Every row passes `_check_date_order` against the one before and
+    `check(date, values)`; a rule's error gains only a `<path>:<line>: ` prefix.
 
     Blank lines are skipped, and the first other line may be a header: a line
     whose date field is not an ISO date and whose values are not all numbers;
@@ -123,7 +129,7 @@ def _parse_rows(path, n_values: int | None = None):
     """
     text = _read_text(path, DataError)
     first = True
-    last = None
+    dates, rows = [], []
     for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -133,9 +139,7 @@ def _parse_rows(path, n_values: int | None = None):
             if n_values < 1:
                 raise DataError(f"{path}: records need at least one value column")
         if len(row) != 1 + n_values:
-            raise DataError(
-                f"{path}:{lineno}: expected {1 + n_values} fields, got {len(row)}"
-            )
+            raise DataError(f"{path}:{lineno}: expected {1 + n_values} fields, got {len(row)}")
         try:
             day = datetime.date.fromisoformat(row[0].strip())
         except ValueError:
@@ -148,27 +152,23 @@ def _parse_rows(path, n_values: int | None = None):
             raise DataError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
         if day is None:
             raise DataError(f"{path}:{lineno}: bad ISO date {row[0]!r}")
-        if last is not None and day <= last:
-            raise DataError(
-                f"{path}:{lineno}: dates must be strictly increasing, got {day} after {last}"
-            )
-        last = day
-        yield lineno, day, values
+        try:
+            if dates:
+                _check_date_order(dates[-1], day)
+            check(day, values)
+        except (DataError, DomainError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        dates.append(day)
+        rows.append(values)
+    if not dates:
+        raise DataError(f"{path}: no {kind} records found")
+    return dates, np.array(rows)
 
 
 def load_prices(path) -> PriceSeries:
     """Read a `date,close` CSV: ISO dates, one record per line, optional header."""
-    dates: list[datetime.date] = []
-    closes: list[float] = []
-    for lineno, day, values in _parse_rows(path, 1):
-        close = values[0]
-        if not (close > 0 and np.isfinite(close)):
-            raise DataError(f"{path}:{lineno}: close must be positive, got {close!r}")
-        dates.append(day)
-        closes.append(close)
-    if not dates:
-        raise DataError(f"{path}: no price records found")
-    return PriceSeries(dates, np.array(closes))
+    dates, closes = _read_rows(path, "price", lambda day, values: _check_close(day, values[0]), 1)
+    return PriceSeries(dates, closes[:, 0])
 
 
 def load_movement_matrix(path) -> tuple[list[datetime.date], np.ndarray]:
@@ -177,16 +177,7 @@ def load_movement_matrix(path) -> tuple[list[datetime.date], np.ndarray]:
     All values must already lie in [-1, 1]; the column count is fixed by the
     first non-blank line.
     """
-    dates: list[datetime.date] = []
-    rows: list[list[float]] = []
-    for lineno, day, values in _parse_rows(path):
-        if not all(abs(v) <= 1.0 for v in values):  # also rejects NaN
-            raise DataError(f"{path}:{lineno}: movements must lie in [-1, 1]")
-        dates.append(day)
-        rows.append(values)
-    if not dates:
-        raise DataError(f"{path}: no movement records found")
-    return dates, np.asarray(rows, dtype=float)
+    return _read_rows(path, "movement", lambda day, values: _check_movements(np.array(values)))
 
 
 def _read_text(path, error) -> str:

@@ -157,20 +157,30 @@ def _shared_config(configs: Sequence, series: Sequence, kind: str):
     return first
 
 
-def _hidden_layer(window: Sequence[float], weights: NetworkWeights) -> np.ndarray:
-    """The hidden layer's outputs on one input window, checked against the
-    network's input width; every output neuron shares them."""
+def _check_window(window: Sequence[float], weights: NetworkWeights) -> np.ndarray:
+    """One input window as a float vector, checked against the network's input width."""
     u = np.asarray(window, dtype=float)
     m, l = weights.hidden_weights.shape
     if u.shape != (l,):
         raise UsageError(f"window of shape {u.shape} fed to a {m}x{l} network")
-    return np.tanh(weights.hidden_weights @ u)
+    return u
 
 
 def forward(window: Sequence[float], weights: NetworkWeights) -> float:
     """The network's capped output, its betting ratio, on one input window."""
-    out_in = float(weights.output_weights @ _hidden_layer(window, weights))
+    hidden = np.tanh(weights.hidden_weights @ _check_window(window, weights))
+    out_in = float(weights.output_weights @ hidden)
     return min(max(float(np.tanh(out_in)), -_OUTPUT_CAP), _OUTPUT_CAP)
+
+
+def _bets(hidden_weights, output_weights, windows):
+    """The uncapped outputs (... x P) of hidden weights ... x M x L and output rows
+    ... x P x M on windows ... x L. Each window takes its own matrix-vector products,
+    so each output is bit for bit that of the reference `forward` before its cap;
+    the matrix product `windows @ hidden_weights.mT` rounds differently."""
+    hidden = hidden_weights @ windows[..., None]
+    np.tanh(hidden, out=hidden)
+    return np.tanh(output_weights @ hidden)[..., 0]
 
 
 def _check_history(windows, moves, input_count: int, asset_count: int = 1):

@@ -26,6 +26,7 @@ from .network import (
     NetworkWeights,
     _OUTPUT_CAP,
     _batch_forward,
+    _bets,
     _check_history,
     _check_settings,
     _shared_config,
@@ -251,17 +252,12 @@ def run_nnbp(
     """Bet the frozen network's output through an investing series.
 
     Rounds 1..warmup only provide window history. The bets of all rounds
-    come from one stacked pass over their windows, which makes per window
-    the matrix-vector and dot products of `network.forward`, so each bet
-    is bit for bit `clamp_ratio(forward(window, weights))`; `run_game`
-    then plays them. The weights are only read.
+    come from one `network._bets` pass over their windows, so each bet is
+    bit for bit `clamp_ratio(forward(window, weights))`; `run_game` then
+    plays them. The weights are only read.
     """
     # Row i holds the input window of round warmup + 1 + i.
     windows = betting_windows(movements.values, weights.hidden_weights.shape[1], warmup)
-    # A stack of matrix-vector products, not `windows @ hidden_weights.T`:
-    # that matrix product rounds differently from `forward` in the last bit.
-    hidden = weights.hidden_weights @ windows[:, :, None]
-    np.tanh(hidden, out=hidden)
-    out = np.tanh(weights.output_weights @ hidden)[:, 0]
+    out = _bets(weights.hidden_weights, weights.output_weights[None], windows)[:, 0]
     bets = np.clip(out, -RATIO_CAP, RATIO_CAP).tolist()
     return run_game(lambda n, past: bets[n - warmup - 1], movements, warmup)

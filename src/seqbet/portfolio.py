@@ -29,7 +29,7 @@ from .game import (
     RATIO_CAP, OptimizeReport, StrategyRunResult, _betting_rounds, _check_movements, _play,
     betting_windows,
 )
-from .network import NetworkConfig, NetworkWeights, _OUTPUT_CAP, _hidden_layer
+from .network import NetworkConfig, NetworkWeights, _OUTPUT_CAP, _bets, _check_window
 from .sosnn import SosnnConfig, _refit
 
 
@@ -58,10 +58,10 @@ class PortfolioWeights(NetworkWeights):
 
 
 def forward_portfolio(window: Sequence[float], weights: PortfolioWeights) -> np.ndarray:
-    """Ratio vector for one input window: the hidden layer is evaluated once
-    and shared by every output neuron."""
-    out_in = weights.output_weights @ _hidden_layer(window, weights)
-    return np.clip(np.tanh(out_in), -_OUTPUT_CAP, _OUTPUT_CAP)
+    """Ratio vector for one checked input window, from the `network._bets`
+    pass: the hidden layer is evaluated once and shared by every output neuron."""
+    out = _bets(weights.hidden_weights, weights.output_weights, _check_window(window, weights))
+    return np.clip(out, -_OUTPUT_CAP, _OUTPUT_CAP)
 
 
 def rescale_exposure(ratios: Sequence[float]) -> np.ndarray:

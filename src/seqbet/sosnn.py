@@ -28,18 +28,18 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .game import (
-    MovementSeries, OptimizeReport, StrategyRunResult, _check_warmup, betting_windows, clamp_ratio, run_game,
+    RATIO_CAP, MovementSeries, OptimizeReport, StrategyRunResult, _check_warmup, betting_windows, run_game,
 )
 from .network import (
     AnnealingSchedule,
     NetworkConfig,
     NetworkWeights,
+    _bets,
     _check_history,
     _check_settings,
     _evaluate,
     _gradient,
     _shared_config,
-    forward,
 )
 
 
@@ -270,20 +270,26 @@ def run_sosnn_replicates(
     """Run the sequentially optimized strategy on R replicates in lockstep.
 
     Replicate r bets on `movements[r]` with `configs[r]`; the series must
-    be equally long and the configs may differ only in seed. At every round
-    the refits of all replicates run as one stacked ascent. A bet never
-    depends on capital, so the ratios of all rounds are found first and
-    each replicate then plays them through `run_game`. The result of
-    replicate r is bit-identical to `run_sosnn(movements[r], configs[r])`;
-    where that would raise `NumericError`, the list holds the error instead
-    and the other replicates play on.
+    be equally long and the configs may differ only in seed. The weights of
+    all replicates stay in one R x M x L hidden and one R x 1 x M output
+    array; at every round their refits run as one stacked ascent and their
+    bets as one `network._bets` pass. A bet never depends on capital, so the
+    ratios of all rounds are found first and each replicate then plays them
+    through `run_game`. The result of replicate r is bit-identical to
+    `run_sosnn(movements[r], configs[r])`; where that would raise
+    `NumericError`, the list holds the error instead and the others play on.
     """
     config = _shared_config(configs, movements, "sosnn")
     warmup, n_rounds = config.warmup, len(movements[0])
     windows = np.stack([betting_windows(m.values, config.net.input_count, warmup) for m in movements])
     count = len(configs)
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    weights = [NetworkWeights.uniform(config.net, config.init_scale, rng) for rng in rngs]
+
+    def draw(r):
+        fresh = NetworkWeights.uniform(config.net, config.init_scale, rngs[r])
+        return fresh.hidden_weights, fresh.output_weights[None]
+
+    hidden, out = map(np.stack, zip(*map(draw, range(count))))
     moves = np.stack([m.values for m in movements])[:, :, None]
     ratios = np.zeros((count, n_rounds))
     diagnostics: list[list[OptimizeReport]] = [[] for _ in range(count)]
@@ -296,26 +302,23 @@ def run_sosnn_replicates(
         if completed > 0:
             if not config.warm_start:
                 for r in alive:
-                    weights[r] = NetworkWeights.uniform(config.net, config.init_scale, rngs[r])
-            best_hidden, best_out, reports = _ascend(
-                windows[alive, :completed], moves[alive, warmup : n - 1], config,
-                np.stack([weights[r].hidden_weights for r in alive]),
-                np.stack([weights[r].output_weights[None] for r in alive]),
+                    hidden[r], out[r] = draw(r)
+            hidden[alive], out[alive], reports = _ascend(
+                windows[alive, :completed], moves[alive, warmup : n - 1], config, hidden[alive], out[alive]
             )
-            for i, (r, report) in enumerate(zip(list(alive), reports)):
+            for r, report in zip(list(alive), reports):
                 if isinstance(report, NumericError):
                     outcomes[r] = NumericError(f"round {n}: {report}")
                     alive.remove(r)
-                    continue
-                weights[r] = NetworkWeights(best_hidden[i], best_out[i, 0])
-                diagnostics[r].append(report)
+                else:
+                    diagnostics[r].append(report)
         else:
             # No completed round yet: the empty history's objective and
             # gradient are exactly 0, and there is nothing to iterate.
             for r in alive:
                 diagnostics[r].append(OptimizeReport(0, True, 0.0, 0.0))
-        for r in alive:
-            ratios[r, n - 1] = clamp_ratio(forward(windows[r, n - warmup - 1], weights[r]))
+        bets = _bets(hidden[alive], out[alive], windows[alive, n - warmup - 1])
+        ratios[alive, n - 1] = np.clip(bets[:, 0], -RATIO_CAP, RATIO_CAP)
     for r in alive:
         bets = ratios[r].tolist()
         outcomes[r] = run_game(lambda n, past, bets=bets: bets[n - 1], movements[r], warmup)

@@ -7,6 +7,7 @@ the step-level tests replace the child process with canned output.
 import dataclasses
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -310,6 +311,25 @@ class TestSteps:
         monkeypatch.setattr(ci, "_run", lambda args, capture=False: subprocess.CompletedProcess(args, 2))
         assert ci.main(["demo"]) == 1
 
+    @pytest.mark.parametrize("code, status", [(0, 0), (1, 1), (2, 1)])
+    def test_mirror(self, monkeypatch, code, status):
+        # One child runs the mirror lock on Haswell's kernels, with the
+        # checkout's src first on its path, and its exit decides the step.
+        children = []
+
+        def run(args, env, **kwargs):
+            children.append((args, env))
+            return subprocess.CompletedProcess(args, code)
+
+        monkeypatch.setattr(ci.subprocess, "run", run)
+        monkeypatch.setenv("OPENBLAS_CORETYPE", "SkylakeX")
+        assert ci.main(["mirror"]) == status
+        ((args, env),) = children
+        assert args[1:] == ["-m", "pytest", "-q", "tests/test_mirror.py"]
+        assert env["OPENBLAS_CORETYPE"] == "Haswell"
+        assert env["PYTHONPATH"].split(os.pathsep)[0] == str(ci.ROOT / "src")
+        assert os.environ["OPENBLAS_CORETYPE"] == "SkylakeX"
+
     def test_owners(self, monkeypatch, tmp_path, capsys):
         package = Path(shutil.copytree(ci.PACKAGE, tmp_path / "seqbet"))
         monkeypatch.setattr(ci, "PACKAGE", package)
@@ -324,4 +344,4 @@ class TestSteps:
             monkeypatch.setitem(ci.STEPS, name, lambda scratch, name=name: ran.append(name) or (
                 ["broken"] if name == "smoke" else []))
         assert ci.main(["all"]) == 1
-        assert ran == ["owners", "tier1", "smoke"]
+        assert ran == ["owners", "tier1", "mirror", "smoke"]

@@ -1,5 +1,6 @@
 """Generators, normalization, price ingestion, and the file formats."""
 
+import datetime
 import re
 
 import numpy as np
@@ -18,7 +19,8 @@ from seqbet.data import (
     normalize,
     write_movements,
 )
-from seqbet.errors import DataError, UsageError
+from seqbet.errors import DataError, DomainError, UsageError
+from seqbet.game import MovementSeries
 
 
 class TestAr1:
@@ -223,6 +225,58 @@ class TestLoadPrices:
         path = tmp_path / name
         with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: cannot be read: "):
             load_prices(path)
+
+
+class TestDataRules:
+    """Each data rule has one wording: the one that direct construction
+    gives, to which a file reader adds only `<path>:<line>: `."""
+
+    CLOSES = [(-5, "-5.0"), (0, "0.0"), ("nan", "nan"), ("inf", "inf")]
+    MOVEMENTS = [(1.5, "1.5"), (-2, "-2.0"), ("nan", "nan"), ("-inf", "-inf")]
+
+    @pytest.mark.parametrize("close, shown", CLOSES)
+    def test_close_direct(self, close, shown):
+        days = [datetime.date(2006, 1, 2), datetime.date(2006, 1, 3)]
+        with pytest.raises(DataError) as info:
+            PriceSeries(days, [100.0, float(close)])
+        assert str(info.value) == f"close must be positive and finite, got {shown} on 2006-01-03"
+
+    @pytest.mark.parametrize("close, shown", CLOSES)
+    def test_close_in_a_file(self, tmp_path, close, shown):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,close\n2006-01-02,100\n2006-01-03,{close}\n")
+        with pytest.raises(DataError) as info:
+            load_prices(path)
+        assert str(info.value) == f"{path}:3: close must be positive and finite, got {shown} on 2006-01-03"
+
+    @pytest.mark.parametrize("second", [datetime.date(2006, 1, 2), datetime.date(2006, 1, 1)])
+    def test_date_order_direct(self, second):
+        with pytest.raises(DataError) as info:
+            PriceSeries([datetime.date(2006, 1, 2), second], [100.0, 101.0])
+        assert str(info.value) == f"dates must be strictly increasing, got 2006-01-02 then {second}"
+
+    @pytest.mark.parametrize("load", [load_prices, load_movement_matrix])
+    @pytest.mark.parametrize("second", ["2006-01-02", "2006-01-01"])
+    def test_date_order_in_a_file(self, tmp_path, load, second):
+        path = tmp_path / "d.csv"
+        path.write_text(f"2006-01-02,0.5\n\n{second},0.25\n")
+        with pytest.raises(DataError) as info:
+            load(path)
+        assert str(info.value) == f"{path}:3: dates must be strictly increasing, got 2006-01-02 then {second}"
+
+    @pytest.mark.parametrize("value, shown", MOVEMENTS)
+    def test_movement_range_direct(self, value, shown):
+        with pytest.raises(DomainError) as info:
+            MovementSeries([0.5, float(value)])
+        assert str(info.value) == f"market movement must be finite and lie in [-1, 1], got {shown}"
+
+    @pytest.mark.parametrize("value, shown", MOVEMENTS)
+    def test_movement_range_in_a_file(self, tmp_path, value, shown):
+        path = tmp_path / "m.csv"
+        path.write_text(f"2006-01-02,0.1,0.2\n2006-01-03,0.3,{value}\n")
+        with pytest.raises(DataError) as info:
+            load_movement_matrix(path)
+        assert str(info.value) == f"{path}:2: market movement must be finite and lie in [-1, 1], got {shown}"
 
 
 class TestMovementMatrix:

@@ -16,17 +16,20 @@ from conftest import (
     squared_error_gradient,
 )
 from seqbet.errors import UsageError
-from seqbet.game import betting_windows
+from seqbet.game import RATIO_CAP, betting_windows, clamp_ratio
 from seqbet.network import (
+    _OUTPUT_CAP,
     AnnealingSchedule,
     NetworkConfig,
     NetworkWeights,
     _batch_forward,
+    _bets,
     forward,
     log_wealth,
     log_wealth_gradient,
 )
 from seqbet.nnbp import NnbpConfig
+from seqbet.portfolio import PortfolioWeights, forward_portfolio
 from seqbet.sosnn import SosnnConfig, optimize_weights
 
 # Frozen oracle values (direct double-precision evaluation).
@@ -80,6 +83,38 @@ class TestForward:
     def test_saturated_output_stays_inside(self):
         w = NetworkWeights([[1000.0]], [1000.0])
         assert abs(forward([1.0], w)) < 1.0
+
+
+class TestBets:
+    @given(
+        st.integers(1, 10),
+        st.integers(1, 15),
+        st.integers(1, 40),
+        st.integers(1, 4),
+        st.floats(0.1, 30.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_reference_forward_passes(self, replicates, length, hidden, assets, scale, seed):
+        # One pass over R replicates' own weights and windows: each row,
+        # capped as its strategy caps it, is bit for bit the single-window
+        # reference on that replicate alone. The per-round axis of one
+        # network is test_nnbp's test_bets_are_per_round_forward_passes.
+        rng = np.random.default_rng(seed)
+        w_hidden = rng.uniform(-scale, scale, (replicates, hidden, length))
+        w_out = rng.uniform(-scale, scale, (replicates, assets, hidden))
+        windows = rng.uniform(-1, 1, (replicates, length))
+        bets = _bets(w_hidden, w_out, windows)
+        assert bets.shape == (replicates, assets)
+        for r in range(replicates):
+            if assets == 1:
+                bet = np.clip(bets[r, 0], -RATIO_CAP, RATIO_CAP)
+                expected = clamp_ratio(forward(windows[r], NetworkWeights(w_hidden[r], w_out[r, 0])))
+                assert bet.tobytes() == np.float64(expected).tobytes()
+            else:
+                ratios = np.clip(bets[r], -_OUTPUT_CAP, _OUTPUT_CAP)
+                expected = forward_portfolio(windows[r], PortfolioWeights(w_hidden[r], w_out[r]))
+                assert ratios.tobytes() == expected.tobytes()
 
 
 class TestWindows:
