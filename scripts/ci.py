@@ -307,13 +307,19 @@ def step_cli(scratch: Path) -> list[str]:
     out = scratch / "backtest-missing-prices"
     done = _run([*command, "backtest", "--config", missing_prices_config(scratch), "--out", out])
     failures += rejection_failures("the missing-prices backtest", done.returncode, out.exists())
-    # An --out that cannot be a directory, before any cell runs, and a
-    # compare --out under a file.
+    # An --out that cannot be a directory, before any cell runs (a file, then
+    # a dangling symlink), and a compare --out under a file.
     taken = scratch / "taken"
     taken.write_text("kept\n", encoding="utf-8")
     done = _run([*command, "backtest", "--config", config, "--out", taken])
     unchanged = taken.read_text(encoding="utf-8") == "kept\n"
     failures += rejection_failures("the backtest into a file", done.returncode, not unchanged)
+    link, gone = scratch / "dangling", scratch / "gone"
+    link.unlink(missing_ok=True)
+    link.symlink_to(gone)
+    done = _run([*command, "backtest", "--config", config, "--out", link])
+    unchanged = link.is_symlink() and link.readlink() == gone and not gone.exists()
+    failures += rejection_failures("the backtest into a dangling symlink", done.returncode, not unchanged)
     done = _run([*command, "compare", scratch / "backtest-7", scratch / "backtest-8",
                  "--out", taken / "m.csv"])
     unchanged = taken.read_text(encoding="utf-8") == "kept\n"

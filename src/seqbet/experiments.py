@@ -557,8 +557,9 @@ def _manifest(config: ExperimentConfig) -> dict:
 
 
 def _check_out(directory: Path, what: str) -> None:
-    """Reject a `directory` that cannot hold `what`: it, or its first existing parent, is no directory."""
-    existing = next(p for p in (directory, *directory.parents) if p.exists())
+    """Reject a `directory` that cannot hold `what`: it, or its first existing
+    parent, is no directory. A symlink exists here even when it dangles."""
+    existing = next(p for p in (directory, *directory.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
         raise UsageError(f"cannot write {what} into {directory}: {existing} is not a directory")
 

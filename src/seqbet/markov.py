@@ -47,8 +47,9 @@ def _as_order(order) -> MarkovOrder:
 def bucket_index(context: Sequence[float], order) -> int:
     """Bucket of a round given the `order` movements before it, oldest first.
 
-    Nonnegative movements count as "+"; buckets are ordered (++, +-, -+, --)
-    for order 2 and (+, -) for order 1.
+    The rule `_bucket_indices` applies to every round: a movement below 0 is
+    "-", any other (zero too) "+", and the newest is bit 0, so buckets are
+    ordered (++, +-, -+, --) for order 2 and (+, -) for order 1.
     """
     order = _as_order(order)
     ctx = np.asarray(context, dtype=float)
@@ -57,10 +58,7 @@ def bucket_index(context: Sequence[float], order) -> int:
             f"order-{order.order} context needs exactly {order.order} movements, "
             f"got shape {ctx.shape}"
         )
-    index = 0
-    for value in ctx:
-        index = 2 * index + (1 if value < 0 else 0)
-    return index
+    return int(_bucket_indices(np.append(ctx, 0.0), order.order)[-1])
 
 
 def optimize_bucket(movements_in_bucket: Sequence[float], start: float = 0.0) -> float:
@@ -108,9 +106,10 @@ def _maximize_log_wealth(moves: np.ndarray, start: float) -> float:
     computed slope S(a) = sum(x / (1 + a*x)) returns: `hi` if S(hi) >= 0,
     else `lo` if S(lo) <= 0, else the bisection's last midpoint. It
     evaluates S only where the answer needs it: 2.47 times per refit on the
-    two seed-1 `arma21_long` series from `run_mkv`'s predicted roots (3.30,
-    2.12 and 2.00 for orders 0, 1 and 2; 2.98 from the bucket's last ratio,
-    4.00 from 0), instead of about 37 (2 endpoint tests and ~35 halvings).
+    two seed-1 `arma21_long` series from `run_mkv`'s predicted roots (1.53
+    Newton, 0.93 probe and 0.02 bisection passes; 3.30, 2.12 and 2.00 for
+    orders 0, 1 and 2), instead of about 37 (2 endpoint tests and ~35
+    halvings).
 
     The replay is exact because the computed S is monotone non-increasing in
     `a` for finite moves in [-1, 1]: each rounded term fl(x / fl(1 + fl(a*x)))
@@ -127,13 +126,11 @@ def _maximize_log_wealth(moves: np.ndarray, start: float) -> float:
     the interval (S' = -sum(q**2) comes from the same pass), and two probes
     around their prediction make the gap between `pos` and `nonpos` about
     2e-12 wide, which the bisection's ~1e-10 final width rarely straddles.
-    An interior refit takes three or four passes, but one that leaves a cap
-    nears the root from the cap's side in steps that fall short: on a seed-12
-    `arma21_long` bucket, six steps from 0.999 stopped 1.2e-4 above the root,
-    and the replay bisected from -RATIO_CAP (38 passes); eight reach it (10
-    passes). From 0 the first step lands on the cap, and nine take 11 passes
-    (eight took 34). A prediction past a cap whose test is still open
-    evaluates that cap, and a cap that passes its test is the answer, so a
+    A refit that leaves a cap nears the root from the cap's side in steps
+    that fall short, so it takes up to `_NEWTON_STEPS` of them: a seed-12
+    `arma21_long` bucket takes 10 passes from the cap, and 11 from 0, whose
+    first step lands on the cap. A prediction past a cap whose test is still
+    open evaluates that cap, and a cap that passes its test is the answer, so a
     bucket that stays at its cap costs one pass. Which points get evaluated
     depends on `start`; the result, being plain bisection's, does not.
     """

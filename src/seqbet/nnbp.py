@@ -9,7 +9,8 @@ Training carries a leading replicate axis R: `train_replicates` steps R
 networks, each on its own training series of one shared length, with
 stacked `np.matmul` products, so every replicate's weights are
 bit-identical to its training alone. Each replicate keeps its own epoch
-errors and its own threshold stop. `train` is the R = 1 case.
+errors and its own threshold stop; a stopped replicate's rows stay in the
+stack until the last one stops. `train` is the R = 1 case.
 """
 
 from __future__ import annotations
@@ -155,10 +156,10 @@ def train_replicates(
     The series must be equally long and the configs may differ only in
     seed. All replicates take the same per-sample steps in lockstep; one
     whose epoch error drops below the threshold stops there, with a shorter
-    error record, and leaves the stack. Training stops before a cycle that
-    would pass `max_steps`, but never before the first, so the step count
-    can exceed the cap when one cycle does. The loop binds its views once per
-    stack shape and returns once, when the last replicate has stopped.
+    error record; its rows stay in the stack and keep stepping, never read
+    again, until the last replicate has stopped. Training stops before a
+    cycle that would pass `max_steps`, but never before the first, so the
+    step count can exceed the cap when one cycle does.
     """
     config = _shared_config(configs, training, "nnbp")
     if inits is None:
@@ -179,70 +180,61 @@ def train_replicates(
     count, m = targets.shape
     hidden_count, input_count = config.net.hidden_count, config.net.input_count
     split = hidden_count * input_count
+    # Both layers live in one R x D array theta, each step's update in one
+    # R x D buffer; every view below is bound once, for the whole run.
     theta = np.stack([np.concatenate((w.hidden_weights.ravel(), w.output_weights)) for w in inits])
+    grad = np.empty_like(theta)
+    w_hidden = theta[:, :split].reshape(count, hidden_count, input_count)
+    w_out = theta[:, split:].reshape(count, 1, hidden_count)
+    w_out_col = w_out.mT
+    grad_hidden = grad[:, :split].reshape(count, hidden_count, input_count)
+    grad_out = grad[:, split:].reshape(count, 1, hidden_count).mT
+    delta_flat = np.empty(count)
+    out_delta = delta_flat.reshape(count, 1, 1)
+    samples = [
+        (windows[:, j, :, None], windows[:, j, None, :], targets[:, j].tolist()) for j in range(m)
+    ]
     rate = config.learning_rate
     cap, floor = _OUTPUT_CAP, -_OUTPUT_CAP
     errors: list[list[float]] = [[] for _ in range(count)]
     fits: list = [None] * count
-    rows = list(range(count))
     steps = 0
-    # One pass per stack shape: bind the views of the active replicates (both
-    # layers live in one R x D array theta, each step's update in one R x D
-    # buffer), run epochs until some stop, and drop those from the stack.
-    while rows:
-        active = len(rows)
-        grad = np.empty_like(theta)
-        w_hidden = theta[:, :split].reshape(active, hidden_count, input_count)
-        w_out = theta[:, split:].reshape(active, 1, hidden_count)
-        w_out_col = w_out.mT
-        grad_hidden = grad[:, :split].reshape(active, hidden_count, input_count)
-        grad_out = grad[:, split:].reshape(active, 1, hidden_count).mT
-        delta_flat = np.empty(active)
-        out_delta = delta_flat.reshape(active, 1, 1)
-        samples = [
-            (windows[:, j, :, None], windows[:, j, None, :], targets[:, j].tolist())
-            for j in range(m)
-        ]
-        stopped = []
-        while not stopped:
-            # One descent step per sample along the gradient of (T - y)^2 / 2, in
-            # the operation order of the scalar reference `squared_error_gradient`
-            # in tests/conftest.py, so every replicate's weights match it bit for
-            # bit. The output and its delta are Python floats, as in that step.
-            for u_col, u_row, sample_targets in samples:
-                hidden_out = np.tanh(w_hidden @ u_col)
-                for i, (((out,),), target) in enumerate(
-                    zip(np.tanh(w_out @ hidden_out).tolist(), sample_targets)
-                ):
-                    out = floor if out < floor else cap if out > cap else out
-                    delta_flat[i] = -(target - out) * (1.0 - out * out)
-                hidden_delta = out_delta * w_out_col
-                hidden_delta *= 1.0 - hidden_out * hidden_out
-                np.multiply(hidden_delta, u_row, grad_hidden)
-                np.multiply(out_delta, hidden_out, grad_out)
-                grad *= rate
-                theta -= grad
-            steps += m
-            epoch_errors, day_errors = _training_errors(windows, w_hidden, w_out, targets)
-            capped = steps + m > config.max_steps
-            for i, error in enumerate(epoch_errors.tolist()):
-                r = rows[i]
-                errors[r].append(error)
-                converged = error < config.error_threshold
-                if converged or capped:
-                    weights = inits[r]
-                    weights.hidden_weights[...] = w_hidden[i]
-                    weights.output_weights[...] = w_out[i, 0]
-                    fits[r] = (weights, TrainingDiagnostics(
-                        error_per_epoch=errors[r],
-                        per_day_error=day_errors[i],
-                        steps_used=steps,
-                        converged=converged,
-                    ))
-                    stopped.append(i)
-        kept = [i for i in range(active) if i not in stopped]
-        rows = [rows[i] for i in kept]
-        theta, windows, targets = theta[kept], windows[kept], targets[kept]
+    while None in fits:
+        # One descent step per sample along the gradient of (T - y)^2 / 2, in
+        # the operation order of the scalar reference `squared_error_gradient`
+        # in tests/conftest.py, so every replicate's weights match it bit for
+        # bit. The output and its delta are Python floats, as in that step.
+        for u_col, u_row, sample_targets in samples:
+            hidden_out = np.tanh(w_hidden @ u_col)
+            for i, (((out,),), target) in enumerate(
+                zip(np.tanh(w_out @ hidden_out).tolist(), sample_targets)
+            ):
+                out = floor if out < floor else cap if out > cap else out
+                delta_flat[i] = -(target - out) * (1.0 - out * out)
+            hidden_delta = out_delta * w_out_col
+            hidden_delta *= 1.0 - hidden_out * hidden_out
+            np.multiply(hidden_delta, u_row, grad_hidden)
+            np.multiply(out_delta, hidden_out, grad_out)
+            grad *= rate
+            theta -= grad
+        steps += m
+        epoch_errors, day_errors = _training_errors(windows, w_hidden, w_out, targets)
+        capped = steps + m > config.max_steps
+        for r, error in enumerate(epoch_errors.tolist()):
+            if fits[r] is not None:
+                continue  # stopped: its rows step on with the stack, unread
+            errors[r].append(error)
+            converged = error < config.error_threshold
+            if converged or capped:
+                weights = inits[r]
+                weights.hidden_weights[...] = w_hidden[r]
+                weights.output_weights[...] = w_out[r, 0]
+                fits[r] = (weights, TrainingDiagnostics(
+                    error_per_epoch=errors[r],
+                    per_day_error=day_errors[r],
+                    steps_used=steps,
+                    converged=converged,
+                ))
     return fits
 
 

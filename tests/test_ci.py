@@ -259,20 +259,23 @@ class TestSteps:
         assert ci.main(["stability"]) == 1
 
     @pytest.mark.parametrize("codes, table, status", [
-        ([0, 0, 1, 1, 1, 1, 1], COMPARE_TABLE, 0),
-        ([0, 0, 0, 1, 1, 1, 1], COMPARE_TABLE, 1),
-        ([0, 0, 1, 0, 1, 1, 1], COMPARE_TABLE, 1),
-        ([0, 0, 1, 1, 2, 1, 1], COMPARE_TABLE, 1),
-        ([0, 0, 1, 1, 1, 2, 1], COMPARE_TABLE, 1),
-        ([0, 0, 1, 1, 1, 1, 2], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 1, 1, 1, 1], COMPARE_TABLE, 0),
+        ([0, 0, 0, 1, 1, 1, 1, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 0, 1, 1, 1, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 2, 1, 1, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 1, 2, 1, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 1, 1, 2, 1], COMPARE_TABLE, 1),
+        ([0, 0, 1, 1, 1, 1, 1, 2], COMPARE_TABLE, 1),
         ([0, 0], UNFLAGGED, 1),
     ], ids=["pass", "short-training-exit-0", "late-investing-exit-0", "missing-prices-exit-2",
-            "into-a-file-exit-2", "compare-under-a-file-exit-2", "no-best-row"])
+            "into-a-file-exit-2", "into-a-dangling-symlink-exit-2", "compare-under-a-file-exit-2",
+            "no-best-row"])
     def test_cli(self, canned, exits, codes, table, status):
         # Two seeded backtests, the compare, the short-training backtest,
         # the late-investing backtest, the missing-prices backtest, the
-        # backtest into a file, then the compare under that file. The step
-        # makes each run it gets to once: no exit code is left over.
+        # backtest into a file, the backtest into a dangling symlink, then
+        # the compare under that file. The step makes each run it gets to
+        # once: no exit code is left over.
         canned.append(table)
         exits += codes
         assert ci.main(["cli"]) == status
@@ -292,8 +295,31 @@ class TestSteps:
 
         monkeypatch.setattr(ci, "_run", overwrite)
         canned.append(COMPARE_TABLE)
-        exits += [0, 0, 1, 1, 1, 1, 1]
+        exits += [0, 0, 1, 1, 1, 1, 1, 1]
         assert ci.main(["cli"]) == 1
+
+    @pytest.mark.parametrize("change", ["target-made", "link-replaced"])
+    def test_cli_fails_when_the_dangling_symlink_changes(self, canned, exits, monkeypatch, change):
+        run = ci._run
+
+        def follow(args, capture=False):
+            # The run writes through the link, or puts a directory in its place.
+            link = Path(args[-1])
+            if args[1] == "backtest" and link.name == "dangling":
+                if change == "target-made":
+                    link.readlink().mkdir()
+                else:
+                    link.unlink()
+                    link.mkdir()
+            return run(args, capture)
+
+        monkeypatch.setattr(ci, "_run", follow)
+        # A temporary scratch, so the changed link outlives no test.
+        monkeypatch.delenv("RUNNER_TEMP", raising=False)
+        canned.append(COMPARE_TABLE)
+        exits += [0, 0, 1, 1, 1, 1, 1, 1]
+        assert ci.main(["cli"]) == 1
+        assert exits == [] and canned == []
 
     def test_demo(self, monkeypatch):
         def run(args, capture=False, value="0.5"):

@@ -749,22 +749,26 @@ class TestCompare:
         with pytest.raises(UsageError, match="finished run"):
             run_compare([tmp_path / "nope"])
 
-    @pytest.mark.parametrize("target", ["taken/m.csv", "runA", "runA/manifest.json", "runB/summary.csv"],
-                             ids=["under-a-file", "directory", "manifest", "summary"])
+    @pytest.mark.parametrize("target", ["taken/m.csv", "runA", "runA/manifest.json", "runB/summary.csv",
+                                        "dangling/m.csv"],
+                             ids=["under-a-file", "directory", "manifest", "summary", "under-a-dangling-symlink"])
     def test_out_that_cannot_take_the_table_exits_1(self, tmp_path, capsys, target):
-        # Rejected before the table is written: a file above --out, a
-        # directory at --out, or a file compare reads; no byte changes.
+        # Rejected before the table is written: a file or a dangling symlink
+        # above --out, a directory at --out, or a file compare reads; no byte
+        # or link changes.
         a, b = self.make_two_runs(tmp_path)
         (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
+        (tmp_path / "dangling").symlink_to(tmp_path / "gone")
         before = tree_bytes(tmp_path)
         out = tmp_path / target
         assert main(["compare", str(a), str(b), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        if target == "taken/m.csv":
+        if target.endswith("/m.csv"):
             assert err == f"error: cannot write m.csv into {out.parent}: {out.parent} is not a directory\n"
         else:
             assert err == f"error: cannot write the table into {out}: it is a directory or a file compare reads\n"
         assert tree_bytes(tmp_path) == before
+        assert (tmp_path / "dangling").readlink() == tmp_path / "gone" and not (tmp_path / "gone").exists()
 
     def test_out_into_a_new_directory(self, tmp_path):
         a, b = self.make_two_runs(tmp_path)
@@ -1406,6 +1410,24 @@ class TestCli:
             f"error: cannot write the run into {out}: {taken} is not a directory\n"
         )
         assert taken.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("sub", ["", "run"])
+    def test_out_at_or_under_a_dangling_symlink_exits_1(self, tmp_path, capsys, monkeypatch, sub):
+        # A dangling link at --out, or above it, is no directory: exit 1
+        # before any cell runs (a cell would exit 2 here), the link as it was.
+        def broken(*args):
+            raise RuntimeError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_mkv", broken)
+        path = write_config(tmp_path, TINY_SIM)
+        link = tmp_path / "L"
+        link.symlink_to(tmp_path / "gone")
+        out = link / sub
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write the run into {out}: {link} is not a directory\n"
+        )
+        assert link.readlink() == tmp_path / "gone" and not link.exists()
 
     @pytest.mark.parametrize("case", [
         "sosnn-init-scale-inf", "nnbp-init-scale-1e308", "nnbp-learning-rate-inf", "sosnn-initial-rate-inf",

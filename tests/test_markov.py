@@ -1,6 +1,7 @@
 """Bucketed proportional betting: indexing, the 1-D argmax, and full runs."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -97,6 +98,14 @@ class TestBucketIndex:
 
     def test_order0(self):
         assert bucket_index([], 0) == 0
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_every_context(self, order):
+        # The rule, written out: a sign below 0 is "-", zero and NaN count as
+        # "+", and the newest (last) movement is bit 0.
+        for ctx in itertools.product([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.nan], repeat=order):
+            expected = sum(1 << (order - 1 - i) for i, v in enumerate(ctx) if v < 0)
+            assert bucket_index(ctx, order) == expected
 
     def test_wrong_context_length(self):
         with pytest.raises(UsageError):
@@ -265,9 +274,8 @@ class TestSolverMatchesBisection:
     def test_refit_leaving_its_cap_reaches_the_root(self, slope_points, start, passes):
         # `run_mkv` refits this order-0 bucket (round 195 of a seed-12
         # `arma21_long` series) from the cap it leaves. Newton nears the root
-        # from above in short steps; six stopped 1.2e-4 short of it, and the
-        # replay bisected from the full interval in 38 passes. From 0 the
-        # first step lands on the cap, and eight steps took 34 passes.
+        # from above in short steps; too few of them leave the replay to
+        # bisect from the full interval. From 0 the first step lands on the cap.
         xs = normalize(gen_arma21(2520, NoiseSpec(seed=derive_seed(12, 1, 0)))).values
         moves = xs[:194]
         assert optimize_bucket(moves, start=start).hex() == reference_maximize(moves).hex()
